@@ -20,9 +20,14 @@ instances derived from the same attested DH secret:
   replica, so high-rate request traffic cannot desynchronize the control
   channel's sequence numbers.
 
-Keys are per-link: every replica handshake uses a fresh relying-party DH
-keypair, so a record sealed for one replica is garbage on every other
-link (tested in ``tests/crypto``).
+Keys are per-link and per-handshake: the relying-party DH keypair is
+seeded from the expected measurement, the replica's name and the
+verifier's running handshake count, so every replica gets its own key
+and every re-attestation rotates it.  A record sealed for one replica is
+garbage on every other link, and a record sealed before a
+re-attestation is garbage on the link that replaces it (tested in
+``tests/cluster/test_link_keys.py``).  The seed is deterministic, so
+same-seed runs still replay byte for byte.
 """
 
 from __future__ import annotations
@@ -94,6 +99,9 @@ class FleetVerifier:
     cost: CostModel = field(default_factory=CostModel)
     tracer: object = None
 
+    #: Handshakes begun so far; folded into each relying-party DH seed.
+    handshakes: int = field(default=0, init=False)
+
     #: Relying-party bookkeeping around one handshake (nonce management,
     #: policy lookup, session install).
     HANDSHAKE_BASE_CYCLES = 20_000
@@ -131,7 +139,10 @@ class FleetVerifier:
                         replica_name: str) -> RemoteUser:
         """Stage 1: mint a fresh relying-party DH keypair and demand an
         attestation report from the replica."""
-        user = RemoteUser(self.expected_measurement, self.platform_public)
+        self.handshakes += 1
+        user = RemoteUser(self.expected_measurement, self.platform_public,
+                          session=(replica_name.encode(),
+                                   self.handshakes.to_bytes(8, "big")))
         net.send(frontend_name, replica_name,
                  # veil-lint: allow(trace-context) -- control-plane frame: attestation precedes any request, so there is no trace context to carry
                  encode_message({"kind": "attest"}))

@@ -282,8 +282,12 @@ class ClusterReplica:
         if kind == "channel_init":
             reply = gateway.call_monitor(self.core, {
                 "op": "user_channel_init",
-                "peer_public_hex": message["peer_public_hex"]})
-            self.provision_data_channel()
+                "peer_public_hex": message.get("peer_public_hex")})
+            # A missing, non-hex or out-of-range value comes back as an
+            # error reply: VeilMon installed no user channel, so no data
+            # channel may be provisioned either.
+            if reply.get("status") == "ok":
+                self.provision_data_channel()
             return reply
         if kind == "log_export":
             try:

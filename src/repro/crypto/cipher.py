@@ -13,11 +13,9 @@ detectable.
 from __future__ import annotations
 
 import hmac
-import hashlib
 import secrets
 
 from ..errors import SecurityViolation
-from ..knobs import warp_enabled
 
 KEY_BYTES = 32
 NONCE_BYTES = 16
@@ -31,14 +29,10 @@ def generate_key() -> bytes:
 
 
 def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    out = bytearray()
-    counter = 0
-    while len(out) < length:
-        block = hmac.new(key, nonce + counter.to_bytes(8, "little"),
-                         hashlib.sha256).digest()
-        out.extend(block)
-        counter += 1
-    return bytes(out[:length])
+    blocks = -(-length // _BLOCK)
+    return b"".join(
+        hmac.digest(key, nonce + counter.to_bytes(8, "little"), "sha256")
+        for counter in range(blocks))[:length]
 
 
 def stream_xor(key: bytes, nonce: bytes, data: bytes) -> bytes:
@@ -47,16 +41,12 @@ def stream_xor(key: bytes, nonce: bytes, data: bytes) -> bytes:
         raise ValueError("bad key length")
     if len(nonce) != NONCE_BYTES:
         raise ValueError("bad nonce length")
-    ks = _keystream(key, nonce, len(data))
-    if warp_enabled():
-        # veil-warp fast path: one big-integer XOR instead of a per-byte
-        # generator.  Byte-identical to the slow twin (pinned by the
-        # known-answer tests); word-at-a-time is how a real AES-CTR
-        # implementation would fold the keystream in anyway.
-        n = len(data)
-        return (int.from_bytes(data, "big") ^
-                int.from_bytes(ks, "big")).to_bytes(n, "big")
-    return bytes(a ^ b for a, b in zip(data, ks))
+    # One big-integer XOR, pinned by the known-answer tests; a real
+    # AES-CTR implementation also folds the keystream in word-at-a-time.
+    n = len(data)
+    ks = _keystream(key, nonce, n)
+    return (int.from_bytes(data, "big") ^
+            int.from_bytes(ks, "big")).to_bytes(n, "big")
 
 
 def seal(key: bytes, nonce: bytes, plaintext: bytes,
@@ -67,7 +57,7 @@ def seal(key: bytes, nonce: bytes, plaintext: bytes,
     counter) into the tag without encrypting it.
     """
     ct = stream_xor(key, nonce, plaintext)
-    tag = hmac.new(key, b"seal" + nonce + aad + ct, hashlib.sha256).digest()
+    tag = hmac.digest(key, b"seal" + nonce + aad + ct, "sha256")
     return ct + tag
 
 
@@ -81,8 +71,7 @@ def open_sealed(key: bytes, nonce: bytes, sealed: bytes,
     if len(sealed) < TAG_BYTES:
         raise SecurityViolation("sealed blob too short")
     ct, tag = sealed[:-TAG_BYTES], sealed[-TAG_BYTES:]
-    expect = hmac.new(key, b"seal" + nonce + aad + ct,
-                      hashlib.sha256).digest()
+    expect = hmac.digest(key, b"seal" + nonce + aad + ct, "sha256")
     if not hmac.compare_digest(tag, expect):
         raise SecurityViolation("authenticated decryption failed")
     return stream_xor(key, nonce, ct)

@@ -4,10 +4,19 @@ The SEV-SNP attestation digest carries "additional data (e.g. information
 to establish a Diffie-Hellman shared key)" (paper section 5.1).  We model
 that with classic DH over the RFC 3526 2048-bit MODP group; the shared
 secret is hashed into a symmetric channel key.
+
+Key generation always raises the same base, so ``g^x`` uses a fixed-base
+table: the 256-bit exponent is read as 64 radix-16 digits and row ``i``
+holds ``g^(j * 16^i)`` for ``j`` in 1..15, which turns ~300 modular
+squarings and multiplies into at most 64 multiplies.  The table (64 x 15
+entries, about 280 KiB) is built on first use.  Exponents wider than 256
+bits take plain ``pow``.  Only the generator is fixed: ``shared_key``
+raises a different peer value every handshake and stays on ``pow``.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import secrets
 
@@ -24,6 +33,43 @@ MODP_2048_P = int(
     16)
 GENERATOR = 2
 
+#: Fixed-base table geometry: one row per 4-bit digit of a 256-bit
+#: exponent (private values from ``secrets`` and ``from_seed`` are 256
+#: bits wide).
+_DIGIT_BITS = 4
+_TABLE_EXPONENT_BITS = 256
+_TABLE_ROWS = _TABLE_EXPONENT_BITS // _DIGIT_BITS
+
+
+@functools.cache
+def _generator_table() -> "tuple[tuple[int, ...], ...]":
+    """Row ``i`` is ``(1, b, b^2, ..., b^15)`` for ``b = g^(16^i)``."""
+    rows = []
+    base = GENERATOR
+    for _ in range(_TABLE_ROWS):
+        row = [1, base]
+        for _ in range((1 << _DIGIT_BITS) - 2):
+            row.append(row[-1] * base % MODP_2048_P)
+        rows.append(tuple(row))
+        base = row[-1] * base % MODP_2048_P
+    return tuple(rows)
+
+
+def generator_pow(exponent: int) -> int:
+    """``pow(GENERATOR, exponent, MODP_2048_P)`` via the fixed-base table."""
+    if not 0 <= exponent < 1 << _TABLE_EXPONENT_BITS:
+        return pow(GENERATOR, exponent, MODP_2048_P)
+    result = 1
+    mask = (1 << _DIGIT_BITS) - 1
+    for row in _generator_table():
+        if not exponent:
+            break
+        digit = exponent & mask
+        if digit:
+            result = result * row[digit] % MODP_2048_P
+        exponent >>= _DIGIT_BITS
+    return result
+
 
 class DhKeyPair:
     """One party's ephemeral DH key pair."""
@@ -31,7 +77,7 @@ class DhKeyPair:
     def __init__(self, private: int | None = None):
         self.private = private if private is not None else (
             secrets.randbits(256) | 1)
-        self.public = pow(GENERATOR, self.private, MODP_2048_P)
+        self.public = generator_pow(self.private)
 
     @classmethod
     def from_seed(cls, *parts: bytes) -> "DhKeyPair":

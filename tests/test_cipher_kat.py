@@ -1,13 +1,15 @@
-"""Known-answer tests pinning the stream cipher across warp modes.
+"""Known-answer tests pinning the stream cipher.
 
-The veil-warp fast path replaces the per-byte keystream XOR with a bulk
-big-integer XOR.  These vectors were captured from the historical
-per-byte implementation, so both the fast path (``VEIL_WARP`` unset) and
-the slow twin (``VEIL_WARP=0``) must reproduce them bit-for-bit --
-ciphertexts, tags, and raw keystream alike.
+The keystream XOR is one big-integer XOR and every HMAC is a one-shot
+``hmac.digest``.  These vectors were captured from the historical
+per-byte, ``hmac.new`` implementation, so the cipher must reproduce them
+bit-for-bit -- ciphertexts, tags, and raw keystream alike.  Each KAT runs
+with ``VEIL_WARP`` unset and with ``VEIL_WARP=0``: the knob still gates
+the disk bulk paths, and must not reach the cipher.
 """
 
 import hashlib
+import hmac
 
 import pytest
 
@@ -37,7 +39,7 @@ XOR_ZEROS_SHA = (
 
 @pytest.fixture(params=["warp", "classic"])
 def warp_mode(request, monkeypatch):
-    """Run each KAT under both the bulk and the per-byte XOR paths."""
+    """Run each KAT with the ``VEIL_WARP`` knob unset and off."""
     if request.param == "classic":
         monkeypatch.setenv("VEIL_WARP", "0")
     else:
@@ -79,13 +81,54 @@ def test_open_sealed_rejects_flip(warp_mode):
         cipher.open_sealed(KEY, NONCE, bytes(sealed), AAD)
 
 
-def test_modes_agree_on_odd_lengths(monkeypatch):
-    """Fast and slow XOR agree on every length 0..67 (word-edge cases)."""
+def reference_keystream(key, nonce, length):
+    """The historical block loop: ``hmac.new`` per counter block."""
+    out = bytearray()
+    counter = 0
+    while len(out) < length:
+        out.extend(hmac.new(key, nonce + counter.to_bytes(8, "little"),
+                            hashlib.sha256).digest())
+        counter += 1
+    return bytes(out[:length])
+
+
+def test_modes_agree_on_odd_lengths():
+    """Bulk XOR equals the per-byte reference on every length 0..67
+    (word-edge cases)."""
     for length in range(68):
         data = bytes((i * 31 + 5) % 256 for i in range(length))
-        monkeypatch.delenv("VEIL_WARP", raising=False)
-        fast = cipher.stream_xor(KEY, NONCE, data)
-        monkeypatch.setenv("VEIL_WARP", "0")
-        slow = cipher.stream_xor(KEY, NONCE, data)
-        assert fast == slow
-        assert len(fast) == length
+        ks = reference_keystream(KEY, NONCE, length)
+        out = cipher.stream_xor(KEY, NONCE, data)
+        assert out == bytes(a ^ b for a, b in zip(data, ks))
+        assert len(out) == length
+
+
+def test_keystream_matches_block_loop():
+    """One-shot keystream equals the ``hmac.new`` loop across block
+    boundaries."""
+    for length in (0, 1, 31, 32, 33, 63, 64, 65, 100, 257):
+        assert cipher._keystream(KEY, NONCE, length) == \
+            reference_keystream(KEY, NONCE, length)
+
+
+def test_seal_tag_matches_hmac_new():
+    """The one-shot tag equals ``hmac.new`` over ``seal||nonce||aad||ct``."""
+    sealed = cipher.seal(KEY, NONCE, PT, AAD)
+    ct, tag = sealed[:-cipher.TAG_BYTES], sealed[-cipher.TAG_BYTES:]
+    assert tag == hmac.new(KEY, b"seal" + NONCE + AAD + ct,
+                           hashlib.sha256).digest()
+
+
+def test_stream_xor_ignores_warp_knob(monkeypatch):
+    """The cipher no longer reads ``VEIL_WARP`` at all."""
+    import os
+    reads = []
+    real_get = os.environ.get
+
+    def spy(key, default=None):
+        reads.append(key)
+        return real_get(key, default)
+    monkeypatch.setattr(os.environ, "get", spy)
+    cipher.seal(KEY, NONCE, PT, AAD)
+    cipher.open_sealed(KEY, NONCE, bytes.fromhex(SEAL_HEX), AAD)
+    assert "VEIL_WARP" not in reads

@@ -2,8 +2,8 @@
 
 Every bulk path must be behaviorally indistinguishable from the loop it
 replaced: same frame order out of the allocator, same bytes on disk,
-same cycle charges.  (The cipher fast path is pinned separately by the
-known-answer tests in ``tests/test_cipher_kat.py``.)
+same cycle charges.  (The cipher's big-integer XOR has no twin left; it is
+pinned by the known-answer tests in ``tests/test_cipher_kat.py``.)
 """
 
 import pytest

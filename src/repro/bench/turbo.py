@@ -8,7 +8,7 @@ the buffer with dense ``peek`` sweeps -- cross-page gathers plus a
 stride of small intra-page reads.  That mix exercises exactly what the
 software TLB caches: repeated translations of the same hot pages and
 repeated RMP verdicts for the same ``(page, vmpl, access)`` triples
-between world-switch flushes.
+across world switches.
 
 Two full systems are booted -- one with ``VeilConfig(tlb=False)``, one
 with ``tlb=True`` -- and the *same* workload runs on both.  Reported:

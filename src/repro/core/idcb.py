@@ -24,6 +24,10 @@ _LEN = 4
 #: arguments like KCI activation and enclave layouts).
 DEFAULT_IDCB_PAGES = 8
 
+#: Shared encoder: byte-identical to ``json.dumps(payload,
+#: sort_keys=True)``, which builds a fresh encoder per call.
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
 
 class Idcb:
     """One IDCB region shared between two domains on one VCPU."""
@@ -76,7 +80,7 @@ class Idcb:
     # -- message slots ---------------------------------------------------------
 
     def _write(self, mem: PhysicalMemory, offset: int, payload: dict) -> None:
-        blob = json.dumps(payload, sort_keys=True).encode("utf-8")
+        blob = _ENCODER.encode(payload).encode("utf-8")
         if len(blob) + _LEN > self.slot_size:
             raise SimulationError(
                 f"IDCB message of {len(blob)}B exceeds the "
@@ -85,12 +89,22 @@ class Idcb:
                           len(blob).to_bytes(_LEN, "little") + blob)
 
     def _read(self, mem: PhysicalMemory, offset: int) -> dict:
+        """Decode one slot.
+
+        Raises :class:`ValueError` when the bytes are not UTF-8 JSON or
+        decode to something other than an object: the less-privileged
+        side owns the pages and can write anything into them.
+        """
         length = int.from_bytes(self._read_bytes(mem, offset, _LEN),
                                 "little")
         if length == 0 or length > self.slot_size - _LEN:
             raise SimulationError("IDCB slot holds no valid message")
         blob = self._read_bytes(mem, offset + _LEN, length)
-        return json.loads(blob.decode("utf-8"))
+        message = json.loads(blob.decode("utf-8"))
+        if not isinstance(message, dict):
+            raise ValueError(f"IDCB message is a JSON "
+                             f"{type(message).__name__}, not an object")
+        return message
 
     def write_request(self, mem: PhysicalMemory, payload: dict) -> None:
         """Serialize a request into the request slot."""

@@ -44,7 +44,6 @@ class MonitorGateway:
         ghcb = self._kernel_ghcb(core)
         assert self.kernel.kernel_table is not None
         core.regs.cr3 = self.kernel.kernel_table.root_ppn
-        core.flush_tlb()          # explicit CR3 load outside the PCID path
         core.regs.cpl = 0
         core.wrmsr_ghcb(ghcb.gpa)
         ghcb.write_message(self.kernel.machine.memory,

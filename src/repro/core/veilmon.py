@@ -347,8 +347,7 @@ class VeilMon:
         self.request_count += 1
         idcb = (self.monser_idcbs if from_vmpl == VMPL_SER
                 else self.os_idcbs)[core.cpu_index]
-        request = idcb.read_request(self.machine.memory)
-        reply_to = int(request.get("_reply_to", from_vmpl))
+        request, reply_to, error = self._read_request(idcb, from_vmpl)
         op = str(request.get("op", ""))
         self.machine.tracer.metrics.count("mon_request", op)
         # Span covers the whole DomMON residence: dispatch, reply write,
@@ -356,9 +355,26 @@ class VeilMon:
         with self.machine.tracer.span("mon", f"request:{op}",
                                       vcpu=core.cpu_index, vmpl=VMPL_MON,
                                       args={"from_vmpl": from_vmpl}):
-            reply = self._dispatch(core, self._handlers, request)
+            reply = error or self._dispatch(core, self._handlers, request)
             idcb.write_reply(self.machine.memory, reply)
             self.switch_from_mon(core, reply_to)
+
+    def _read_request(self, idcb: Idcb,
+                      reply_to: int) -> tuple[dict, int, dict | None]:
+        """Decode the caller's request without raising past the reply path.
+
+        The less-privileged side owns the IDCB pages and may have written
+        any bytes into the request slot.  Returns ``(request, reply_to,
+        error_reply)``: a request that is not a JSON object, or whose
+        ``_reply_to`` is not an integer, yields ``({}, reply_to, error)``
+        so the body still replies and switches back to the caller.
+        """
+        try:
+            request = idcb.read_request(self.machine.memory)
+            return request, int(request.get("_reply_to", reply_to)), None
+        except (TypeError, ValueError, OverflowError) as bad:
+            return {}, reply_to, {"status": "error",
+                                  "reason": f"malformed request: {bad!r}"}
 
     @staticmethod
     def _dispatch(core, handlers: dict, request: dict) -> dict:
@@ -378,7 +394,7 @@ class VeilMon:
         except SecurityViolation as denied:
             return {"status": "denied", "reason": str(denied)}
         except (KeyError, ValueError, TypeError, IndexError,
-                AssertionError) as bad:
+                OverflowError, AssertionError) as bad:
             return {"status": "error",
                     "reason": f"malformed request: {bad!r}"}
 
@@ -409,14 +425,14 @@ class VeilMon:
         self.machine.ledger.charge("service", MON_DISPATCH_CYCLES)
         if idcb is None:
             idcb = self.ser_idcbs[core.cpu_index]
-        request = idcb.read_request(self.machine.memory)
-        reply_to = int(request.get("_reply_to", VMPL_UNT))
+        request, reply_to, error = self._read_request(idcb, VMPL_UNT)
         op = str(request.get("op", ""))
         self.machine.tracer.metrics.count("ser_request", op)
         with self.machine.tracer.span("ser", f"request:{op}",
                                       vcpu=core.cpu_index,
                                       vmpl=VMPL_SER):
-            reply = self._dispatch(core, self.ser_handlers, request)
+            reply = error or self._dispatch(core, self.ser_handlers,
+                                            request)
             idcb.write_reply(self.machine.memory, reply)
             self.switch_from_ser(core, reply_to)
 

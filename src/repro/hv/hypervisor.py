@@ -27,7 +27,7 @@ from ..errors import NestedPageFault, SecurityViolation, \
 from ..hw.ghcb import Ghcb
 from ..hw.memory import page_base
 from ..hw.pagetable import PageFault
-from ..hw.rmp import VMPL_ENC, VMPL_MON, VMPL_UNT, vmpl_name
+from ..hw.rmp import NUM_VMPLS, VMPL_ENC, VMPL_MON, VMPL_UNT, vmpl_name
 from ..hw.vmsa import Vmsa
 from .attestation import SecureProcessor
 from .devices import VirtioBlock, VirtioConsole
@@ -45,6 +45,10 @@ class HostAccessBlocked(SecurityViolation):
 #: exits" assertion in the test/attack suites while bounding memory on
 #: multi-thousand-switch benchmark runs.
 EXIT_LOG_CAPACITY = 512
+
+#: ``(from_vmpl, to_vmpl) -> "DomX->DomY"``, the ``switch`` metric key.
+_SWITCH_METRIC = {(src, dst): f"{vmpl_name(src)}->{vmpl_name(dst)}"
+                  for src in range(NUM_VMPLS) for dst in range(NUM_VMPLS)}
 
 
 class ExitLog:
@@ -193,14 +197,27 @@ class Hypervisor:
         if ghcb_gpa == 0:
             self.machine.halt("VMGEXIT with no GHCB published")
         ghcb = Ghcb(ghcb_gpa >> 12)
-        message = ghcb.read_message(self.machine.memory)
+        # The GHCB is a shared page: anything may be in it.  Bytes that
+        # do not decode to a JSON object, or an op whose fields do not
+        # parse, are errant hypercalls and crash the CVM (section 6.2).
+        try:
+            message = ghcb.read_message(self.machine.memory)
+        except ValueError as bad:
+            self.machine.halt(f"malformed GHCB message: {bad}", cause=bad)
+        if not isinstance(message, dict):
+            self.machine.halt("malformed GHCB message: a JSON "
+                              f"{type(message).__name__}, not an object")
         op = message.get("op")
         self.exit_log.append(f"vmgexit:{op}")
         self.machine.tracer.metrics.count("vmgexit", str(op))
         handler = getattr(self, f"_op_{op}", None)
         if handler is None:
             self.machine.halt(f"unknown VMGEXIT op {op!r}")
-        handler(core, exited, ghcb, message)
+        try:
+            handler(core, exited, ghcb, message)
+        except (KeyError, TypeError, ValueError, OverflowError) as bad:
+            self.machine.halt(f"malformed GHCB message for op {op!r}: "
+                              f"{bad!r}", cause=bad)
 
     def trace_span(self, core: "VirtualCpu", exited: Vmsa, name: str,
                    **args):
@@ -244,9 +261,7 @@ class Hypervisor:
                 self.machine.halt(
                     f"no VMSA for vcpu {exited.vcpu_id} at "
                     f"VMPL-{target_vmpl}")
-            self.machine.tracer.metrics.count(
-                "switch",
-                f"{vmpl_name(exited.vmpl)}->{vmpl_name(target_vmpl)}")
+            self.machine.tracer.metrics.count("switch", _SWITCH_METRIC[pair])
             self._enter(core, target)
 
     def _op_register_vmsa(self, core, exited: Vmsa, ghcb: Ghcb,

@@ -28,10 +28,17 @@ module caches both verdicts:
   that hands out a mutable entry; the whole verdict cache is dropped when
   the generation moved, so an RMPADJUST is visible on the very next
   access (the property the SNP formal-analysis papers pin down);
-* a full per-VCPU :meth:`SoftTlb.flush` happens on world switches
-  (``hw_enter``/``hw_exit``), on ``wbinvd``, and at explicit CR3 loads
-  outside the PCID-tagged syscall path (scheduler context switch, domain
-  switch, kernel address-space install).
+* a full per-VCPU :meth:`SoftTlb.flush` happens on ``wbinvd`` and at
+  explicit CR3 loads outside the PCID-tagged syscall path (scheduler
+  context switch, kernel address-space install).
+
+World switches (``VMGEXIT``/``VMENTER``, ``hw_exit``/``hw_enter``) and
+the domain-switch gateway's CR3 load do **not** flush.  Nothing they
+change can make an entry stale: views are keyed by root and checked
+against the table's identity and generation, verdict keys pack the
+VMPL, so a VMPL-0 allow can never answer a DomUNT access, and an
+RMPADJUST run in another domain moves the RMP generation the next
+access compares against.
 
 The cache is *semantics-preserving by construction*: the VCPU access path
 charges the same ledger categories with the same amounts whether it hits

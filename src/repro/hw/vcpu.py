@@ -102,9 +102,9 @@ class VirtualCpu:
                 "is still live")
         self.instance = vmsa
         self.regs = vmsa.restore()
-        # World switch: architectural TLB flush (paper's domain-switch
-        # cost model already charges the switch; the flush is free).
-        self.flush_tlb()
+        # The TLB survives the switch: views are tagged by root (table
+        # identity and generation), RMP verdict keys carry the VMPL, and
+        # both caches revalidate against their generations per access.
         self.machine.tracer.instant(
             "hw", "VMENTER", vcpu=self.cpu_index, vmpl=vmsa.vmpl,
             args={"vcpu_id": vmsa.vcpu_id})
@@ -114,7 +114,6 @@ class VirtualCpu:
         if self.instance is None:
             raise SimulationError("exit without a running instance")
         self.exit_count += 1
-        self.flush_tlb()
         self.instance.save(self.regs)
         return self.instance
 
@@ -122,11 +121,13 @@ class VirtualCpu:
         """Architectural TLB flush for this core (translations + cached
         RMP verdicts).
 
-        Called on world switches, on ``WBINVD``, and at explicit CR3
-        loads outside the PCID-tagged syscall path (scheduler context
-        switch, domain-switch gateway, kernel address-space install).
-        Charges nothing: modeled flush costs are charged where the
-        architecture charges them (``unmap``/``protect``/``wbinvd``).
+        Called on ``WBINVD`` and at explicit CR3 loads outside the
+        PCID-tagged syscall path (scheduler context switch, kernel
+        address-space install).  World switches do not flush: entries
+        are tagged by root and VMPL and checked against the page-table
+        and RMP generations on every access.  Charges nothing: modeled
+        flush costs are charged where the architecture charges them
+        (``unmap``/``protect``/``wbinvd``).
         """
         if self.tlb.enabled:
             self.tlb.flush()

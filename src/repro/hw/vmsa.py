@@ -22,7 +22,7 @@ def _zero_gprs() -> dict[str, int]:
     return {name: 0 for name in GPR_NAMES}
 
 
-@dataclass
+@dataclass(slots=True)
 class RegisterFile:
     """Architectural register state saved and restored at world switches."""
 
@@ -34,10 +34,14 @@ class RegisterFile:
     efer_sce: bool = True            # syscall enable; illustrative only
 
     def copy(self) -> "RegisterFile":
-        """Deep copy of the register state."""
-        return RegisterFile(rip=self.rip, cpl=self.cpl, cr3=self.cr3,
-                            gprs=dict(self.gprs), ghcb_msr=self.ghcb_msr,
-                            efer_sce=self.efer_sce)
+        """Deep copy of the register state.
+
+        Every world switch copies twice (``save`` and ``restore``), so
+        the fields go in positionally, in declaration order.  ``gprs`` is
+        copied, so saved and live states never share a dict.
+        """
+        return RegisterFile(self.rip, self.cpl, self.cr3, dict(self.gprs),
+                            self.ghcb_msr, self.efer_sce)
 
 
 @dataclass

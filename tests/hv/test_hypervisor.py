@@ -4,10 +4,11 @@ import pytest
 
 from repro.errors import CvmHalted
 from repro.hw import SevSnpMachine
-from repro.hw.ghcb import Ghcb
+from repro.hw.ghcb import SWITCH_FRAMES, Ghcb
 from repro.hw.memory import page_base
+from repro.hw.vmsa import Vmsa
 from repro.hv import Hypervisor
-from repro.hv.hypervisor import HostAccessBlocked
+from repro.hv.hypervisor import GhcbPolicy, HostAccessBlocked
 
 
 def launched():
@@ -154,3 +155,66 @@ class TestDomainSwitchPolicy:
                                             "target_vmpl": 1})
         with pytest.raises(CvmHalted):
             core.vmgexit()
+
+
+def raw_frame(payload: bytes) -> bytes:
+    """Length-prefixed GHCB page bytes holding ``payload`` verbatim."""
+    return len(payload).to_bytes(4, "little") + payload
+
+
+def switch_ready():
+    """A VMPL-0 core whose GHCB may switch it to a VMPL-3 instance."""
+    machine, hv, core = launched()
+    ghcb = armed_ghcb(machine, core)
+    hv.ghcb_policies[ghcb.ppn] = GhcbPolicy(vcpu_id=0,
+                                            allowed_switches={(0, 3)})
+    hv.vmsas[(0, 3)] = Vmsa(vcpu_id=0, vmpl=3, ppn=machine.frames.alloc())
+    return machine, core, ghcb
+
+
+class TestMalformedGhcbMessage:
+    """Errant hypercalls crash the CVM (section 6.2), never a traceback."""
+
+    def test_pre_encoded_frame_switches(self):
+        machine, core, ghcb = switch_ready()
+        frame = raw_frame(b'{"op": "domain_switch", "target_vmpl": 3}')
+        assert frame == SWITCH_FRAMES[3]
+        machine.memory.write(ghcb.gpa, frame)
+        core.vmgexit()
+        assert core.vmpl == 3
+
+    def test_json_fallback_switches(self):
+        machine, core, ghcb = switch_ready()
+        frame = raw_frame(b'{"target_vmpl":3,"op":"domain_switch"}')
+        assert frame not in SWITCH_FRAMES.values()
+        machine.memory.write(ghcb.gpa, frame)
+        core.vmgexit()
+        assert core.vmpl == 3
+
+    @pytest.mark.parametrize("payload", [
+        b"\xff\xfe\x00garbage",                       # not UTF-8
+        b"{not json",                                  # not JSON
+        b"[1, 2, 3]",                                  # not an object
+        b'"domain_switch"',                            # not an object
+        b'{"op": "domain_switch", "target_vmpl": "x"}',
+        b'{"op": "domain_switch", "target_vmpl": null}',
+        b'{"op": "domain_switch"}',
+        b'{"op": "domain_switch", "target_vmpl": Infinity}',
+    ], ids=["non-utf8", "non-json", "list", "string", "vmpl-str",
+            "vmpl-null", "vmpl-missing", "vmpl-inf"])
+    def test_malformed_message_halts(self, payload):
+        machine, core, ghcb = switch_ready()
+        machine.memory.write(ghcb.gpa, raw_frame(payload))
+        with pytest.raises(CvmHalted):
+            core.vmgexit()
+        assert machine.halted
+        assert machine.halt_reason.startswith("malformed GHCB message")
+
+    def test_malformed_field_of_other_op_halts(self):
+        machine, hv, core = launched()
+        ghcb = armed_ghcb(machine, core)
+        ghcb.write_message(machine.memory, {"op": "register_vmsa",
+                                            "vmsa_ppn": "page"})
+        with pytest.raises(CvmHalted):
+            core.vmgexit()
+        assert "malformed GHCB message" in machine.halt_reason

@@ -12,9 +12,10 @@ from repro.errors import CvmHalted
 from repro.hw import SevSnpMachine
 from repro.hw.memory import page_base
 from repro.hw.pagetable import PageFault
-from repro.hw.rmp import Access
+from repro.hw.rmp import VMPL_MON, VMPL_UNT, Access
 from repro.hw.vmsa import RegisterFile, Vmsa
 from repro.hv import Hypervisor
+from repro.kernel.layout import direct_map_vaddr
 
 
 def machine_with_boot_core(tlb_enabled=True):
@@ -190,15 +191,19 @@ class TestTableInvalidation:
 
 
 class TestFlushes:
-    def test_world_switch_flushes(self):
+    def test_world_switch_keeps_cache(self):
         machine, core = machine_with_boot_core()
         mapped_frame(machine, core)
         core.write(0x10_000, b"x")
-        before = core.tlb.stats.flushes
+        assert core.read(0x10_000, 1) == b"x"           # warm the verdict
+        stats = core.tlb.stats
+        flushes = stats.flushes
         vmsa = core.hw_exit()
         core.hw_enter(vmsa)
-        assert core.tlb.stats.flushes >= before + 2
-        assert not core.tlb.views                       # empty until re-warmed
+        assert stats.flushes == flushes
+        hits, rmp_hits = stats.hits, stats.rmp_hits
+        assert core.read(0x10_000, 1) == b"x"
+        assert (stats.hits, stats.rmp_hits) == (hits + 1, rmp_hits + 1)
 
     def test_wbinvd_flushes(self):
         machine, core = machine_with_boot_core()
@@ -209,6 +214,73 @@ class TestFlushes:
         core.wbinvd()
         assert not core.tlb.views
         assert not core.tlb.rmp_allow
+
+
+def verdict_key(ppn, vmpl, access):
+    """The packed RMP verdict-cache key (see repro.hw.tlb)."""
+    return (ppn << 6) | (vmpl << 4) | access.value
+
+
+def in_monitor(veil, body):
+    """Run ``body(core)`` at DomMON inside one real OS -> MON -> OS trip."""
+    def handler(core, request):
+        body(core)
+        return {"status": "ok"}
+
+    veil.veilmon._handlers["tlb_probe"] = handler
+    reply = veil.gateway.call_monitor(veil.boot_core, {"op": "tlb_probe"})
+    assert reply == {"status": "ok"}
+
+
+class TestAcrossRealWorldSwitch:
+    """The cache survives VMGEXIT/VMENTER; nothing stale survives with it."""
+
+    @pytest.mark.parametrize("page", ["monitor-image", "domunt-vmsa"])
+    def test_vmpl0_verdict_never_serves_domunt(self, veil, page):
+        core = veil.boot_core
+        ppn = (veil.veilmon.image_ppns[0] if page == "monitor-image"
+               else veil.veilmon.vmsas[(0, VMPL_UNT)].ppn)
+        vaddr = direct_map_vaddr(page_base(ppn))
+        flushes = core.tlb.stats.flushes
+        in_monitor(veil, lambda mon_core: mon_core.read(vaddr, 8))
+        assert core.vmpl == VMPL_UNT
+        # The VMPL-0 allow verdict is still cached and current ...
+        assert core.tlb.stats.flushes == flushes
+        assert core.tlb.rmp_generation == veil.machine.rmp.generation
+        assert verdict_key(ppn, VMPL_MON, Access.READ) in core.tlb.rmp_allow
+        # ... yet DomUNT's access to the same page halts with #NPF.
+        with pytest.raises(CvmHalted):
+            core.read(vaddr, 8)
+        assert "#NPF" in veil.machine.halt_reason
+
+    def test_monitor_rmpadjust_enforced_on_next_domunt_access(self, veil):
+        core = veil.boot_core
+        ppn = veil.machine.frames.alloc("tlb-probe")
+        vaddr = direct_map_vaddr(page_base(ppn))
+        assert core.read(vaddr, 4) == b"\x00" * 4
+        assert verdict_key(ppn, VMPL_UNT, Access.READ) in core.tlb.rmp_allow
+        in_monitor(veil, lambda mon_core: mon_core.rmpadjust(
+            ppn=ppn, target_vmpl=VMPL_UNT, perms=Access.NONE))
+        assert core.vmpl == VMPL_UNT
+        with pytest.raises(CvmHalted):
+            core.read(vaddr, 4)
+
+    def test_protect_in_monitor_seen_after_switch_back(self, veil):
+        # A direct-map (window-backed) page: protect() installs a new
+        # entry instead of editing the cached one in place, so only the
+        # view's generation check can catch it.
+        core = veil.boot_core
+        table = veil.kernel.kernel_table
+        vaddr = direct_map_vaddr(page_base(
+            veil.machine.frames.alloc("tlb-probe")))
+        core.write(vaddr, b"rw")
+        core.write(vaddr, b"rw")                        # cached pte
+        in_monitor(veil, lambda mon_core: table.protect(vaddr >> 12,
+                                                        writable=False))
+        assert core.regs.cr3 == table.root_ppn
+        with pytest.raises(PageFault):
+            core.write(vaddr, b"no")
+        assert core.read(vaddr, 2) == b"rw"
 
 
 class TestCrossPageAccess:

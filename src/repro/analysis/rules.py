@@ -46,10 +46,6 @@ class Rule:
 #: ``crypto`` are leaf utility layers usable from everywhere.
 LAYER_ALLOWED: dict[str, frozenset[str]] = {
     "errors": frozenset(),
-    # ``knobs`` (veil-warp) is the process-wide fast-path switchboard:
-    # a dependency-free leaf any layer may consult, and which imports
-    # nothing back.
-    "knobs": frozenset(),
     # ``trace`` is a leaf observability layer: any layer may emit into
     # it, but it must never reach back into the stack it observes.
     "trace": frozenset({"errors"}),
@@ -57,21 +53,20 @@ LAYER_ALLOWED: dict[str, frozenset[str]] = {
     # aggregates what the layers above push into it, and like ``trace``
     # it must never reach back into the stack it observes.
     "scope": frozenset({"trace", "errors"}),
-    "hw": frozenset({"trace", "errors", "knobs"}),
-    "crypto": frozenset({"errors", "knobs"}),
-    "hv": frozenset({"hw", "trace", "crypto", "errors", "knobs"}),
-    "kernel": frozenset({"hw", "trace", "crypto", "errors", "knobs"}),
-    "enclave": frozenset({"hw", "kernel", "trace", "crypto", "errors",
-                          "knobs"}),
+    "hw": frozenset({"trace", "errors"}),
+    "crypto": frozenset({"errors"}),
+    "hv": frozenset({"hw", "trace", "crypto", "errors"}),
+    "kernel": frozenset({"hw", "trace", "crypto", "errors"}),
+    "enclave": frozenset({"hw", "kernel", "trace", "crypto", "errors"}),
     "core": frozenset({"hw", "hv", "kernel", "enclave", "trace",
-                       "crypto", "errors", "knobs"}),
+                       "crypto", "errors"}),
     # ``cluster`` composes whole machines: it sits above every
     # single-machine layer (it may orchestrate all of them, plus the
     # workload models it deploys), but nothing below may reach back up
     # into fleet code -- a replica CVM must not know it is in a fleet.
     "cluster": frozenset({"hw", "hv", "kernel", "enclave", "core",
                           "workloads", "trace", "scope", "crypto",
-                          "errors", "knobs"}),
+                          "errors"}),
     # ``chaos`` is the fault-injection harness: it drives the fleet (and
     # reaches byzantine knobs in ``hv``) from above, so it may import
     # every layer -- but nothing imports chaos: injection is strictly an
@@ -79,14 +74,7 @@ LAYER_ALLOWED: dict[str, frozenset[str]] = {
     # being tortured.
     "chaos": frozenset({"cluster", "hw", "hv", "kernel", "enclave",
                         "core", "workloads", "trace", "scope", "crypto",
-                        "errors", "knobs"}),
-    # ``warp`` (veil-warp) shards the fleet across worker processes: an
-    # orchestration tier above ``cluster``/``chaos``, and like chaos
-    # nothing below may import it -- a replica CVM must not know which
-    # process hosts it.
-    "warp": frozenset({"cluster", "chaos", "hw", "hv", "kernel",
-                       "enclave", "core", "workloads", "trace", "scope",
-                       "crypto", "errors", "knobs"}),
+                        "errors"}),
     # The analyzer itself must not depend on the tree it judges.
     "analysis": frozenset(),
 }

@@ -15,6 +15,7 @@ from ..core.boot import (NativeSystem, VeilConfig, VeilSystem,
                          boot_native_system, boot_veil_system,
                          module_signing_key)
 from ..enclave import EnclaveHost, build_test_binary
+from ..errors import SimulationError
 from ..hw.cycles import CLOCK_HZ, cycles_to_seconds
 from ..kernel.audit import DEFAULT_AUDIT_RULESET, InMemoryAuditSink, \
     NullAuditSink
@@ -46,6 +47,12 @@ def _native_api(system) -> NativeApi:
     return NativeApi(system.kernel, system.boot_core, proc)
 
 
+def _require_runs(name: str, count: int) -> None:
+    """Refuse a loop count the per-run averages would divide by."""
+    if count < 1:
+        raise SimulationError(f"{name} must be at least 1, got {count}")
+
+
 # ---------------------------------------------------------------------------
 # Fig. 4 / Table 3: enclave syscall microbenchmarks
 # ---------------------------------------------------------------------------
@@ -63,6 +70,7 @@ class Fig4Row:
 
 def run_fig4(iterations: int = 40) -> list[Fig4Row]:
     """Regenerate Fig. 4: per-syscall native vs enclave cost."""
+    _require_runs("iterations", iterations)
     veil, native = _fresh_pair()
     native_api = _native_api(native)
     native_stats = {
@@ -274,6 +282,7 @@ class SwitchResult:
 
 def run_micro_switch(round_trips: int = 10_000) -> SwitchResult:
     """Average cost of a hypervisor-relayed domain switch."""
+    _require_runs("round_trips", round_trips)
     system = boot_veil_system(VeilConfig(memory_bytes=32 * 1024 * 1024,
                                          num_cores=2,
                                          log_storage_pages=64))
@@ -352,6 +361,7 @@ class Cs1Result:
 
 def run_cs1(repetitions: int = 100) -> Cs1Result:
     """CS1: a 4728-byte module (24 KiB installed) loaded/unloaded 100x."""
+    _require_runs("repetitions", repetitions)
     key = module_signing_key()
 
     def image(tag: int):

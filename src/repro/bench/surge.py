@@ -9,7 +9,7 @@ swept across load factors, recording achieved throughput and
 p50/p95/p99 cycle latency at each point -- plus one flagship run at the
 default config that must sustain the 1000-in-flight bar.
 
-Unlike the wall-clock benches (turbo/warp/scope), every number here is
+Unlike the wall-clock benches (turbo/scope), every number here is
 *virtual*: cycle latencies, virtual-time throughput, event counts.  The
 whole ``BENCH_surge.json`` artifact is therefore byte-reproducible --
 two runs of the bench on any machines produce identical files, which is

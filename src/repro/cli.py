@@ -15,7 +15,6 @@ Commands map one-to-one onto the paper's experiments:
 ``flow``       veil-flow secret-flow + determinism analysis (baseline)
 ``trace``      run a workload under veil-trace, export a Perfetto trace
 ``turbo``      software-TLB speedup microbenchmark (veil-turbo)
-``warp``       process-parallel fleet speedup benchmark (veil-warp)
 ``profile``    cProfile a trace workload and print the hotspots
 ``cluster``    boot a veil-fleet: N attested replicas behind a front end
 ``chaos``      torture a fleet with a seeded fault schedule (veil-chaos)
@@ -38,6 +37,7 @@ from .bench import (render_attack_results, render_background,
                     run_fig5, run_fig6, run_micro_background,
                     run_micro_boot, run_micro_switch)
 from .core import VeilConfig, boot_veil_system
+from .errors import SimulationError
 from .hw.cycles import cycles_to_seconds
 
 
@@ -189,27 +189,6 @@ def _cmd_turbo(args) -> None:
         print(f"wrote {args.json}")
     if not result.cycles_equal:
         print("FAIL: cycle totals differ between VEIL_TLB modes")
-        sys.exit(1)
-    if args.min_speedup and result.speedup < args.min_speedup:
-        print(f"FAIL: speedup {result.speedup:.2f}x is below the "
-              f"--min-speedup floor {args.min_speedup:.2f}x")
-        sys.exit(1)
-
-
-def _cmd_warp(args) -> None:
-    from .bench.warp import (render_warp_bench, run_warp_bench,
-                             write_warp_json)
-    result = run_warp_bench(replicas=args.replicas,
-                            requests=args.requests,
-                            workers=args.workers,
-                            repeats=args.repeats)
-    print(render_warp_bench(result))
-    if args.json:
-        write_warp_json(result, args.json)
-        print(f"wrote {args.json}")
-    if not result.cycles_equal:
-        print("FAIL: cycle ledgers differ between classic and warp "
-              "fleets")
         sys.exit(1)
     if args.min_speedup and result.speedup < args.min_speedup:
         print(f"FAIL: speedup {result.speedup:.2f}x is below the "
@@ -550,23 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exit non-zero if speedup falls below this")
     turbo.set_defaults(fn=_cmd_turbo)
 
-    warp = sub.add_parser(
-        "warp", help="process-parallel fleet speedup benchmark")
-    warp.add_argument("--replicas", type=int, default=8,
-                      help="fleet size (default 8)")
-    warp.add_argument("--requests", type=int, default=100,
-                      help="closed-loop requests to drive (default 100)")
-    warp.add_argument("--workers", type=int, default=None,
-                      help="worker processes (default: one per CPU up "
-                      "to one per replica; 0 = inline, no fork)")
-    warp.add_argument("--repeats", type=int, default=2,
-                      help="timed laps per mode; best is kept")
-    warp.add_argument("--json", default=None,
-                      help="write a BENCH_warp.json artifact")
-    warp.add_argument("--min-speedup", type=float, default=0.0,
-                      help="fail unless speedup reaches this floor")
-    warp.set_defaults(fn=_cmd_warp)
-
     profile = sub.add_parser(
         "profile", help="cProfile a trace workload, print hotspots")
     profile.add_argument("workload", choices=sorted(TRACE_WORKLOADS),
@@ -720,9 +682,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> None:
-    """CLI entry point: parse arguments and run the command."""
-    args = build_parser().parse_args(argv)
-    args.fn(args)
+    """CLI entry point: parse arguments and run the command.
+
+    A run the simulator refuses to start (zero replicas, zero
+    iterations, ...) raises :class:`SimulationError`; it exits with
+    argparse's usage-error status 2 and a one-line message.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        args.fn(args)
+    except SimulationError as refused:
+        parser.exit(2, f"{parser.prog}: error: {refused}\n")
 
 
 if __name__ == "__main__":

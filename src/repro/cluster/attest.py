@@ -126,98 +126,6 @@ class FleetVerifier:
         raise AttestationError(
             f"replica {replica_name} sent no handshake reply")
 
-    # The handshake is split into three relying-party stages separated
-    # by replica pumps.  :meth:`establish` runs them back to back for
-    # the classic sequential flow; veil-warp interleaves stages across
-    # the fleet (stage 1 for every replica, one batched pump, stage 2
-    # for every replica, ...) so replica-side report generation runs in
-    # parallel workers.  Each stage performs exactly the charges the
-    # inline flow performed at that point, so the split never moves a
-    # cycle between hosts.
-
-    def handshake_begin(self, net, frontend_name: str,
-                        replica_name: str) -> RemoteUser:
-        """Stage 1: mint a fresh relying-party DH keypair and demand an
-        attestation report from the replica."""
-        self.handshakes += 1
-        user = RemoteUser(self.expected_measurement, self.platform_public,
-                          session=(replica_name.encode(),
-                                   self.handshakes.to_bytes(8, "big")))
-        net.send(frontend_name, replica_name,
-                 # veil-lint: allow(trace-context) -- control-plane frame: attestation precedes any request, so there is no trace context to carry
-                 encode_message({"kind": "attest"}))
-        return user
-
-    def handshake_verify(self, net, frontend_name: str, replica_name: str,
-                         user: RemoteUser, tracer) -> tuple:
-        """Stage 2: consume the report reply, verify it, and send our DH
-        public value so VeilMon derives the link key.
-
-        Returns ``(report, key)``; raises :class:`AttestationError` on
-        any verification failure (recorded as a rejection event).
-        """
-        reply = self._expect_reply(net, frontend_name, replica_name)
-        report_dict = reply.get("report")
-        if not isinstance(report_dict, dict):
-            raise AttestationError(
-                f"replica {replica_name} returned no attestation "
-                "report")
-        try:
-            report = AttestationReport(
-                measurement=bytes.fromhex(
-                    report_dict["measurement_hex"]),
-                requester_vmpl=int(report_dict["requester_vmpl"]),
-                report_data=bytes.fromhex(
-                    report_dict["report_data_hex"]),
-                signature=bytes.fromhex(report_dict["signature_hex"]))
-            dh_public = bytes.fromhex(report_dict["dh_public_hex"])
-        except (KeyError, ValueError, TypeError) as bad:
-            raise AttestationError(
-                f"replica {replica_name} sent a malformed "
-                f"attestation report: {bad}") from None
-        # Relying-party verification cost: one RSA verify, hashing the
-        # report body and the DH binding, plus session bookkeeping.
-        self.ledger.charge("crypto", self.cost.signature_verify +
-                           self.cost.sha256_cost(len(dh_public)) +
-                           self.HANDSHAKE_BASE_CYCLES)
-        try:
-            key = user.channel_key_from_report(
-                report, dh_public, require_vmpl=VMPL_MON)
-        except AttestationError as refused:
-            tracer.instant("cluster", "handshake_rejected",
-                           args={"replica": replica_name,
-                                 "reason": str(refused)})
-            tracer.metrics.count("handshake_rejected", replica_name)
-            raise
-        # Complete the handshake: hand VeilMon our DH public value so
-        # it derives the same key, then provision the data channel.
-        # veil-lint: allow(trace-context) -- control-plane frame: channel setup precedes any request, so there is no trace context to carry
-        net.send(frontend_name, replica_name, encode_message({
-            "kind": "channel_init",
-            "peer_public_hex": user.dh.public.to_bytes(256,
-                                                       "big").hex()}))
-        return report, key
-
-    def handshake_complete(self, net, frontend_name: str,
-                           replica_name: str, report: AttestationReport,
-                           key: bytes,
-                           handshake_cycles: int) -> AttestedLink:
-        """Stage 3: consume the channel-install acknowledgement and
-        build the admitted link."""
-        install = self._expect_reply(net, frontend_name, replica_name)
-        if install.get("status") != "ok":
-            raise AttestationError(
-                f"replica {replica_name} refused channel install")
-        return AttestedLink(
-            replica=replica_name,
-            measurement_hex=report.measurement.hex(),
-            control=SecureChannel(key, role="initiator",
-                                  window=CHANNEL_WINDOW),
-            data=SecureChannel(derive_data_key(key),
-                               role="initiator",
-                               window=CHANNEL_WINDOW),
-            handshake_cycles=handshake_cycles)
-
     def establish(self, replica: "ClusterReplica",
                   frontend_name: str) -> AttestedLink:
         """Run the full attestation handshake with one replica.
@@ -226,22 +134,78 @@ class FleetVerifier:
         the caller records the rejection and excludes the replica.
         """
         net = replica.net
+        name = replica.name
         tracer = self.tracer or replica.tracer
         before_fe = self.ledger.total
         before_replica = replica.ledger.total
-        with tracer.span("cluster", "handshake",
-                         args={"replica": replica.name}):
-            user = self.handshake_begin(net, frontend_name, replica.name)
+        with tracer.span("cluster", "handshake", args={"replica": name}):
+            # Mint a fresh relying-party DH keypair and demand an
+            # attestation report from the replica.
+            self.handshakes += 1
+            user = RemoteUser(self.expected_measurement,
+                              self.platform_public,
+                              session=(name.encode(),
+                                       self.handshakes.to_bytes(8, "big")))
+            net.send(frontend_name, name,
+                     # veil-lint: allow(trace-context) -- control-plane frame: attestation precedes any request, so there is no trace context to carry
+                     encode_message({"kind": "attest"}))
             replica.pump()
-            report, key = self.handshake_verify(
-                net, frontend_name, replica.name, user, tracer)
+            reply = self._expect_reply(net, frontend_name, name)
+            report_dict = reply.get("report")
+            if not isinstance(report_dict, dict):
+                raise AttestationError(
+                    f"replica {name} returned no attestation report")
+            try:
+                report = AttestationReport(
+                    measurement=bytes.fromhex(
+                        report_dict["measurement_hex"]),
+                    requester_vmpl=int(report_dict["requester_vmpl"]),
+                    report_data=bytes.fromhex(
+                        report_dict["report_data_hex"]),
+                    signature=bytes.fromhex(report_dict["signature_hex"]))
+                dh_public = bytes.fromhex(report_dict["dh_public_hex"])
+            except (KeyError, ValueError, TypeError) as bad:
+                raise AttestationError(
+                    f"replica {name} sent a malformed "
+                    f"attestation report: {bad}") from None
+            # Relying-party verification cost: one RSA verify, hashing
+            # the report body and the DH binding, plus session
+            # bookkeeping.
+            self.ledger.charge("crypto", self.cost.signature_verify +
+                               self.cost.sha256_cost(len(dh_public)) +
+                               self.HANDSHAKE_BASE_CYCLES)
+            try:
+                key = user.channel_key_from_report(
+                    report, dh_public, require_vmpl=VMPL_MON)
+            except AttestationError as refused:
+                tracer.instant("cluster", "handshake_rejected",
+                               args={"replica": name,
+                                     "reason": str(refused)})
+                tracer.metrics.count("handshake_rejected", name)
+                raise
+            # Complete the handshake: hand VeilMon our DH public value so
+            # it derives the same key, then provision the data channel.
+            # veil-lint: allow(trace-context) -- control-plane frame: channel setup precedes any request, so there is no trace context to carry
+            net.send(frontend_name, name, encode_message({
+                "kind": "channel_init",
+                "peer_public_hex": user.dh.public.to_bytes(256,
+                                                           "big").hex()}))
             replica.pump()
             handshake_cycles = ((self.ledger.total - before_fe) +
                                 (replica.ledger.total - before_replica))
-            link = self.handshake_complete(
-                net, frontend_name, replica.name, report, key,
-                handshake_cycles)
-        tracer.metrics.observe("handshake_cycles", replica.name,
-                               handshake_cycles)
-        tracer.metrics.count("handshake_ok", replica.name)
+            install = self._expect_reply(net, frontend_name, name)
+            if install.get("status") != "ok":
+                raise AttestationError(
+                    f"replica {name} refused channel install")
+            link = AttestedLink(
+                replica=name,
+                measurement_hex=report.measurement.hex(),
+                control=SecureChannel(key, role="initiator",
+                                      window=CHANNEL_WINDOW),
+                data=SecureChannel(derive_data_key(key),
+                                   role="initiator",
+                                   window=CHANNEL_WINDOW),
+                handshake_cycles=handshake_cycles)
+        tracer.metrics.observe("handshake_cycles", name, handshake_cycles)
+        tracer.metrics.count("handshake_ok", name)
         return link

@@ -19,7 +19,7 @@ from __future__ import annotations
 import typing
 from dataclasses import dataclass, field
 
-from ..errors import AttestationError
+from ..errors import AttestationError, SimulationError
 from ..hv.attestation import platform_signing_key
 from ..hw.cycles import CLOCK_HZ
 from ..scope.collector import NULL_SCOPE
@@ -136,6 +136,9 @@ class ClusterFleet:
                  net: InterHostNetwork | None = None,
                  scope=None):
         from ..trace.tracer import default_tracer
+        if config.replicas < 1:
+            raise SimulationError(
+                f"replicas must be at least 1, got {config.replicas}")
         self.config = config
         if tracer is None:
             # Pick up the harness-wide tracer (VEIL_TRACE_DIR capture)

@@ -31,7 +31,7 @@ if typing.TYPE_CHECKING:
     from ..hw.cycles import CycleLedger
 
 
-#: Shared encoder (veil-warp): identical bytes to ``json.dumps`` with
+#: Shared encoder: identical bytes to ``json.dumps`` with
 #: the same options, without constructing an encoder per message.
 _WIRE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 

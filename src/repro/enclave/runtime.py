@@ -237,7 +237,7 @@ class EnclaveRuntime:
         self._require_inside()
         return self.core.read(vaddr, length)
 
-    # veil-warp: the sanitizer's marshalling copies are gather+scatter
+    # The sanitizer's marshalling copies are gather+scatter
     # pairs (enclave <-> staging).  These combined helpers make each
     # pair one call with one inside-check; the two VCPU accesses -- and
     # therefore every ledger charge -- are exactly those of the

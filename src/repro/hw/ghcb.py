@@ -28,7 +28,7 @@ from .rmp import NUM_VMPLS
 #: Byte length prefix for serialized messages.
 _LEN_BYTES = 4
 
-#: Shared encoder (veil-warp): ``json.dumps(message, sort_keys=True)``
+#: Shared encoder: ``json.dumps(message, sort_keys=True)``
 #: constructs a fresh encoder per call; reusing one is byte-identical
 #: output on the GHCB hot path (every hypercall serializes twice).
 _ENCODER = json.JSONEncoder(sort_keys=True)

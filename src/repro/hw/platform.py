@@ -52,7 +52,7 @@ class FrameAllocator:
     def alloc_many(self, count: int, label: str = "") -> list[int]:
         """Hand out ``count`` frames.
 
-        veil-warp bulk path: splice the free-list tail and extend from
+        Bulk path: splice the free-list tail and extend from
         the high-water mark in two block operations.  The frame sequence
         is exactly what ``count`` calls of :meth:`alloc` would return
         (free list popped last-in-first-out, then fresh frames in

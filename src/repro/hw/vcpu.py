@@ -339,7 +339,7 @@ class VirtualCpu:
             if buf is None:
                 return memory.page_bytes(ppn, offset, length)
             return bytes(memoryview(buf)[offset:offset + length])
-        # veil-warp: cross-page gather aggregates the per-page ledger
+        # Cross-page gather aggregates the per-page ledger
         # charges into one call per category.  Totals are identical to
         # per-page charging (integer addition commutes and nothing reads
         # the clock mid-access); the ``finally`` flush keeps the
@@ -403,7 +403,7 @@ class VirtualCpu:
             self._rmp_check_page(ppn, Access.READ)
             self._h_copy.charge(length * self._copy_x1000 // 1000)
             return memory.page_bytes(ppn, offset, length)
-        # veil-warp: aggregate the per-page copy charges (see `read`).
+        # Aggregate the per-page copy charges (see `read`).
         out = bytearray(length)
         pos = 0
         copy_acc = 0
@@ -484,7 +484,7 @@ class VirtualCpu:
             else:
                 buf[offset:offset + length] = data
             return
-        # veil-warp: cross-page scatter with aggregated charges (see
+        # Cross-page scatter with aggregated charges (see
         # `read` for the parity argument).
         src = memoryview(data)
         pos = 0
@@ -545,7 +545,7 @@ class VirtualCpu:
             self._h_copy.charge(length * self._copy_x1000 // 1000)
             memory.page_write(ppn, offset, data)
             return
-        # veil-warp: aggregate the per-page copy charges (see `read`).
+        # Aggregate the per-page copy charges (see `read`).
         view = memoryview(data)
         pos = 0
         copy_acc = 0
@@ -620,7 +620,7 @@ class VirtualCpu:
             if buf is None:
                 return memory.page_bytes(ppn, offset, length)
             return bytes(memoryview(buf)[offset:offset + length])
-        # veil-warp: cross-page fetch with aggregated charges (see
+        # Cross-page fetch with aggregated charges (see
         # `read` for the parity argument).
         out = bytearray(length)
         pos = 0
@@ -684,7 +684,7 @@ class VirtualCpu:
             self._rmp_check_page(ppn, access)
             self._h_copy.charge(length * self._copy_x1000 // 1000)
             return memory.page_bytes(ppn, offset, length)
-        # veil-warp: aggregate the per-page copy charges (see `read`).
+        # Aggregate the per-page copy charges (see `read`).
         out = bytearray(length)
         pos = 0
         copy_acc = 0

@@ -20,8 +20,7 @@ import typing
 
 from ..errors import KernelError
 from ..hw.memory import PAGE_SIZE, page_base
-from ..knobs import warp_enabled
-from .fs import FileSystem, Inode, InodeType
+from .fs import EIO, FileSystem, Inode, InodeType
 
 if typing.TYPE_CHECKING:
     from ..hw.vcpu import VirtualCpu
@@ -31,12 +30,12 @@ SECTOR = 512
 SUPERBLOCK_LBA = 8
 MAGIC = "veil-fs-v1"
 
-#: Sectors staged per bounce-page fill on the veil-warp fast path.  The
-#: bounce buffer is one page, so a full page's worth of sectors moves
-#: per memory call; the device protocol stays one hypercall per sector
-#: either way.  ``PAGE_SIZE * copy_per_byte_x1000`` is an exact multiple
-#: of 1000 at sector granularity (512 * 250 = 128000), so one page-sized
-#: copy charge equals the eight per-sector charges it replaces.
+#: Sectors staged per bounce-page fill.  The bounce buffer is one page,
+#: so a full page's worth of sectors moves per memory call, while the
+#: device protocol stays one hypercall per sector.  ``SECTOR *
+#: copy_per_byte_x1000`` is an exact multiple of 1000 (512 * 250 =
+#: 128000), so a batched copy charges exactly what per-sector copies
+#: would; ``tests/kernel/test_diskfs.py`` pins the ledger values.
 SECTORS_PER_PAGE = PAGE_SIZE // SECTOR
 
 
@@ -73,6 +72,72 @@ def _serialize_tree(fs: FileSystem) -> dict:
     return {"magic": MAGIC, "records": records}
 
 
+def _field(path: str, record: dict, key: str, kind: type, default=None):
+    """``record[key]`` checked to be a ``kind``."""
+    value = record.get(key, default)
+    if not isinstance(value, kind):
+        raise KernelError(EIO, f"snapshot record {path!r}: bad {key!r}")
+    return value
+
+
+def _add_record(fs: FileSystem, path: str, record: dict) -> None:
+    """Recreate one non-hardlink record in ``fs``."""
+    kind = record.get("type")
+    if kind == "dir":
+        fs.mkdir(path, _field(path, record, "mode", int, 0o755))
+    elif kind == "file":
+        mode = _field(path, record, "mode", int, 0o644)
+        data_hex = _field(path, record, "data_hex", str)
+        try:
+            data = bytes.fromhex(data_hex)
+        except ValueError:
+            raise KernelError(EIO, f"snapshot record {path!r}: bad "
+                              "'data_hex'") from None
+        inode = fs.create(path, mode=mode)
+        inode.data = bytearray(data)
+    elif kind == "symlink":
+        fs.symlink(_field(path, record, "target", str), path)
+    elif kind == "device":
+        device = fs._new_inode(InodeType.DEVICE)
+        device.device = _field(path, record, "device", str)
+        parent, name = fs.resolve_parent(path)
+        parent.children[name] = device
+    elif kind != "hardlink":
+        raise KernelError(EIO, f"snapshot record {path!r}: bad 'type'")
+
+
+def _rebuild_tree(records) -> tuple[FileSystem, int]:
+    """Build a fresh tree from snapshot ``records``.
+
+    Returns ``(tree, records restored)``; installing the tree is the
+    caller's job.  A record the namespace refuses (missing parent,
+    duplicate name, relative path) is re-raised as ``EIO`` too.
+    """
+    if not isinstance(records, dict):
+        raise KernelError(EIO, "filesystem snapshot has no record table")
+    fs = FileSystem()
+    restored = 0
+    try:
+        # Dirs first (sorted paths put parents before children).
+        for path, record in sorted(records.items()):
+            if not isinstance(record, dict):
+                raise KernelError(EIO, f"snapshot record {path!r} is "
+                                  "not an object")
+            _add_record(fs, path, record)
+            restored += 1
+        # Hardlinks once their targets exist.
+        for path, record in sorted(records.items()):
+            if record["type"] == "hardlink":
+                fs.link(_field(path, record, "target", str), path)
+                restored += 1
+    except KernelError as refused:
+        if refused.errno == EIO:
+            raise
+        raise KernelError(EIO, f"snapshot record rejected: "
+                          f"{refused}") from None
+    return fs, restored
+
+
 class DiskSync:
     """Sync/restore engine bound to one kernel."""
 
@@ -93,67 +158,38 @@ class DiskSync:
         """Stream the snapshot through the bounce buffer to the disk."""
         bounce = self._bounce(core)
         lba = SUPERBLOCK_LBA
-        if warp_enabled():
-            # veil-warp: stage a full bounce page of sectors per memory
-            # call; the per-sector device hypercalls (and their wire
-            # bytes) are unchanged, and the page-sized copy charge
-            # equals the per-sector charges it replaces exactly.
-            memory = self.kernel.machine.memory
-            base = page_base(bounce)
-            for start in range(0, len(blob), SECTOR * SECTORS_PER_PAGE):
-                batch = blob[start:start + SECTOR * SECTORS_PER_PAGE]
-                padded = len(batch) + (-len(batch)) % SECTOR
-                batch = batch.ljust(padded, b"\x00")
-                memory.write(base, batch)
-                staged_hex = memory.read(base, len(batch)).hex()
-                for sec in range(0, len(batch), SECTOR):
-                    self.kernel.hypercall_io(core, {
-                        "op": "io", "device": "block", "action": "write",
-                        "lba": lba,
-                        "data_hex": staged_hex[2 * sec:
-                                               2 * (sec + SECTOR)]})
-                    lba += 1
-            return lba - SUPERBLOCK_LBA
-        for offset in range(0, len(blob), SECTOR):
-            sector = blob[offset:offset + SECTOR].ljust(SECTOR, b"\x00")
-            # Stage in the shared page (the device "DMAs" from it)...
-            self.kernel.machine.memory.write(page_base(bounce), sector)
-            self.kernel.hypercall_io(core, {
-                "op": "io", "device": "block", "action": "write",
-                "lba": lba, "data_hex": self.kernel.machine.memory.read(
-                    page_base(bounce), SECTOR).hex()})
-            lba += 1
+        memory = self.kernel.machine.memory
+        base = page_base(bounce)
+        for start in range(0, len(blob), SECTOR * SECTORS_PER_PAGE):
+            batch = blob[start:start + SECTOR * SECTORS_PER_PAGE]
+            padded = len(batch) + (-len(batch)) % SECTOR
+            batch = batch.ljust(padded, b"\x00")
+            # Stage in the shared page (the device "DMAs" from it).
+            memory.write(base, batch)
+            staged_hex = memory.read(base, len(batch)).hex()
+            for sec in range(0, len(batch), SECTOR):
+                self.kernel.hypercall_io(core, {
+                    "op": "io", "device": "block", "action": "write",
+                    "lba": lba,
+                    "data_hex": staged_hex[2 * sec:2 * (sec + SECTOR)]})
+                lba += 1
         return lba - SUPERBLOCK_LBA
 
     def _read_sectors(self, core: "VirtualCpu", count: int) -> bytes:
         bounce = self._bounce(core)
         blob = bytearray()
-        if warp_enabled():
-            # veil-warp: same per-sector device reads, but sectors are
-            # gathered and moved through the bounce page a full page at
-            # a time (charge-equal to the per-sector staging).
-            memory = self.kernel.machine.memory
-            base = page_base(bounce)
-            for start in range(0, count, SECTORS_PER_PAGE):
-                sectors = []
-                for index in range(start,
-                                   min(start + SECTORS_PER_PAGE, count)):
-                    reply = self.kernel.hypercall_io(core, {
-                        "op": "io", "device": "block", "action": "read",
-                        "lba": SUPERBLOCK_LBA + index})
-                    sectors.append(bytes.fromhex(reply["data_hex"]))
-                batch = b"".join(sectors)
-                memory.write(base, batch)
-                blob.extend(memory.read(base, len(batch)))
-            return bytes(blob)
-        for index in range(count):
-            reply = self.kernel.hypercall_io(core, {
-                "op": "io", "device": "block", "action": "read",
-                "lba": SUPERBLOCK_LBA + index})
-            sector = bytes.fromhex(reply["data_hex"])
-            self.kernel.machine.memory.write(page_base(bounce), sector)
-            blob.extend(self.kernel.machine.memory.read(
-                page_base(bounce), SECTOR))
+        memory = self.kernel.machine.memory
+        base = page_base(bounce)
+        for start in range(0, count, SECTORS_PER_PAGE):
+            sectors = []
+            for index in range(start, min(start + SECTORS_PER_PAGE, count)):
+                reply = self.kernel.hypercall_io(core, {
+                    "op": "io", "device": "block", "action": "read",
+                    "lba": SUPERBLOCK_LBA + index})
+                sectors.append(bytes.fromhex(reply["data_hex"]))
+            batch = b"".join(sectors)
+            memory.write(base, batch)
+            blob.extend(memory.read(base, len(batch)))
         return bytes(blob)
 
     # ------------------------------------------------------------------
@@ -167,42 +203,30 @@ class DiskSync:
             return self._write_sectors(core, framed)
 
     def restore(self, core: "VirtualCpu") -> int:
-        """Rebuild the filesystem from disk; returns records restored."""
+        """Rebuild the filesystem from disk; returns records restored.
+
+        The mounted tree is replaced only once every record has been
+        rebuilt: a malformed snapshot raises ``KernelError(EIO)`` and
+        leaves the previous tree installed.
+        """
         with self.kernel.kernel_context(core):
             header = self._read_sectors(core, 1)
             length = int.from_bytes(header[:8], "little")
             if length == 0 or length > 64 * 1024 * 1024:
-                raise KernelError(5, "no valid filesystem snapshot")
+                raise KernelError(EIO, "no valid filesystem snapshot")
             total_sectors = (8 + length + SECTOR - 1) // SECTOR
             blob = self._read_sectors(core, total_sectors)
-        snapshot = json.loads(blob[8:8 + length].decode("utf-8"))
-        if snapshot.get("magic") != MAGIC:
-            raise KernelError(5, "bad filesystem snapshot magic")
-        return self._rebuild(snapshot["records"])
-
-    def _rebuild(self, records: dict) -> int:
-        fs = FileSystem()
+        try:
+            snapshot = json.loads(blob[8:8 + length].decode("utf-8"))
+        except (ValueError, RecursionError):
+            # Bad UTF-8 and bad JSON are both ValueErrors; absurd
+            # nesting exhausts the parser's recursion.
+            raise KernelError(EIO, "filesystem snapshot is not "
+                              "valid JSON") from None
+        if not isinstance(snapshot, dict) or \
+                snapshot.get("magic") != MAGIC:
+            raise KernelError(EIO, "bad filesystem snapshot magic")
+        fs, restored = _rebuild_tree(snapshot.get("records"))
         self.kernel.fs = fs
-        restored = 0
-        # Dirs first (sorted paths put parents before children).
-        for path, record in sorted(records.items()):
-            kind = record["type"]
-            if kind == "dir":
-                fs.mkdir(path, record.get("mode", 0o755))
-            elif kind == "file":
-                inode = fs.create(path, mode=record.get("mode", 0o644))
-                inode.data = bytearray(bytes.fromhex(record["data_hex"]))
-            elif kind == "symlink":
-                fs.symlink(record["target"], path)
-            elif kind == "device":
-                device = fs._new_inode(InodeType.DEVICE)
-                device.device = record["device"]
-                parent, name = fs.resolve_parent(path)
-                parent.children[name] = device
-            restored += 1
-        # Hardlinks once their targets exist.
-        for path, record in sorted(records.items()):
-            if record["type"] == "hardlink":
-                fs.link(record["target"], path)
-                restored += 1
         return restored
+

@@ -185,7 +185,7 @@ class Kernel:
         payload = bytes(self._console_buffer)
         self._console_buffer.clear()
         # One GHCB page bounds each I/O request; flush in chunks.
-        # veil-warp: hex-encode the payload once and slice the string
+        # Hex-encode the payload once and slice the string
         # per chunk -- each hypercall carries byte-identical wire data
         # to encoding chunk-by-chunk.
         chunk_size = 1536

@@ -40,7 +40,7 @@ class MemoryManager:
     def alloc_frames(self, count: int, label: str = "kernel") -> list[int]:
         """Allocate ``count`` kernel-owned frames.
 
-        veil-warp: delegates to the machine allocator's bulk path (one
+        Delegates to the machine allocator's bulk path (one
         free-list splice instead of ``count`` pops) and folds ownership
         in with one set update.  The returned frame order is identical
         to ``count`` single allocations (a tested invariant).

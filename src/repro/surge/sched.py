@@ -33,11 +33,22 @@ off event time instead of ledger time.
 from __future__ import annotations
 
 import heapq
+import os
 import typing
 from dataclasses import dataclass, field
 
 from ..errors import SimulationError
-from ..knobs import surge_check_enabled
+
+#: Environment variable enabling the event-heap invariant self-checks
+#: (O(n) per pop).  Off by default; the determinism suite turns it on so
+#: a broken heap fails loudly instead of reordering events silently.
+SURGE_CHECK_ENV = "VEIL_SURGE_CHECK"
+
+
+def surge_check_enabled() -> bool:
+    """True when event-heap invariant checks are enabled (off by default)."""
+    return os.environ.get(SURGE_CHECK_ENV, "0") != "0"
+
 
 #: Event ranks, in tie-break order at one instant.  Completions free
 #: capacity before new arrivals claim it; control (autoscale) decisions

@@ -51,25 +51,6 @@ class CycleHistogram:
         """Arithmetic mean of all observations (0.0 when empty)."""
         return self.total / self.count if self.count else 0.0
 
-    def merge(self, other: "CycleHistogram") -> None:
-        """Fold ``other``'s observations into this histogram in place.
-
-        Equivalent to replaying every observation ``other`` recorded:
-        counts, totals, and buckets add; min/max widen.  veil-warp uses
-        this to fold per-worker registries into one fleet registry.
-        """
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.min = other.min
-            self.max = other.max
-        else:
-            self.min = min(self.min, other.min)
-            self.max = max(self.max, other.max)
-        self.count += other.count
-        self.total += other.total
-        self.buckets.update(other.buckets)
-
     def as_dict(self) -> dict:
         """Deterministic plain-data form for export/dumps."""
         return {
@@ -199,30 +180,6 @@ class LatencyHistogram:
         """``{"p50": ..., "p95": ..., "p99": ...}`` for ``points``."""
         return {f"p{point:g}": self.percentile(point) for point in points}
 
-    def merge(self, other: "LatencyHistogram") -> None:
-        """Fold ``other``'s observations into this histogram in place.
-
-        Bucket layouts are position-independent, so merging is exact:
-        the result equals observing every sample in either order (the
-        quantization happened at observe time).  ``max_value`` must
-        match -- saturation points differ otherwise.
-        """
-        if other.max_value != self.max_value:
-            raise ValueError("cannot merge latency histograms with "
-                             "different max_value saturation points")
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.min = other.min
-            self.max = other.max
-        else:
-            self.min = min(self.min, other.min)
-            self.max = max(self.max, other.max)
-        self.count += other.count
-        self.total += other.total
-        self.overflow += other.overflow
-        self.buckets.update(other.buckets)
-
     def as_dict(self) -> dict:
         """Deterministic plain-data form for export/dumps."""
         out = {
@@ -296,27 +253,6 @@ class MetricsRegistry:
         prefix = f"{name}/"
         return {k[len(prefix):]: v for k, v in self.counters.items()
                 if k.startswith(prefix)}
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry into this one in place (veil-warp).
-
-        Counters key-sum; histograms merge per key (created here on
-        first sight).  Order-independent: folding worker registries in
-        any order yields the same aggregate, which is what keeps the
-        merged fleet dump identical across worker counts.
-        """
-        self.counters.update(other.counters)
-        for key, hist in other.histograms.items():
-            mine = self.histograms.get(key)
-            if mine is None:
-                mine = self.histograms[key] = CycleHistogram()
-            mine.merge(hist)
-        for key, hist in other.latencies.items():
-            mine = self.latencies.get(key)
-            if mine is None:
-                mine = self.latencies[key] = LatencyHistogram(
-                    max_value=hist.max_value)
-            mine.merge(hist)
 
     def dump(self) -> dict:
         """Deterministic plain-data snapshot of the whole registry."""

@@ -2,11 +2,13 @@
 
 import io
 import json
+from pathlib import Path
 
 import repro.analysis
 from repro.analysis import run_analysis
 from repro.analysis.cli import run
 from repro.analysis.report import render_json, render_text
+from repro.analysis.rules import LAYER_ALLOWED
 
 
 class TestLiveTree:
@@ -23,6 +25,16 @@ class TestLiveTree:
     def test_module_count_covers_the_package(self):
         report = run_analysis()
         assert report.module_count >= 80
+
+    def test_layer_table_names_existing_code(self):
+        """Every layer and every allowed import target is a package or
+        module under ``src/repro``: a deleted one leaves no stale entry."""
+        root = Path(repro.analysis.__file__).parent.parent
+        named = set(LAYER_ALLOWED).union(*LAYER_ALLOWED.values())
+        missing = [name for name in sorted(named)
+                   if not (root / name / "__init__.py").is_file()
+                   and not (root / f"{name}.py").is_file()]
+        assert missing == []
 
 
 class TestCli:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import ClusterConfig, ClusterFleet, run_cluster
+from repro.errors import SimulationError
 from repro.trace import Tracer
 
 SMALL = dict(requests=20, keyspace=4)
@@ -93,3 +94,12 @@ class TestScaling:
                 policy="least-outstanding"))
             assert result.throughput_rps > previous
             previous = result.throughput_rps
+
+
+class TestDegenerateConfig:
+    @pytest.mark.parametrize("replicas", [0, -1])
+    def test_empty_fleet_refused(self, replicas):
+        with pytest.raises(SimulationError,
+                           match=f"replicas must be at least 1, got "
+                                 f"{replicas}"):
+            ClusterFleet(ClusterConfig(replicas=replicas))

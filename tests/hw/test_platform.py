@@ -1,4 +1,8 @@
-"""Unit tests: machine assembly, frame allocator, halt semantics."""
+"""Unit tests: machine assembly, frame allocator, halt semantics.
+
+``alloc_many`` is checked against repeated ``alloc()`` calls, the
+reference for frame order and free-list state.
+"""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -64,6 +68,40 @@ class TestFrameAllocator:
             else:
                 alloc.free(live.pop())
         assert len(set(live)) == len(live)
+
+
+class TestAllocManyParity:
+    def test_fresh_frames_match_repeated_alloc(self):
+        bulk, loop = FrameAllocator(64), FrameAllocator(64)
+        assert bulk.alloc_many(5) == [loop.alloc() for _ in range(5)]
+        assert bulk._next == loop._next
+
+    def test_free_list_reuse_matches_repeated_alloc(self):
+        bulk, loop = FrameAllocator(64), FrameAllocator(64)
+        for allocator in (bulk, loop):
+            ppns = [allocator.alloc() for _ in range(6)]
+            for ppn in (ppns[1], ppns[3], ppns[4]):
+                allocator.free(ppn)
+        # Bulk draws LIFO from the free list then fresh, like alloc().
+        assert bulk.alloc_many(5) == [loop.alloc() for _ in range(5)]
+        assert bulk.allocated_count == loop.allocated_count
+
+    def test_exhaustion_rolls_back_the_free_list(self):
+        allocator = FrameAllocator(8)
+        held = [allocator.alloc() for _ in range(7)]
+        allocator.free(held[2])
+        allocator.free(held[5])
+        snapshot = list(allocator._free)
+        with pytest.raises(MemoryError):
+            allocator.alloc_many(4)    # only 2 free, no fresh left
+        assert list(allocator._free) == snapshot
+        assert allocator.alloc_many(2) == [held[5], held[2]]
+
+    def test_zero_and_negative_counts_are_noops(self):
+        allocator = FrameAllocator(8)
+        assert allocator.alloc_many(0) == []
+        assert allocator.alloc_many(-3) == []
+        assert allocator.allocated_count == 0
 
 
 class TestMachine:

@@ -1,8 +1,12 @@
 """Integration tests: filesystem persistence over the block device."""
 
+import hashlib
+import json
+
 import pytest
 
-from repro.kernel.diskfs import DiskSync, SUPERBLOCK_LBA
+from repro.errors import KernelError
+from repro.kernel.diskfs import MAGIC, SECTOR, DiskSync, SUPERBLOCK_LBA
 from repro.kernel.fs import InodeType, O_CREAT, O_RDWR
 
 
@@ -50,7 +54,6 @@ class TestSyncRestore:
         assert int.from_bytes(raw[:8], "little") > 0
 
     def test_restore_without_snapshot_rejected(self, native):
-        from repro.errors import KernelError
         with pytest.raises(KernelError):
             DiskSync(native.kernel).restore(native.boot_core)
 
@@ -71,7 +74,6 @@ class TestSyncRestore:
         framed = len(evil).to_bytes(8, "little") + evil
         native.hv.block.write_sector(SUPERBLOCK_LBA,
                                      framed.ljust(512, b"\x00"))
-        from repro.errors import KernelError
         with pytest.raises(KernelError):
             sync.restore(native.boot_core)
 
@@ -83,3 +85,138 @@ class TestSyncRestore:
         assert sectors > 20_000 * 2 // 512      # hex doubles the size
         sync.restore(native.boot_core)
         assert native.kernel.fs.resolve("/big.bin").size == 20_000
+
+
+def populate_four_files(system):
+    """Four 300-byte files under ``/bulk``: a six-sector snapshot."""
+    kernel, core = system.kernel, system.boot_core
+    proc = kernel.create_process("writer")
+    kernel.syscall(core, proc, "mkdir", "/bulk")
+    import repro.kernel.layout as layout
+    buf = layout.USER_STACK_TOP - 4096
+    core.regs.cr3, core.regs.cpl = proc.page_table.root_ppn, 3
+    for index in range(4):
+        fd = kernel.syscall(core, proc, "open", f"/bulk/f{index}",
+                            O_CREAT | O_RDWR)
+        payload = bytes((index + i) % 256 for i in range(300))
+        core.write(buf, payload)
+        kernel.syscall(core, proc, "write", fd, buf, len(payload))
+        kernel.syscall(core, proc, "close", fd)
+
+
+def charged(system, fn):
+    """``(fn(), per-category ledger charges of the call)``."""
+    mark = system.machine.ledger.snapshot()
+    result = fn()
+    return result, dict(system.machine.ledger.since(mark).by_category)
+
+
+def disk_sha256(system, sectors: int) -> str:
+    """sha256 over the snapshot's sectors as the host device holds them.
+
+    Reads from LBA 8 literally: where the snapshot starts is part of the
+    on-disk format.
+    """
+    digest = hashlib.sha256()
+    for lba in range(8, 8 + sectors):
+        digest.update(system.hv.block.read_sector(lba))
+    return digest.hexdigest()
+
+
+class TestGoldenLedger:
+    """Sync and restore stage a page of sectors per bounce-buffer copy.
+
+    These values were recorded from the per-sector staging loop the
+    batched path replaced; the batch must charge, and put on disk,
+    exactly what that loop did.
+    """
+
+    def test_four_file_namespace(self, native):
+        populate_four_files(native)
+        sync = DiskSync(native.kernel)
+        sectors, charges = charged(native,
+                                   lambda: sync.sync(native.boot_core))
+        assert sectors == 6
+        assert charges == {"copy": 4956, "domain_switch": 49945,
+                           "pvalidate": 800}
+        assert disk_sha256(native, sectors) == (
+            "37e86cee861d1b34cd199d54e5098050"
+            "cdcfb3cda00f5cc81f493f076997cf41")
+        restored, charges = charged(
+            native, lambda: sync.restore(native.boot_core))
+        assert restored == 11
+        assert charges == {"copy": 5720, "domain_switch": 49945}
+        for index in range(4):
+            assert bytes(native.kernel.fs.resolve(
+                f"/bulk/f{index}").data) == bytes(
+                (index + i) % 256 for i in range(300))
+
+    @pytest.mark.parametrize("system_name, sync_charges, sha, records", [
+        ("native", {"copy": 64670, "domain_switch": 570800,
+                    "pvalidate": 800},
+         "269fca41a591b893d8f7f5b9b4ec95be"
+         "072fbf76189a83fba9338b03a7b6f785", 7),
+        ("veil", {"copy": 64758, "domain_switch": 585070,
+                  "monitor": 600, "msr": 200, "pvalidate": 800},
+         "3cf1fe862907bf432f14cf9e381d62a1"
+         "5d6f150bdbd12572534d50c52aa842fb", 8),
+    ], ids=["native", "veil"])
+    def test_multi_page_file(self, request, system_name, sync_charges,
+                             sha, records):
+        """79 sectors: ten bounce-page batches, the last one partial."""
+        system = request.getfixturevalue(system_name)
+        system.kernel.fs.create("/big.bin").data = bytearray(
+            b"\xab" * 20_000)
+        sync = DiskSync(system.kernel)
+        sectors, charges = charged(system,
+                                   lambda: sync.sync(system.boot_core))
+        assert sectors == 79
+        assert charges == sync_charges
+        assert disk_sha256(system, sectors) == sha
+        restored, charges = charged(
+            system, lambda: sync.restore(system.boot_core))
+        assert restored == records
+        assert charges == {"copy": 65434, "domain_switch": 570800}
+
+
+def snapshot_bytes(records) -> bytes:
+    """A well-framed snapshot body carrying ``records``."""
+    return json.dumps({"magic": MAGIC, "records": records}).encode()
+
+
+#: Host-written snapshot bodies behind a valid length prefix.  Record
+#: tables lead with a good record so a restore that installs its tree
+#: before parsing would be caught half-built.
+MALFORMED_SNAPSHOTS = {
+    "not-utf8": b"\xff\xfe\xfd",
+    "not-json": b"not json",
+    "not-an-object": b"[1,2]",
+    "no-records": json.dumps({"magic": MAGIC}).encode(),
+    "records-not-a-table": snapshot_bytes([1]),
+    "record-without-type": snapshot_bytes(
+        {"/a": {"type": "dir", "mode": 0o755}, "/b": {"mode": 0o644}}),
+    "bad-data-hex": snapshot_bytes(
+        {"/a": {"type": "dir", "mode": 0o755},
+         "/b": {"type": "file", "mode": 0o644, "data_hex": "zz"}}),
+}
+
+
+class TestMalformedSnapshot:
+    @pytest.mark.parametrize("body", MALFORMED_SNAPSHOTS.values(),
+                             ids=MALFORMED_SNAPSHOTS.keys())
+    def test_rejected_and_old_tree_kept(self, native, body):
+        kernel = native.kernel
+        kernel.fs.create("/kept.txt").data = bytearray(b"still here")
+        mounted = kernel.fs
+        framed = len(body).to_bytes(8, "little") + body
+        for offset in range(0, len(framed), SECTOR):
+            native.hv.block.write_sector(
+                SUPERBLOCK_LBA + offset // SECTOR,
+                framed[offset:offset + SECTOR].ljust(SECTOR, b"\x00"))
+        with pytest.raises(KernelError) as refused:
+            DiskSync(kernel).restore(native.boot_core)
+        assert refused.value.errno == 5
+        assert kernel.fs is mounted
+        assert kernel.fs.resolve("/dev/console").itype == InodeType.DEVICE
+        assert bytes(kernel.fs.resolve("/kept.txt").data) == b"still here"
+        assert not kernel.fs.exists("/a")

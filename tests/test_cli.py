@@ -13,13 +13,38 @@ class TestParser:
         assert set(sub.choices) == {"boot", "micro", "cs1", "fig4",
                                     "fig5", "fig6", "attacks", "ltp",
                                     "cluster", "chaos", "scope", "lint",
-                                    "flow", "trace", "turbo", "warp",
-                                    "surge", "profile", "export",
+                                    "flow", "trace", "turbo", "surge",
+                                    "profile", "export",
                                     "ablations", "all"}
 
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+
+class TestDegenerateSizes:
+    """A size the simulator cannot run exits 2 with one error line."""
+
+    @pytest.mark.parametrize("argv", [
+        ["cluster", "--replicas", "0"],
+        ["cluster", "--replicas", "-1"],
+        ["surge", "--replicas", "0"],
+        ["surge", "--requests", "0"],
+        ["chaos", "--replicas", "0"],
+        ["chaos", "--replicas", "-1"],
+        ["scope", "cluster", "--replicas", "0"],
+        ["fig4", "--iterations", "0"],
+        ["cs1", "--reps", "0"],
+        ["micro", "--switches", "0", "--memory-mb", "32"],
+    ], ids=" ".join)
+    def test_exits_2_without_traceback(self, capsys, argv):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestCommands:

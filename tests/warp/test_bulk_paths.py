@@ -1,49 +1,14 @@
-"""Order/charge parity for the veil-warp bulk-copy fast paths.
+"""Disk-sync checks that the removed ``VEIL_WARP`` knob stays removed.
 
-Every bulk path must be behaviorally indistinguishable from the loop it
-replaced: same frame order out of the allocator, same bytes on disk,
-same cycle charges.  (The cipher's big-integer XOR has no twin left; it is
-pinned by the known-answer tests in ``tests/test_cipher_kat.py``.)
+``VEIL_WARP`` once chose between a per-sector and a page-batched disk
+staging loop.  Only the batched loop is left, so a ``VEIL_WARP`` value
+left over in the environment must change nothing: same sectors, same
+bytes on disk, same cycle charges.  The golden values for that loop are
+pinned in ``tests/kernel/test_diskfs.py`` (``TestGoldenLedger``); the
+bulk frame allocator in ``tests/hw/test_platform.py``.
 """
 
-import pytest
-
-from repro.hw.platform import FrameAllocator
 from repro.kernel.diskfs import DiskSync, SUPERBLOCK_LBA
-
-
-class TestAllocManyParity:
-    def test_fresh_frames_match_repeated_alloc(self):
-        bulk, loop = FrameAllocator(64), FrameAllocator(64)
-        assert bulk.alloc_many(5) == [loop.alloc() for _ in range(5)]
-        assert bulk._next == loop._next
-
-    def test_free_list_reuse_matches_repeated_alloc(self):
-        bulk, loop = FrameAllocator(64), FrameAllocator(64)
-        for allocator in (bulk, loop):
-            ppns = [allocator.alloc() for _ in range(6)]
-            for ppn in (ppns[1], ppns[3], ppns[4]):
-                allocator.free(ppn)
-        # Bulk draws LIFO from the free list then fresh, like alloc().
-        assert bulk.alloc_many(5) == [loop.alloc() for _ in range(5)]
-        assert bulk.allocated_count == loop.allocated_count
-
-    def test_exhaustion_rolls_back_the_free_list(self):
-        allocator = FrameAllocator(8)
-        held = [allocator.alloc() for _ in range(7)]
-        allocator.free(held[2])
-        allocator.free(held[5])
-        snapshot = list(allocator._free)
-        with pytest.raises(MemoryError):
-            allocator.alloc_many(4)    # only 2 free, no fresh left
-        assert list(allocator._free) == snapshot
-        assert allocator.alloc_many(2) == [held[5], held[2]]
-
-    def test_zero_and_negative_counts_are_noops(self):
-        allocator = FrameAllocator(8)
-        assert allocator.alloc_many(0) == []
-        assert allocator.alloc_many(-3) == []
-        assert allocator.allocated_count == 0
 
 
 def populate(system):
@@ -65,7 +30,10 @@ def populate(system):
 
 
 def sync_lap(monkeypatch, warp):
-    """Boot, populate, sync; returns (sectors, disk bytes, charges)."""
+    """Boot, populate, sync with a stale ``VEIL_WARP`` set.
+
+    Returns (sectors, charges, superblock, restored, system).
+    """
     from repro.core import VeilConfig, boot_native_system
     monkeypatch.setenv("VEIL_WARP", "1" if warp else "0")
     system = boot_native_system(VeilConfig(

@@ -129,8 +129,7 @@ def attack_incorrect_ghcb_mapping(system=None) -> AttackResult:
         core.wrmsr_ghcb(page_base(rogue_ppn))
     from ..hw.ghcb import Ghcb
     ghcb = Ghcb(rogue_ppn)
-    ghcb.write_message(system.machine.memory,
-                       {"op": "domain_switch", "target_vmpl": VMPL_ENC})
+    ghcb.write_switch(system.machine.memory, VMPL_ENC)
     try:
         system.boot_core.vmgexit()
     except CvmHalted as halt:
@@ -282,10 +281,8 @@ def attack_enclave_escalates_via_ghcb(system=None) -> AttackResult:
     def escalate(libc):
         rt = libc.rt
         ghcb = rt._user_ghcb()
-        ghcb.write_message(
-            system.machine.memory,
-            # veil-lint: allow(vmpl-literal) -- forged escalation payload
-            {"op": "domain_switch", "target_vmpl": 0})
+        # veil-lint: allow(vmpl-literal) -- forged escalation payload
+        ghcb.write_switch(system.machine.memory, vmpl=0)
         rt.core.vmgexit()
         return "switched"
 

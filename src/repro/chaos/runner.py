@@ -49,6 +49,10 @@ class ChaosConfig:
     keyspace: int = 16
     net_cost: NetCostModel = field(default_factory=NetCostModel)
 
+    def __post_init__(self):
+        # The fleet shape refuses a replica or request count below 1.
+        self.cluster_config()
+
     def cluster_config(self) -> ClusterConfig:
         """The underlying fleet shape for this chaos run."""
         return ClusterConfig(

@@ -54,6 +54,14 @@ class ClusterConfig:
     num_cores: int = 2
     log_storage_pages: int = 64
 
+    def __post_init__(self):
+        if self.replicas < 1:
+            raise SimulationError(
+                f"replicas must be at least 1, got {self.replicas}")
+        if self.requests < 1:
+            raise SimulationError(
+                f"requests must be at least 1, got {self.requests}")
+
 
 class FleetClock:
     """Sums every host ledger: the fleet's monotonic virtual clock.
@@ -136,9 +144,6 @@ class ClusterFleet:
                  net: InterHostNetwork | None = None,
                  scope=None):
         from ..trace.tracer import default_tracer
-        if config.replicas < 1:
-            raise SimulationError(
-                f"replicas must be at least 1, got {config.replicas}")
         self.config = config
         if tracer is None:
             # Pick up the harness-wide tracer (VEIL_TRACE_DIR capture)

@@ -30,16 +30,17 @@ from .veilmon import VeilMon
 if typing.TYPE_CHECKING:
     from ..hw.vcpu import VirtualCpu
 
-# One module-signing keypair per interpreter (RSA keygen is slow and the
-# key's identity is irrelevant to the experiments).
+# One module-signing keypair per interpreter (RSA keygen is slow).  It is
+# derived from a fixed label: signed module bytes reach the chaos fabric,
+# where a seeded fault schedule must see the same bytes in every process.
 _MODULE_KEY: RsaKeyPair | None = None
 
 
 def module_signing_key() -> RsaKeyPair:
-    """Process-wide module-signing RSA key (lazy)."""
+    """Process-wide module-signing RSA key (lazy, seeded)."""
     global _MODULE_KEY
     if _MODULE_KEY is None:
-        _MODULE_KEY = generate_keypair()
+        _MODULE_KEY = generate_keypair(seed=b"module-signing")
     return _MODULE_KEY
 
 

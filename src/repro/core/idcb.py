@@ -8,25 +8,21 @@ and at per-VCPU granularity to avoid contention.
 An IDCB spans one or more (not necessarily contiguous) physical pages:
 half the region is the request slot, half the reply slot.  Requests and
 replies are serialized through the simulated memory system so copy costs
-are charged on both sides of the exchange.
+are charged on both sides of the exchange.  The frame format is the
+GHCB's (:mod:`repro.hw.ghcb`); this module only maps slot offsets onto
+the backing pages.
 """
 
 from __future__ import annotations
 
-import json
-
 from ..errors import SimulationError
+from ..hw.ghcb import FRAME_HEADER, decode_payload, encode_frame, \
+    frame_length
 from ..hw.memory import PAGE_SIZE, PhysicalMemory, page_base
-
-_LEN = 4
 
 #: Default IDCB size in pages (32 KiB: large enough for page-list
 #: arguments like KCI activation and enclave layouts).
 DEFAULT_IDCB_PAGES = 8
-
-#: Shared encoder: byte-identical to ``json.dumps(payload,
-#: sort_keys=True)``, which builds a fresh encoder per call.
-_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 class Idcb:
@@ -40,18 +36,12 @@ class Idcb:
         self.ppns = list(ppns)
         self.low_vmpl = low_vmpl      # less privileged side (owns memory)
         self.high_vmpl = high_vmpl
+        self.size = len(self.ppns) * PAGE_SIZE
+        self.slot_size = self.size // 2
 
     @property
     def ppn(self) -> int:
         return self.ppns[0]
-
-    @property
-    def size(self) -> int:
-        return len(self.ppns) * PAGE_SIZE
-
-    @property
-    def slot_size(self) -> int:
-        return self.size // 2
 
     # -- scatter I/O over the backing pages ---------------------------------
 
@@ -80,13 +70,16 @@ class Idcb:
     # -- message slots ---------------------------------------------------------
 
     def _write(self, mem: PhysicalMemory, offset: int, payload: dict) -> None:
-        blob = _ENCODER.encode(payload).encode("utf-8")
-        if len(blob) + _LEN > self.slot_size:
+        frame = encode_frame(payload)
+        if len(frame) > self.slot_size:
             raise SimulationError(
-                f"IDCB message of {len(blob)}B exceeds the "
-                f"{self.slot_size}B slot")
-        self._write_bytes(mem, offset,
-                          len(blob).to_bytes(_LEN, "little") + blob)
+                f"IDCB message of {len(frame) - FRAME_HEADER}B exceeds "
+                f"the {self.slot_size}B slot")
+        page_index, in_page = divmod(offset, PAGE_SIZE)
+        if in_page + len(frame) <= PAGE_SIZE:
+            mem.write(page_base(self.ppns[page_index]) + in_page, frame)
+        else:
+            self._write_bytes(mem, offset, frame)
 
     def _read(self, mem: PhysicalMemory, offset: int) -> dict:
         """Decode one slot.
@@ -95,12 +88,18 @@ class Idcb:
         decode to something other than an object: the less-privileged
         side owns the pages and can write anything into them.
         """
-        length = int.from_bytes(self._read_bytes(mem, offset, _LEN),
-                                "little")
-        if length == 0 or length > self.slot_size - _LEN:
+        # Slots start at a multiple of half a page, so the header never
+        # crosses a backing page.
+        page_index, in_page = divmod(offset, PAGE_SIZE)
+        addr = page_base(self.ppns[page_index]) + in_page
+        length = frame_length(mem.read(addr, FRAME_HEADER))
+        if length == 0 or length > self.slot_size - FRAME_HEADER:
             raise SimulationError("IDCB slot holds no valid message")
-        blob = self._read_bytes(mem, offset + _LEN, length)
-        message = json.loads(blob.decode("utf-8"))
+        if in_page + FRAME_HEADER + length <= PAGE_SIZE:
+            blob = mem.read(addr + FRAME_HEADER, length)
+        else:
+            blob = self._read_bytes(mem, offset + FRAME_HEADER, length)
+        message = decode_payload(blob)
         if not isinstance(message, dict):
             raise ValueError(f"IDCB message is a JSON "
                              f"{type(message).__name__}, not an object")

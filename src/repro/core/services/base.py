@@ -22,6 +22,8 @@ def traced(op: str):
     def wrap(method):
         @functools.wraps(method)
         def inner(self, core, request):
+            if not self.machine.tracer.enabled:
+                return method(self, core, request)
             with self.trace_span(core, op):
                 return method(self, core, request)
         return inner

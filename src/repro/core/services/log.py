@@ -68,6 +68,10 @@ class VeilSLog(ProtectedService):
 
     def _write_storage(self, core: "VirtualCpu", offset: int,
                        blob: bytes) -> None:
+        ppn, in_page = self._storage_location(offset)
+        if in_page + len(blob) <= PAGE_SIZE:
+            core.write_phys(page_base(ppn) + in_page, blob)
+            return
         pos = 0
         while pos < len(blob):
             ppn, in_page = self._storage_location(offset + pos)

@@ -46,9 +46,7 @@ class MonitorGateway:
         core.regs.cr3 = self.kernel.kernel_table.root_ppn
         core.regs.cpl = 0
         core.wrmsr_ghcb(ghcb.gpa)
-        ghcb.write_message(self.kernel.machine.memory,
-                           {"op": "domain_switch",
-                            "target_vmpl": target_vmpl})
+        ghcb.write_switch(self.kernel.machine.memory, target_vmpl)
         core.vmgexit()
         self.switch_count += 1
 

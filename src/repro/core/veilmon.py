@@ -24,6 +24,7 @@ from ..hw.memory import PAGE_SIZE, page_base
 from ..hw.pagetable import GuestPageTable, LinearWindow
 from ..hw.rmp import Access
 from ..hw.vmsa import RegisterFile, Vmsa
+from ..trace import NULL_SPAN
 from .domains import VMPL_ENC, VMPL_MON, VMPL_SER, VMPL_UNT
 from .idcb import Idcb
 
@@ -329,9 +330,7 @@ class VeilMon:
         """Request the hypervisor switch this core out of DomMON."""
         ghcb = self._mon_ghcb(core)
         core.wrmsr_ghcb(ghcb.gpa)
-        ghcb.write_message(self.machine.memory,
-                           {"op": "domain_switch",
-                            "target_vmpl": target_vmpl})
+        ghcb.write_switch(self.machine.memory, target_vmpl)
         core.vmgexit()
 
     def on_entry(self, core: "VirtualCpu",
@@ -343,20 +342,25 @@ class VeilMon:
         """
         if core.vmpl != VMPL_MON:
             raise SimulationError("monitor entered outside DomMON")
-        self.machine.ledger.charge("monitor", MON_DISPATCH_CYCLES)
+        machine = self.machine
+        machine.ledger.charge("monitor", MON_DISPATCH_CYCLES)
         self.request_count += 1
         idcb = (self.monser_idcbs if from_vmpl == VMPL_SER
                 else self.os_idcbs)[core.cpu_index]
         request, reply_to, error = self._read_request(idcb, from_vmpl)
-        op = str(request.get("op", ""))
-        self.machine.tracer.metrics.count("mon_request", op)
+        tracer = machine.tracer
         # Span covers the whole DomMON residence: dispatch, reply write,
         # and the switch back out.
-        with self.machine.tracer.span("mon", f"request:{op}",
-                                      vcpu=core.cpu_index, vmpl=VMPL_MON,
-                                      args={"from_vmpl": from_vmpl}):
+        if tracer.enabled:
+            op = str(request.get("op", ""))
+            tracer.metrics.count("mon_request", op)
+            span = tracer.span("mon", f"request:{op}", vcpu=core.cpu_index,
+                               vmpl=VMPL_MON, args={"from_vmpl": from_vmpl})
+        else:
+            span = NULL_SPAN
+        with span:
             reply = error or self._dispatch(core, self._handlers, request)
-            idcb.write_reply(self.machine.memory, reply)
+            idcb.write_reply(machine.memory, reply)
             self.switch_from_mon(core, reply_to)
 
     def _read_request(self, idcb: Idcb,
@@ -407,9 +411,7 @@ class VeilMon:
         """Request the hypervisor switch this core out of DomSER."""
         ghcb = self._ser_ghcb(core)
         core.wrmsr_ghcb(ghcb.gpa)
-        ghcb.write_message(self.machine.memory,
-                           {"op": "domain_switch",
-                            "target_vmpl": target_vmpl})
+        ghcb.write_switch(self.machine.memory, target_vmpl)
         core.vmgexit()
 
     def on_ser_entry(self, core: "VirtualCpu",
@@ -422,18 +424,23 @@ class VeilMon:
         """
         if core.vmpl != VMPL_SER:
             raise SimulationError("service entered outside DomSER")
-        self.machine.ledger.charge("service", MON_DISPATCH_CYCLES)
+        machine = self.machine
+        machine.ledger.charge("service", MON_DISPATCH_CYCLES)
         if idcb is None:
             idcb = self.ser_idcbs[core.cpu_index]
         request, reply_to, error = self._read_request(idcb, VMPL_UNT)
-        op = str(request.get("op", ""))
-        self.machine.tracer.metrics.count("ser_request", op)
-        with self.machine.tracer.span("ser", f"request:{op}",
-                                      vcpu=core.cpu_index,
-                                      vmpl=VMPL_SER):
+        tracer = machine.tracer
+        if tracer.enabled:
+            op = str(request.get("op", ""))
+            tracer.metrics.count("ser_request", op)
+            span = tracer.span("ser", f"request:{op}", vcpu=core.cpu_index,
+                               vmpl=VMPL_SER)
+        else:
+            span = NULL_SPAN
+        with span:
             reply = error or self._dispatch(core, self.ser_handlers,
                                             request)
-            idcb.write_reply(self.machine.memory, reply)
+            idcb.write_reply(machine.memory, reply)
             self.switch_from_ser(core, reply_to)
 
     def ser_call_monitor(self, core: "VirtualCpu", request: dict) -> dict:

@@ -38,6 +38,10 @@ from . import cipher
 #: little-endian counter, so the sequence space IS the nonce space.
 MAX_SEQUENCE = cipher.MAX_NONCE_COUNTER
 
+#: Byte-identical to ``json.dumps(payload, sort_keys=True)``, which builds
+#: a fresh encoder per call.
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
 
 class SecureChannel:
     """Symmetric channel with per-direction sequence numbers."""
@@ -71,7 +75,7 @@ class SecureChannel:
         if self._send_seq > MAX_SEQUENCE:
             raise SecurityViolation(
                 "channel send sequence space exhausted")
-        blob = json.dumps(payload, sort_keys=True).encode("utf-8")
+        blob = _ENCODER.encode(payload).encode("utf-8")
         nonce = cipher.nonce_from_counter(self._send_seq)
         aad = self._direction(sending=True) + nonce
         record = cipher.seal(self.key, nonce, blob, aad=aad)

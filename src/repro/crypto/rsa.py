@@ -54,9 +54,30 @@ def _is_probable_prime(n: int, rounds: int = 24) -> bool:
     return True
 
 
-def _random_prime(bits: int) -> int:
+def _candidate_bits(bits: int, seed: bytes | None):
+    """Endless stream of ``bits``-wide random integers.
+
+    Unseeded, each draw comes from ``secrets``.  Seeded, the stream is
+    SHA-256 in counter mode over ``seed``, so the same seed yields the
+    same key every time.
+    """
+    if seed is None:
+        while True:
+            yield secrets.randbits(bits)
+    width = (bits + 7) // 8
+    counter = 0
     while True:
-        candidate = secrets.randbits(bits) | (1 << (bits - 1)) | 1
+        stream = b""
+        while len(stream) < width:
+            stream += hashlib.sha256(b"veil-rsa|" + seed + b"|" +
+                                     counter.to_bytes(8, "big")).digest()
+            counter += 1
+        yield int.from_bytes(stream[:width], "big") >> (width * 8 - bits)
+
+
+def _random_prime(bits: int, draws) -> int:
+    while True:
+        candidate = next(draws) | (1 << (bits - 1)) | 1
         if _is_probable_prime(candidate):
             return candidate
 
@@ -131,11 +152,17 @@ def _digest_padded(message: bytes, modulus: int) -> bytes:
     return bytes([0]) + bytes(stretched[:size - 1])
 
 
-def generate_keypair(bits: int = 1024, e: int = 65537) -> RsaKeyPair:
-    """Generate an RSA key pair (probabilistic primes, standard e)."""
+def generate_keypair(bits: int = 1024, e: int = 65537, *,
+                     seed: bytes | None = None) -> RsaKeyPair:
+    """Generate an RSA key pair (probabilistic primes, standard e).
+
+    ``seed`` derives the prime candidates from stable bytes instead of
+    ``secrets``, for keys whose identity must replay across processes.
+    """
+    draws = _candidate_bits(bits // 2, seed)
     while True:
-        p = _random_prime(bits // 2)
-        q = _random_prime(bits // 2)
+        p = _random_prime(bits // 2, draws)
+        q = _random_prime(bits // 2, draws)
         if p == q:
             continue
         n = p * q

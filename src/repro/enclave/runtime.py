@@ -108,9 +108,7 @@ class EnclaveRuntime:
             else:
                 self._arm_ghcb()
             ghcb = self._user_ghcb()
-            ghcb.write_message(
-                self.machine.memory,
-                {"op": "domain_switch", "target_vmpl": VMPL_ENC})
+            ghcb.write_switch(self.machine.memory, VMPL_ENC)
             self.core.vmgexit()
         self.inside = True
         self.setup.active_runtime = self
@@ -140,9 +138,7 @@ class EnclaveRuntime:
                 finally:
                     self._flushing = False
             ghcb = self._user_ghcb()
-            ghcb.write_message(
-                self.machine.memory,
-                {"op": "domain_switch", "target_vmpl": VMPL_UNT})
+            ghcb.write_switch(self.machine.memory, VMPL_UNT)
             self.core.vmgexit()
         self.inside = False
 
@@ -400,9 +396,7 @@ class EnclaveRuntime:
                               args={"enclave_id": self.setup.enclave_id}):
             record.idcb.write_request(self.machine.memory, request)
             ghcb = self._user_ghcb()
-            ghcb.write_message(
-                self.machine.memory,
-                {"op": "domain_switch", "target_vmpl": VMPL_SER})
+            ghcb.write_switch(self.machine.memory, VMPL_SER)
             self.core.vmgexit()
             # Core now runs DomSER: the service body handles the request
             # and switches back to DomENC.

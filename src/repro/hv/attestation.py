@@ -19,16 +19,17 @@ from ..crypto import (DhKeyPair, RsaKeyPair, RsaPublicKey, generate_keypair,
 from ..errors import AttestationError
 
 # One platform signing key per interpreter: RSA keygen is the slowest thing
-# in the whole simulator and the key's identity is irrelevant to the
-# experiments, so it is generated once and shared.
+# in the whole simulator, so it is generated once and shared.  It is
+# derived from a fixed label so that signed reports, which cross the
+# chaos fabric, are the same bytes in every process.
 _PLATFORM_KEY: RsaKeyPair | None = None
 
 
 def platform_signing_key() -> RsaKeyPair:
-    """Process-wide PSP signing key (lazy)."""
+    """Process-wide PSP signing key (lazy, seeded)."""
     global _PLATFORM_KEY
     if _PLATFORM_KEY is None:
-        _PLATFORM_KEY = generate_keypair()
+        _PLATFORM_KEY = generate_keypair(seed=b"platform-psp")
     return _PLATFORM_KEY
 
 

@@ -29,6 +29,7 @@ from ..hw.memory import page_base
 from ..hw.pagetable import PageFault
 from ..hw.rmp import NUM_VMPLS, VMPL_ENC, VMPL_MON, VMPL_UNT, vmpl_name
 from ..hw.vmsa import Vmsa
+from ..trace import NULL_SPAN
 from .attestation import SecureProcessor
 from .devices import VirtioBlock, VirtioConsole
 
@@ -208,13 +209,16 @@ class Hypervisor:
             self.machine.halt("malformed GHCB message: a JSON "
                               f"{type(message).__name__}, not an object")
         op = message.get("op")
-        self.exit_log.append(f"vmgexit:{op}")
-        self.machine.tracer.metrics.count("vmgexit", str(op))
-        handler = getattr(self, f"_op_{op}", None)
-        if handler is None:
+        known = _VMGEXIT_OPS.get(op) if type(op) is str else None
+        tag, handler_name = known or (f"vmgexit:{op}", None)
+        self.exit_log.append(tag)
+        tracer = self.machine.tracer
+        if tracer.enabled:
+            tracer.metrics.count("vmgexit", str(op))
+        if handler_name is None:
             self.machine.halt(f"unknown VMGEXIT op {op!r}")
         try:
-            handler(core, exited, ghcb, message)
+            getattr(self, handler_name)(core, exited, ghcb, message)
         except (KeyError, TypeError, ValueError, OverflowError) as bad:
             self.machine.halt(f"malformed GHCB message for op {op!r}: "
                               f"{bad!r}", cause=bad)
@@ -244,8 +248,11 @@ class Hypervisor:
     def _op_domain_switch(self, core, exited: Vmsa, ghcb: Ghcb,
                           message: dict) -> None:
         target_vmpl = int(message["target_vmpl"])
-        with self.trace_span(core, exited, "op:domain_switch",
-                             target_vmpl=target_vmpl):
+        tracer = self.machine.tracer
+        span = self.trace_span(core, exited, "op:domain_switch",
+                               target_vmpl=target_vmpl) \
+            if tracer.enabled else NULL_SPAN
+        with span:
             policy = self.ghcb_policies.get(ghcb.ppn)
             if policy is None:
                 self.machine.halt(
@@ -261,7 +268,8 @@ class Hypervisor:
                 self.machine.halt(
                     f"no VMSA for vcpu {exited.vcpu_id} at "
                     f"VMPL-{target_vmpl}")
-            self.machine.tracer.metrics.count("switch", _SWITCH_METRIC[pair])
+            if tracer.enabled:
+                tracer.metrics.count("switch", _SWITCH_METRIC[pair])
             self._enter(core, target)
 
     def _op_register_vmsa(self, core, exited: Vmsa, ghcb: Ghcb,
@@ -459,3 +467,9 @@ class Hypervisor:
         core.regs.cpl = saved_cpl
         self.machine.halt(
             "interrupt forced into enclave context unexpectedly succeeded")
+
+
+#: ``op -> (exit-log tag, handler method name)`` for every GHCB operation
+#: the hypervisor services.
+_VMGEXIT_OPS = {name[4:]: (f"vmgexit:{name[4:]}", name)
+                for name in vars(Hypervisor) if name.startswith("_op_")}

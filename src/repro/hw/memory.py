@@ -75,7 +75,8 @@ class PhysicalMemory:
 
     def read(self, addr: int, length: int) -> bytes:
         """Read ``length`` raw bytes; charges copy cost to the ledger."""
-        self._check_range(addr, length)
+        if addr < 0 or length < 0 or addr + length > self.size:
+            self._check_range(addr, length)
         self.ledger.charge("copy", self.cost.copy_cost(length))
         if length == 0:
             return b""
@@ -102,13 +103,14 @@ class PhysicalMemory:
 
     def write(self, addr: int, data: bytes) -> None:
         """Write raw bytes; charges copy cost to the ledger."""
-        self._check_range(addr, len(data))
+        if addr < 0 or addr + len(data) > self.size:
+            self._check_range(addr, len(data))
         self.ledger.charge("copy", self.cost.copy_cost(len(data)))
         if not data:
             return
         off = addr & (PAGE_SIZE - 1)
         if off + len(data) <= PAGE_SIZE:
-            self.page(addr >> PAGE_SHIFT)[off:off + len(data)] = data
+            self.page_write(addr >> PAGE_SHIFT, off, data)
             return
         pos = 0
         while pos < len(data):

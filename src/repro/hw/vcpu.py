@@ -105,9 +105,10 @@ class VirtualCpu:
         # The TLB survives the switch: views are tagged by root (table
         # identity and generation), RMP verdict keys carry the VMPL, and
         # both caches revalidate against their generations per access.
-        self.machine.tracer.instant(
-            "hw", "VMENTER", vcpu=self.cpu_index, vmpl=vmsa.vmpl,
-            args={"vcpu_id": vmsa.vcpu_id})
+        tracer = self.machine.tracer
+        if tracer.enabled:
+            tracer.instant("hw", "VMENTER", vcpu=self.cpu_index,
+                           vmpl=vmsa.vmpl, args={"vcpu_id": vmsa.vcpu_id})
 
     def hw_exit(self) -> Vmsa:
         """VMEXIT: seal register state back into the current VMSA."""

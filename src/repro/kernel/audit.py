@@ -36,6 +36,10 @@ DEFAULT_AUDIT_RULESET = frozenset({
     "socketpair", "splice",
 })
 
+#: Byte-identical to ``json.dumps(record, sort_keys=True)``, which builds
+#: a fresh encoder per call.
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
 
 @dataclass(frozen=True)
 class AuditEntry:
@@ -49,10 +53,10 @@ class AuditEntry:
 
     def serialize(self) -> bytes:
         """JSON-encode the record for storage."""
-        return json.dumps({
+        return _ENCODER.encode({
             "seq": self.seq, "cycles": self.cycles, "pid": self.pid,
             "kind": self.kind, "detail": self.detail,
-        }, sort_keys=True).encode("utf-8")
+        }).encode("utf-8")
 
 
 class AuditSink:

@@ -34,6 +34,7 @@ traces, FleetScope records, and summary -- pinned by
 
 from __future__ import annotations
 
+import math
 import typing
 from collections import deque
 from dataclasses import dataclass, field
@@ -86,6 +87,21 @@ class SurgeConfig:
     keyspace: int = 16
     net_cost: NetCostModel = field(default_factory=NetCostModel)
 
+    def __post_init__(self):
+        # The fleet shape refuses a replica or request count below 1.
+        self.cluster_config()
+        if not 0 < self.load < math.inf:
+            raise SimulationError(
+                f"load must be a positive finite number, got {self.load}")
+        if self.admit_limit < 0:
+            raise SimulationError(
+                f"admit_limit must be at least 0 (0 = no limit), got "
+                f"{self.admit_limit}")
+        if not 0 <= self.min_active <= self.replicas:
+            raise SimulationError(
+                f"min_active must be between 0 and replicas "
+                f"({self.replicas}), got {self.min_active}")
+
     def arrival_profile(self) -> ArrivalProfile:
         """The arrival shape at this config's offered rate."""
         profile = arrivals_by_name(self.arrivals)
@@ -93,8 +109,7 @@ class SurgeConfig:
         if not gap:
             slots = max(1, (self.min_active or self.replicas) *
                         self.concurrency)
-            gap = max(1, int(self.service_estimate /
-                             (slots * max(self.load, 1e-3))))
+            gap = max(1, int(self.service_estimate / (slots * self.load)))
         return profile.with_gap(gap)
 
     def cluster_config(self) -> ClusterConfig:

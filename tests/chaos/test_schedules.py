@@ -3,6 +3,7 @@
 import pytest
 
 from repro.chaos import PROFILES, ChaosConfig, run_chaos_cluster
+from repro.errors import SimulationError
 
 REQUESTS = 24
 SEED = 7
@@ -75,3 +76,12 @@ class TestProfileBehaviors:
         result = results["corrupt"]
         assert result.invariants.ok
         assert any(event[1] == "corrupt" for event in result.events)
+
+
+class TestDegenerateConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("requests", -3), ("requests", 0), ("replicas", 0)])
+    def test_refused(self, field, value):
+        with pytest.raises(SimulationError,
+                           match=f"{field} must be at least 1, got {value}"):
+            ChaosConfig(**{field: value})

@@ -103,3 +103,10 @@ class TestDegenerateConfig:
                            match=f"replicas must be at least 1, got "
                                  f"{replicas}"):
             ClusterFleet(ClusterConfig(replicas=replicas))
+
+    @pytest.mark.parametrize("requests", [0, -1])
+    def test_no_requests_refused(self, requests):
+        with pytest.raises(SimulationError,
+                           match=f"requests must be at least 1, got "
+                                 f"{requests}"):
+            ClusterConfig(requests=requests)

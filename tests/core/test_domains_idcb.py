@@ -1,5 +1,7 @@
 """Unit tests: privilege domains and IDCBs."""
 
+import json
+
 import pytest
 
 from repro.core.domains import (ALL_DOMAINS, DOM_ENC, DOM_MON, DOM_SER,
@@ -70,3 +72,70 @@ class TestIdcb:
     def test_empty_page_list_rejected(self):
         with pytest.raises(SimulationError):
             Idcb([], low_vmpl=3, high_vmpl=0)
+
+
+class CountingMemory(PhysicalMemory):
+    """Physical memory that records the length of every read and write."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = []
+
+    def read(self, addr, length):
+        self.calls.append(("read", length))
+        return super().read(addr, length)
+
+    def write(self, addr, data):
+        self.calls.append(("write", len(data)))
+        super().write(addr, data)
+
+
+class TestIdcbFrames:
+    def test_compact_ok_reply_decodes_like_json_loads(self):
+        # The OS owns the pages: a reply without the encoder's space is
+        # not the constant frame, and still decodes as json.loads would.
+        mem = PhysicalMemory(16 * PAGE_SIZE, ledger=CycleLedger())
+        idcb = Idcb([4, 5], low_vmpl=3, high_vmpl=1)
+        payload = b'{"status":"ok"}'
+        mem.write(4 * PAGE_SIZE + idcb.slot_size,
+                  len(payload).to_bytes(4, "little") + payload)
+        assert idcb.read_reply(mem) == json.loads(payload) == \
+            {"status": "ok"}
+
+    def test_constant_ok_frame_decodes_to_fresh_dicts(self):
+        mem = PhysicalMemory(16 * PAGE_SIZE, ledger=CycleLedger())
+        idcb = Idcb([4, 5], low_vmpl=3, high_vmpl=1)
+        idcb.write_reply(mem, {"status": "ok"})
+        first = idcb.read_reply(mem)
+        second = idcb.read_reply(mem)
+        assert first == second == {"status": "ok"}
+        assert first is not second
+        first["status"] = "mutated"
+        assert idcb.read_reply(mem) == {"status": "ok"}
+
+    def test_frame_in_one_page_is_one_write_and_two_reads(self):
+        mem = CountingMemory(16 * PAGE_SIZE, ledger=CycleLedger())
+        idcb = Idcb([4, 9, 6, 7], low_vmpl=3, high_vmpl=1)
+        idcb.write_reply(mem, {"status": "ok"})
+        idcb.read_reply(mem)
+        assert mem.calls == [("write", 20), ("read", 4), ("read", 16)]
+
+    def test_reply_across_pages_charges_one_copy_per_chunk(self):
+        # Non-contiguous backing pages: the reply slot starts on page 6,
+        # and a 5000-byte frame spills into page 2.
+        mem = CountingMemory(16 * PAGE_SIZE, ledger=CycleLedger())
+        idcb = Idcb([4, 9, 6, 2], low_vmpl=3, high_vmpl=1)
+        reply = {"data": "x" * 4984}
+        size = len(json.dumps(reply, sort_keys=True)) + 4
+        assert size == 5000
+        idcb.write_reply(mem, reply)
+        assert idcb.read_reply(mem) == reply
+        tail = size - PAGE_SIZE
+        assert mem.calls == [("write", PAGE_SIZE), ("write", tail),
+                             ("read", 4), ("read", PAGE_SIZE - 4),
+                             ("read", tail)]
+        cost = mem.cost.copy_cost
+        assert mem.ledger.total == (
+            cost(PAGE_SIZE) + cost(tail) +
+            cost(4) + cost(PAGE_SIZE - 4) + cost(tail))
+        assert mem.page(2)[:tail] == b'x' * (tail - 2) + b'"}'

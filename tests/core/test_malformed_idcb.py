@@ -71,3 +71,18 @@ def test_infinite_handler_argument_gets_error_reply(veil):
     assert reply["status"] == "error"
     assert reply["reason"].startswith("malformed request: OverflowError")
     assert veil.boot_core.vmpl == VMPL_UNT
+
+
+@pytest.mark.parametrize("payload", [b'{"status": "ok"}', b'{"status":"ok"}'],
+                         ids=["constant-frame", "compact"])
+@pytest.mark.parametrize("target_vmpl", [VMPL_MON, VMPL_SER],
+                         ids=["monitor", "service"])
+def test_ok_frame_as_request_is_an_unknown_op(veil, target_vmpl, payload):
+    # The constant reply frame and its compact spelling decode alike,
+    # even when the OS writes them into the request slot.
+    idcbs = (veil.veilmon.os_idcbs if target_vmpl == VMPL_MON
+             else veil.veilmon.ser_idcbs)
+    os_writes_request(veil, idcbs[veil.boot_core.cpu_index], payload)
+    reply = enter(veil, target_vmpl)
+    assert reply == {"status": "error", "reason": "unknown op None"}
+    assert veil.boot_core.vmpl == VMPL_UNT

@@ -54,6 +54,26 @@ class TestRsa:
         assert len(KEYPAIR.public.fingerprint()) == 16
 
 
+class TestSeededRsa:
+    def test_same_seed_same_key(self):
+        first = generate_keypair(seed=b"test-seed")
+        second = generate_keypair(seed=b"test-seed")
+        assert first == second
+
+    def test_seeded_key_signs_and_verifies(self):
+        key = generate_keypair(seed=b"test-seed")
+        assert key.public.n.bit_length() in (1023, 1024)
+        key.public.verify(b"module-blob", key.sign(b"module-blob"))
+
+    def test_seeds_pick_different_keys(self):
+        assert generate_keypair(seed=b"a").public != \
+            generate_keypair(seed=b"b").public
+
+    def test_unseeded_keys_differ(self):
+        assert generate_keypair(bits=512).public != \
+            generate_keypair(bits=512).public
+
+
 class TestSecureChannel:
     def test_bidirectional_exchange(self):
         user, monitor = channel_pair(generate_key())

@@ -108,6 +108,19 @@ class TestVmgexitDispatch:
         with pytest.raises(CvmHalted):
             core.vmgexit()
 
+    @pytest.mark.parametrize("op", [
+        "nonsense", "__init__", "op_io", ["io"], {"op": "io"}, 7, None],
+        ids=["unknown", "dunder", "prefixless", "list", "object", "int",
+             "null"])
+    def test_op_outside_the_table_halts_and_is_logged(self, op):
+        machine, hv, core = launched()
+        ghcb = armed_ghcb(machine, core)
+        ghcb.write_message(machine.memory, {"op": op})
+        with pytest.raises(CvmHalted):
+            core.vmgexit()
+        assert machine.halt_reason == f"unknown VMGEXIT op {op!r}"
+        assert hv.exit_log[-1] == f"vmgexit:{op}"
+
     def test_guest_halt_request(self):
         machine, hv, core = launched()
         ghcb = armed_ghcb(machine, core)

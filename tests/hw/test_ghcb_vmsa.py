@@ -1,11 +1,14 @@
 """Unit tests: GHCB message passing and VMSA save/restore."""
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import SimulationError
 from repro.hw.cycles import CycleLedger, free_cost_model
-from repro.hw.ghcb import _ENCODER, SWITCH_FRAMES, Ghcb
+from repro.hw.ghcb import (_ENCODER, OK_FRAME, SWITCH_FRAMES, Ghcb,
+                           decode_payload, encode_frame, frame_length)
 from repro.hw.memory import PAGE_SIZE, PhysicalMemory
 from repro.hw.vmsa import GPR_NAMES, RegisterFile, Vmsa
 
@@ -74,7 +77,7 @@ class TestSwitchFrames:
     def test_page_bytes_and_charges_match_encoder_path(self, vmpl):
         message = {"op": "domain_switch", "target_vmpl": vmpl}
         fast = PhysicalMemory(8 * PAGE_SIZE, ledger=CycleLedger())
-        Ghcb(3).write_message(fast, message)
+        Ghcb(3).write_switch(fast, vmpl)
         slow = PhysicalMemory(8 * PAGE_SIZE, ledger=CycleLedger())
         slow.write(3 * PAGE_SIZE, encoder_frame(message))
         assert fast.ledger.total == slow.ledger.total > 0
@@ -99,6 +102,43 @@ class TestSwitchFrames:
         frame = encoder_frame(message)
         assert mem.read(3 * PAGE_SIZE, len(frame)) == frame
         assert ghcb.read_message(mem) == message
+
+    @pytest.mark.parametrize("vmpl", [4, -1, 2 ** 70])
+    def test_write_switch_to_a_non_vmpl_encodes_the_request(self, mem,
+                                                            vmpl):
+        ghcb = Ghcb(3)
+        ghcb.write_switch(mem, vmpl)
+        message = {"op": "domain_switch", "target_vmpl": vmpl}
+        frame = encoder_frame(message)
+        assert mem.read(3 * PAGE_SIZE, len(frame)) == frame
+        assert ghcb.read_message(mem) == message
+
+
+class TestFrameCodec:
+    def test_ok_frame_is_the_encoder_output(self):
+        assert OK_FRAME == encoder_frame({"status": "ok"})
+        assert encode_frame({"status": "ok"}) is OK_FRAME
+
+    @pytest.mark.parametrize("message", [
+        {"status": "ok", "extra": 1}, {"status": "OK"}, {"state": "ok"}])
+    def test_other_replies_take_the_encoder_path(self, message):
+        assert encode_frame(message) == encoder_frame(message)
+
+    @pytest.mark.parametrize("payload", [
+        b'{"status": "ok"}', b'{"status":"ok"}',
+        b'{"op": "domain_switch", "target_vmpl": 2}',
+        b'{"target_vmpl": 2, "op": "domain_switch"}', b"[1, 2]", b"7"])
+    def test_decode_matches_json_loads(self, payload):
+        assert decode_payload(payload) == json.loads(payload)
+
+    def test_decoded_constants_are_fresh(self):
+        payload = OK_FRAME[4:]
+        first = decode_payload(payload)
+        first["status"] = "changed"
+        assert decode_payload(payload) == {"status": "ok"}
+
+    def test_frame_length_reads_the_little_endian_header(self):
+        assert frame_length(OK_FRAME[:4]) == len(OK_FRAME) - 4
 
 
 class TestRegisterFile:

@@ -77,6 +77,24 @@ class TestPhysicalMemory:
         with pytest.raises(ValueError):
             make_memory().read(0, -1)
 
+    @pytest.mark.parametrize("access, error, message", [
+        (lambda m: m.read(-1, 4), IndexError,
+         r"range \[-0x1, 0x3\) outside physical memory of 0x2000 bytes"),
+        (lambda m: m.read(2 * PAGE_SIZE, 1), IndexError,
+         r"range \[0x2000, 0x2001\) outside"),
+        (lambda m: m.read(-8, -1), ValueError, "negative length"),
+        (lambda m: m.write(-1, b"ab"), IndexError,
+         r"range \[-0x1, 0x1\) outside"),
+        (lambda m: m.write(2 * PAGE_SIZE - 1, b"ab"), IndexError,
+         r"range \[0x1fff, 0x2001\) outside"),
+    ], ids=["read-below", "read-past-end", "read-negative-length",
+            "write-below", "write-straddling-end"])
+    def test_bad_range_charges_nothing(self, access, error, message):
+        mem = PhysicalMemory(2 * PAGE_SIZE, ledger=CycleLedger())
+        with pytest.raises(error, match=message):
+            access(mem)
+        assert mem.ledger.total == 0
+
     def test_bad_size_rejected(self):
         with pytest.raises(ValueError):
             PhysicalMemory(100)

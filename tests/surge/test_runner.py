@@ -62,6 +62,22 @@ class TestOpenLoop:
             run_surge(small(arrivals="lognormal"))
 
 
+class TestDegenerateConfig:
+    """A degenerate surge shape is refused, naming the field and value."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("load", -1.0), ("load", 0.0), ("load", float("nan")),
+        ("load", float("inf")), ("admit_limit", -1), ("min_active", -1),
+        ("min_active", 3), ("requests", 0), ("replicas", 0)])
+    def test_refused(self, field, value):
+        with pytest.raises(SimulationError,
+                           match=rf"^{field} .*, got {value}$"):
+            small(**{field: value})
+
+    def test_warm_pool_may_cover_every_replica(self):
+        assert small(min_active=2).min_active == 2
+
+
 class TestAdmissionControl:
     def test_admission_limit_sheds_the_overflow(self):
         capped = run_surge(small(admit_limit=8))

@@ -36,6 +36,18 @@ class TestDegenerateSizes:
         ["fig4", "--iterations", "0"],
         ["cs1", "--reps", "0"],
         ["micro", "--switches", "0", "--memory-mb", "32"],
+        ["surge", "--replicas", "2", "--requests", "50", "--load", "-1"],
+        ["surge", "--replicas", "2", "--requests", "50", "--load", "0"],
+        ["surge", "--replicas", "2", "--requests", "50",
+         "--admit-limit", "-1"],
+        ["surge", "--replicas", "2", "--requests", "50",
+         "--min-active", "5"],
+        ["surge", "--replicas", "2", "--requests", "50",
+         "--min-active", "-1"],
+        ["surge", "--requests", "-5"],
+        ["chaos", "--replicas", "2", "--requests", "-3"],
+        ["chaos", "--replicas", "2", "--requests", "0"],
+        ["cluster", "--replicas", "2", "--requests", "-1"],
     ], ids=" ".join)
     def test_exits_2_without_traceback(self, capsys, argv):
         with pytest.raises(SystemExit) as exited:

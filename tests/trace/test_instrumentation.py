@@ -12,7 +12,7 @@ import pytest
 from repro.core import VeilConfig, boot_veil_system
 from repro.hv.hypervisor import EXIT_LOG_CAPACITY, ExitLog
 from repro.kernel.fs import O_CREAT, O_RDWR
-from repro.trace import Tracer
+from repro.trace import NullMetrics, NullTracer, Tracer
 from repro.workloads.trace_demo import run_trace_workload
 
 
@@ -98,6 +98,38 @@ class TestZeroPerturbation:
         traced = total(tracer)
         assert traced == untraced
         assert tracer.recorded > 0
+
+
+class _RefusingMetrics(NullMetrics):
+    def count(self, name, key=None, n=1):
+        raise AssertionError(f"metric {name}:{key} counted, tracing off")
+
+
+class RefusingTracer(NullTracer):
+    """A disabled tracer that fails the test if anything records into it."""
+
+    metrics = _RefusingMetrics()
+
+    def span(self, category, name, **kwargs):
+        raise AssertionError(f"span {category}:{name} built, tracing off")
+
+    def instant(self, category, name, **kwargs):
+        raise AssertionError(f"instant {category}:{name} built, "
+                             "tracing off")
+
+
+class TestTracingOff:
+    def test_round_trips_build_no_span_or_metric(self):
+        system = boot_veil_system(VeilConfig(
+            memory_bytes=32 * 1024 * 1024, num_cores=2,
+            log_storage_pages=64))
+        system.integration.enable_protected_logging()
+        system.machine.tracer = RefusingTracer()
+        core = system.boot_core
+        assert system.gateway.call_service(core, {
+            "op": "log_append", "record_hex": "00"}) == {"status": "ok"}
+        assert system.gateway.call_monitor(core, {
+            "op": "ping", "payload": 1}) == {"status": "ok", "echo": 1}
 
 
 class TestExitLog:

@@ -43,7 +43,8 @@ class ChaosConfig:
     requests: int = 48
     workload: str = "memcached"
     policy: str = "least-outstanding"
-    #: Attempt to re-admit quarantined replicas every N requests.
+    #: Attempt to re-admit quarantined replicas every N requests
+    #: (0 = no periodic heal).
     heal_every: int = 8
     set_every: int = 10
     keyspace: int = 16
@@ -52,6 +53,10 @@ class ChaosConfig:
     def __post_init__(self):
         # The fleet shape refuses a replica or request count below 1.
         self.cluster_config()
+        if self.heal_every < 0:
+            raise SimulationError(
+                f"heal_every must be at least 0 (0 = no periodic heal), "
+                f"got {self.heal_every}")
 
     def cluster_config(self) -> ClusterConfig:
         """The underlying fleet shape for this chaos run."""

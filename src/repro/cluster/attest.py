@@ -28,6 +28,16 @@ garbage on every other link, and a record sealed before a
 re-attestation is garbage on the link that replaces it (tested in
 ``tests/cluster/test_link_keys.py``).  The seed is deterministic, so
 same-seed runs still replay byte for byte.
+
+The monitor's side of the exchange does recur: every VeilMon derives
+its DH pair from the same seed, so a fleet re-attesting after crashes
+presents one monitor value again and again.  The verifier remembers
+each monitor value whose handshake completed and raises it through a
+:class:`~repro.crypto.FixedBase` table, built the first time the value
+recurs and passes every check.  The table only speeds up the
+exponentiation; every report is still verified in full, and the key is
+the one ``pow`` would derive.  The tables live and die with the
+verifier.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ from __future__ import annotations
 import typing
 from dataclasses import dataclass, field
 
-from ..crypto import SecureChannel, sha256
+from ..crypto import FixedBase, SecureChannel, sha256
 from ..errors import AttestationError
 from ..hv.attestation import AttestationReport, RemoteUser
 from ..hw import VMPL_MON
@@ -101,6 +111,11 @@ class FleetVerifier:
 
     #: Handshakes begun so far; folded into each relying-party DH seed.
     handshakes: int = field(default=0, init=False)
+
+    #: Fixed-base table of each monitor DH value (as sent) whose
+    #: handshake completed; its rows are built when the value recurs.
+    monitor_tables: dict[bytes, FixedBase] = field(
+        default_factory=dict, init=False, repr=False)
 
     #: Relying-party bookkeeping around one handshake (nonce management,
     #: policy lookup, session install).
@@ -176,7 +191,8 @@ class FleetVerifier:
                                self.HANDSHAKE_BASE_CYCLES)
             try:
                 key = user.channel_key_from_report(
-                    report, dh_public, require_vmpl=VMPL_MON)
+                    report, dh_public, require_vmpl=VMPL_MON,
+                    table=self.monitor_tables.get(dh_public))
             except AttestationError as refused:
                 tracer.instant("cluster", "handshake_rejected",
                                args={"replica": name,
@@ -197,6 +213,9 @@ class FleetVerifier:
             if install.get("status") != "ok":
                 raise AttestationError(
                     f"replica {name} refused channel install")
+            if dh_public not in self.monitor_tables:
+                self.monitor_tables[dh_public] = FixedBase(
+                    int.from_bytes(dh_public, "big"))
             link = AttestedLink(
                 replica=name,
                 measurement_hex=report.measurement.hex(),

@@ -15,7 +15,7 @@ from .channel import MAX_SEQUENCE, SecureChannel, channel_pair
 from .cipher import (KEY_BYTES, MAX_NONCE_COUNTER, NONCE_BYTES, TAG_BYTES,
                      generate_key, nonce_from_counter, open_sealed, seal,
                      stream_xor)
-from .dh import DhKeyPair
+from .dh import DhKeyPair, FixedBase
 from .hashes import MeasurementChain, page_measurement, sha256, sha256_hex
 from .rsa import RsaKeyPair, RsaPublicKey, generate_keypair
 
@@ -23,7 +23,7 @@ __all__ = [
     "SecureChannel", "channel_pair", "MAX_SEQUENCE", "MAX_NONCE_COUNTER",
     "KEY_BYTES", "NONCE_BYTES",
     "TAG_BYTES", "generate_key", "nonce_from_counter", "open_sealed",
-    "seal", "stream_xor", "DhKeyPair", "MeasurementChain",
+    "seal", "stream_xor", "DhKeyPair", "FixedBase", "MeasurementChain",
     "page_measurement", "sha256", "sha256_hex", "RsaKeyPair",
     "RsaPublicKey", "generate_keypair",
 ]

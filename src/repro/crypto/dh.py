@@ -5,13 +5,16 @@ to establish a Diffie-Hellman shared key)" (paper section 5.1).  We model
 that with classic DH over the RFC 3526 2048-bit MODP group; the shared
 secret is hashed into a symmetric channel key.
 
-Key generation always raises the same base, so ``g^x`` uses a fixed-base
-table: the 256-bit exponent is read as 64 radix-16 digits and row ``i``
-holds ``g^(j * 16^i)`` for ``j`` in 1..15, which turns ~300 modular
-squarings and multiplies into at most 64 multiplies.  The table (64 x 15
-entries, about 280 KiB) is built on first use.  Exponents wider than 256
-bits take plain ``pow``.  Only the generator is fixed: ``shared_key``
-raises a different peer value every handshake and stays on ``pow``.
+Raising a base that recurs uses a :class:`FixedBase` table: the 256-bit
+exponent is read as 64 radix-16 digits and row ``i`` holds
+``b^(j * 16^i)`` for ``j`` in 1..15, which turns ~300 modular squarings
+and multiplies into at most 64 multiplies.  A table (64 x 15 entries,
+about 290 KiB) is built on its first use.  Exponents wider than 256 bits
+take plain ``pow``.  Key generation always raises the generator, so it
+always reads the generator's table.  ``shared_key`` raises the peer's
+value and takes a table for it when the caller has one: a relying party
+that re-attests a monitor sees the same monitor value every time.  A
+peer value that is fresh each handshake stays on ``pow``.
 """
 
 from __future__ import annotations
@@ -41,34 +44,44 @@ _TABLE_EXPONENT_BITS = 256
 _TABLE_ROWS = _TABLE_EXPONENT_BITS // _DIGIT_BITS
 
 
-@functools.cache
-def _generator_table() -> "tuple[tuple[int, ...], ...]":
-    """Row ``i`` is ``(1, b, b^2, ..., b^15)`` for ``b = g^(16^i)``."""
-    rows = []
-    base = GENERATOR
-    for _ in range(_TABLE_ROWS):
-        row = [1, base]
-        for _ in range((1 << _DIGIT_BITS) - 2):
-            row.append(row[-1] * base % MODP_2048_P)
-        rows.append(tuple(row))
-        base = row[-1] * base % MODP_2048_P
-    return tuple(rows)
+class FixedBase:
+    """Radix-16 fixed-base table for raising one ``base`` mod the group
+    prime; the rows are built on the first :meth:`pow`."""
+
+    def __init__(self, base: int):
+        self.base = base
+
+    @functools.cached_property
+    def rows(self) -> "tuple[tuple[int, ...], ...]":
+        """Row ``i`` is ``(1, b, b^2, ..., b^15)`` for ``b = base^(16^i)``."""
+        rows = []
+        power = self.base
+        for _ in range(_TABLE_ROWS):
+            row = [1, power]
+            for _ in range((1 << _DIGIT_BITS) - 2):
+                row.append(row[-1] * power % MODP_2048_P)
+            rows.append(tuple(row))
+            power = row[-1] * power % MODP_2048_P
+        return tuple(rows)
+
+    def pow(self, exponent: int) -> int:
+        """``pow(self.base, exponent, MODP_2048_P)`` via the table."""
+        if not 0 <= exponent < 1 << _TABLE_EXPONENT_BITS:
+            return pow(self.base, exponent, MODP_2048_P)
+        result = 1
+        mask = (1 << _DIGIT_BITS) - 1
+        for row in self.rows:
+            if not exponent:
+                break
+            digit = exponent & mask
+            if digit:
+                result = result * row[digit] % MODP_2048_P
+            exponent >>= _DIGIT_BITS
+        return result
 
 
-def generator_pow(exponent: int) -> int:
-    """``pow(GENERATOR, exponent, MODP_2048_P)`` via the fixed-base table."""
-    if not 0 <= exponent < 1 << _TABLE_EXPONENT_BITS:
-        return pow(GENERATOR, exponent, MODP_2048_P)
-    result = 1
-    mask = (1 << _DIGIT_BITS) - 1
-    for row in _generator_table():
-        if not exponent:
-            break
-        digit = exponent & mask
-        if digit:
-            result = result * row[digit] % MODP_2048_P
-        exponent >>= _DIGIT_BITS
-    return result
+#: The generator's table, shared by every key pair in the process.
+_GENERATOR_TABLE = FixedBase(GENERATOR)
 
 
 class DhKeyPair:
@@ -77,7 +90,7 @@ class DhKeyPair:
     def __init__(self, private: int | None = None):
         self.private = private if private is not None else (
             secrets.randbits(256) | 1)
-        self.public = generator_pow(self.private)
+        self.public = _GENERATOR_TABLE.pow(self.private)
 
     @classmethod
     def from_seed(cls, *parts: bytes) -> "DhKeyPair":
@@ -93,10 +106,18 @@ class DhKeyPair:
         blob = hashlib.sha256(b"veil-dh|" + b"|".join(parts)).digest()
         return cls(private=int.from_bytes(blob, "big") | 1)
 
-    def shared_key(self, peer_public: int) -> bytes:
-        """Derive the 32-byte symmetric channel key."""
+    def shared_key(self, peer_public: int,
+                   table: FixedBase | None = None) -> bytes:
+        """Derive the 32-byte symmetric channel key.
+
+        ``table`` is used only when its base is ``peer_public``; any
+        other table leaves the exponentiation on ``pow``.
+        """
         if not 1 < peer_public < MODP_2048_P - 1:
             raise ValueError("peer public value out of range")
-        secret = pow(peer_public, self.private, MODP_2048_P)
+        if table is not None and table.base == peer_public:
+            secret = table.pow(self.private)
+        else:
+            secret = pow(peer_public, self.private, MODP_2048_P)
         blob = secret.to_bytes((MODP_2048_P.bit_length() + 7) // 8, "big")
         return hashlib.sha256(b"veil-channel" + blob).digest()

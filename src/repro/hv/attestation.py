@@ -8,14 +8,20 @@ secure user channel, section 5.1).
 
 The PSP is trusted hardware in the paper's threat model; the hypervisor
 merely transports reports and cannot forge them (it lacks the signing key).
+
+Signing is deterministic (SHA-256 full-domain padding, no randomness), so
+a PSP asked again for the bytes it signed last returns that report as it
+is: the signature is exactly what a fresh ``sign`` would produce, and it
+passed the CRT public-exponent check when it was made.  A re-attesting
+monitor asks for the same bytes every time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from ..crypto import (DhKeyPair, RsaKeyPair, RsaPublicKey, generate_keypair,
-                      sha256)
+from ..crypto import (DhKeyPair, FixedBase, RsaKeyPair, RsaPublicKey,
+                      generate_keypair, sha256)
 from ..errors import AttestationError
 
 # One platform signing key per interpreter: RSA keygen is the slowest thing
@@ -54,6 +60,7 @@ class SecureProcessor:
     def __init__(self, keypair: RsaKeyPair | None = None):
         self._key = keypair or platform_signing_key()
         self._launch_measurement: bytes | None = None
+        self._last_report: AttestationReport | None = None
 
     @property
     def public_key(self) -> RsaPublicKey:
@@ -72,7 +79,11 @@ class SecureProcessor:
 
     def attestation_report(self, *, requester_vmpl: int,
                            report_data: bytes) -> AttestationReport:
-        """Sign a report for software running at ``requester_vmpl``."""
+        """Sign a report for software running at ``requester_vmpl``.
+
+        A request for the bytes of the last signed report gets that
+        report back without a second signature.
+        """
         if len(report_data) > 64:
             raise AttestationError("report data limited to 64 bytes")
         report_data = report_data.ljust(64, b"\x00")
@@ -80,11 +91,13 @@ class SecureProcessor:
             measurement=self.launch_measurement,
             requester_vmpl=requester_vmpl,
             report_data=report_data, signature=b"")
-        sig = self._key.sign(unsigned.signed_blob())
-        return AttestationReport(
-            measurement=unsigned.measurement,
-            requester_vmpl=unsigned.requester_vmpl,
-            report_data=unsigned.report_data, signature=sig)
+        blob = unsigned.signed_blob()
+        last = self._last_report
+        if last is not None and last.signed_blob() == blob:
+            return last
+        report = replace(unsigned, signature=self._key.sign(blob))
+        self._last_report = report
+        return report
 
 
 class RemoteUser:
@@ -127,16 +140,18 @@ class RemoteUser:
 
     def channel_key_from_report(self, report: AttestationReport,
                                 dh_public_blob: bytes, *,
-                                require_vmpl: int = 0) -> bytes:
+                                require_vmpl: int = 0,
+                                table: FixedBase | None = None) -> bytes:
         """Verify the report, bind the peer's DH public value, derive a key.
 
         Report data is only 64 bytes, so (as real SNP deployments do) it
         carries ``SHA-256(peer DH public)`` while the full public value
         travels over the untrusted transport.  Tampering with the public
-        value breaks the hash binding.
+        value breaks the hash binding.  ``table`` reaches
+        :meth:`DhKeyPair.shared_key` only after every check has passed.
         """
         self.verify(report, require_vmpl=require_vmpl)
         if sha256(dh_public_blob) != report.report_data[:32]:
             raise AttestationError("DH public value not bound to report")
         peer_public = int.from_bytes(dh_public_blob, "big")
-        return self.dh.shared_key(peer_public)
+        return self.dh.shared_key(peer_public, table)

@@ -93,6 +93,9 @@ class SurgeConfig:
         if not 0 < self.load < math.inf:
             raise SimulationError(
                 f"load must be a positive finite number, got {self.load}")
+        if self.concurrency < 1:
+            raise SimulationError(
+                f"concurrency must be at least 1, got {self.concurrency}")
         if self.admit_limit < 0:
             raise SimulationError(
                 f"admit_limit must be at least 0 (0 = no limit), got "

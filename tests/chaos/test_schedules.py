@@ -85,3 +85,12 @@ class TestDegenerateConfig:
         with pytest.raises(SimulationError,
                            match=f"{field} must be at least 1, got {value}"):
             ChaosConfig(**{field: value})
+
+    def test_negative_heal_interval_refused(self):
+        with pytest.raises(SimulationError,
+                           match=r"^heal_every must be at least 0 .*, "
+                                 r"got -1$"):
+            ChaosConfig(heal_every=-1)
+
+    def test_zero_heal_interval_means_no_periodic_heal(self):
+        assert ChaosConfig(heal_every=0).heal_every == 0

@@ -1,7 +1,8 @@
 """Equivalence tests for the attestation crypto fast paths.
 
-RSA signs through the CRT and DH key generation reads a fixed-base
-table; both must produce exactly the bytes of the textbook ``pow``.
+RSA signs through the CRT, and DH raises the generator (and a recurring
+peer value) through a fixed-base table; each must produce exactly the
+bytes of the textbook ``pow``.
 """
 
 import random
@@ -52,24 +53,33 @@ class TestRsaCrt:
                        q=KEYPAIR.q + 2)
 
 
+#: The generator and seeded random bases in [2, p - 2].
+BASES = [dh.GENERATOR] + [
+    random.Random(5).randrange(2, dh.MODP_2048_P - 1) for _ in range(3)]
+
+
 class TestFixedBaseTable:
     def test_table_equals_pow(self):
         rng = random.Random(11)
         exponents = [1, 3, (1 << 255) + 1, (1 << 256) - 1] + [
             rng.getrandbits(256) for _ in range(64)]
-        for x in exponents:
-            assert dh.generator_pow(x) == pow(2, x, dh.MODP_2048_P)
+        for base in BASES:
+            table = dh.FixedBase(base)
+            for x in exponents:
+                assert table.pow(x) == pow(base, x, dh.MODP_2048_P)
 
     def test_wide_exponent_falls_back(self):
         x = (1 << 256) | 0x1234567
         assert x.bit_length() == 257
-        assert dh.generator_pow(x) == pow(2, x, dh.MODP_2048_P)
+        for base in BASES:
+            assert dh.FixedBase(base).pow(x) == pow(base, x, dh.MODP_2048_P)
 
     def test_zero_exponent(self):
-        assert dh.generator_pow(0) == 1
+        for base in BASES:
+            assert dh.FixedBase(base).pow(0) == 1
 
     def test_table_shape_and_size(self):
-        table = dh._generator_table()
+        table = dh._GENERATOR_TABLE.rows
         assert len(table) == 64
         assert all(len(row) == 16 and row[0] == 1 for row in table)
         size = sys.getsizeof(table) + sum(
@@ -82,3 +92,28 @@ class TestFixedBaseTable:
                      DhKeyPair(private=(1 << 300) + 1)):
             assert pair.public == pow(dh.GENERATOR, pair.private,
                                       dh.MODP_2048_P)
+
+
+class TestSharedKeyTable:
+    def test_table_gives_the_pow_key(self):
+        monitor = DhKeyPair.from_seed(b"veilmon")
+        table = dh.FixedBase(monitor.public)
+        for session in range(4):
+            user = DhKeyPair.from_seed(b"remote-user", bytes([session]))
+            assert user.shared_key(monitor.public, table) == \
+                user.shared_key(monitor.public) == \
+                monitor.shared_key(user.public)
+
+    def test_table_for_another_base_is_never_used(self):
+        user = DhKeyPair.from_seed(b"remote-user")
+        monitor = DhKeyPair.from_seed(b"veilmon")
+        other = dh.FixedBase(DhKeyPair.from_seed(b"other").public)
+        assert user.shared_key(monitor.public, other) == \
+            user.shared_key(monitor.public)
+        assert "rows" not in vars(other)
+
+    def test_range_check_runs_before_the_table(self):
+        user = DhKeyPair.from_seed(b"remote-user")
+        for bad in (1, dh.MODP_2048_P - 1):
+            with pytest.raises(ValueError):
+                user.shared_key(bad, dh.FixedBase(bad))

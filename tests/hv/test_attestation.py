@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.crypto import sha256
-from repro.errors import AttestationError
-from repro.hv.attestation import RemoteUser, SecureProcessor
+from repro.crypto import RsaKeyPair, sha256
+from repro.errors import AttestationError, SecurityViolation
+from repro.hv.attestation import (RemoteUser, SecureProcessor,
+                                  platform_signing_key)
 
 
 @pytest.fixture
@@ -29,6 +30,75 @@ class TestSecureProcessor:
         with pytest.raises(AttestationError):
             psp.attestation_report(requester_vmpl=0,
                                    report_data=b"x" * 65)
+
+
+class CountingKey:
+    """The platform key, counting its signatures."""
+
+    def __init__(self, keypair):
+        self.keypair = keypair
+        self.public = keypair.public
+        self.signs = 0
+
+    def sign(self, message: bytes) -> bytes:
+        self.signs += 1
+        return self.keypair.sign(message)
+
+
+class TestReportReissue:
+    """A request for the bytes the PSP signed last re-issues that report."""
+
+    @pytest.fixture
+    def counted(self):
+        key = CountingKey(platform_signing_key())
+        processor = SecureProcessor(key)
+        processor.measure_launch(b"good-boot-image")
+        return processor, key
+
+    def test_identical_request_is_not_signed_again(self, counted):
+        processor, key = counted
+        first = processor.attestation_report(requester_vmpl=0,
+                                             report_data=b"dh")
+        second = processor.attestation_report(requester_vmpl=0,
+                                              report_data=b"dh")
+        assert second is first
+        assert key.signs == 1
+        # Deterministic signing: the kept report is what a fresh PSP
+        # with the same key signs.
+        fresh = SecureProcessor()
+        fresh.measure_launch(b"good-boot-image")
+        assert fresh.attestation_report(requester_vmpl=0,
+                                        report_data=b"dh") == first
+
+    @pytest.mark.parametrize("vmpl, data", [(0, b"other"), (3, b"dh")])
+    def test_changed_request_is_signed_afresh(self, counted, vmpl, data):
+        processor, key = counted
+        first = processor.attestation_report(requester_vmpl=0,
+                                             report_data=b"dh")
+        changed = processor.attestation_report(requester_vmpl=vmpl,
+                                               report_data=data)
+        assert key.signs == 2
+        assert changed.signature != first.signature
+        assert (changed.requester_vmpl, changed.report_data) == \
+            (vmpl, data.ljust(64, b"\x00"))
+        self.make_user(processor).verify(changed, require_vmpl=vmpl)
+
+    def test_failed_signature_is_not_kept(self):
+        """A faulty CRT half raises every time; nothing is re-issued."""
+        genuine = platform_signing_key()
+        faulty = RsaKeyPair(genuine.public, d=genuine.d, p=genuine.p,
+                            q=genuine.q)
+        object.__setattr__(faulty, "dp", faulty.dp ^ 2)
+        processor = SecureProcessor(faulty)
+        processor.measure_launch(b"good-boot-image")
+        for _ in range(2):
+            with pytest.raises(SecurityViolation):
+                processor.attestation_report(requester_vmpl=0,
+                                             report_data=b"dh")
+
+    @staticmethod
+    def make_user(processor) -> RemoteUser:
+        return RemoteUser(sha256(b"good-boot-image"), processor.public_key)
 
 
 class TestRemoteUser:
@@ -78,6 +148,18 @@ class TestRemoteUser:
                                         report_data=sha256(blob))
         key = user.channel_key_from_report(report, blob)
         assert key == monitor_dh.shared_key(user.dh.public)
+
+    def test_table_gives_the_same_channel_key(self, psp):
+        from repro.crypto import DhKeyPair, FixedBase
+        monitor_dh = DhKeyPair.from_seed(b"veilmon")
+        blob = monitor_dh.public.to_bytes(256, "big")
+        report = psp.attestation_report(requester_vmpl=0,
+                                        report_data=sha256(blob))
+        user = self.make_user(psp)
+        key = user.channel_key_from_report(
+            report, blob, table=FixedBase(monitor_dh.public))
+        assert key == user.channel_key_from_report(report, blob) == \
+            monitor_dh.shared_key(user.dh.public)
 
     def test_swapped_dh_public_rejected(self, psp):
         from repro.crypto import DhKeyPair

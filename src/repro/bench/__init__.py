@@ -10,8 +10,6 @@ from .harness import (BackgroundRow, BENCH_CONFIG, BootResult, Cs1Result,
 from .report import (render_attack_results, render_background, render_boot,
                      render_cs1, render_fig4, render_fig5, render_fig6,
                      render_switch)
-from .turbo import (TurboResult, render_turbo, run_turbo,
-                    write_turbo_json)
 
 __all__ = [
     "BackgroundRow", "BENCH_CONFIG", "BootResult", "Cs1Result", "Fig4Row",
@@ -23,5 +21,4 @@ __all__ = [
     "render_fig6", "render_switch",
     "ClusterScalingRow", "SCALING_FLEET_SIZES", "render_cluster_scaling",
     "run_cluster_scaling",
-    "TurboResult", "render_turbo", "run_turbo", "write_turbo_json",
 ]

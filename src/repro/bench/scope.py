@@ -1,30 +1,17 @@
-"""veil-scope harness: scoped fleet runs + the scope-overhead gate.
+"""veil-scope runs: a fleet observed end to end, for ``repro scope``.
 
-Two jobs live here (above the trust boundary, like every bench):
-
-* :func:`run_scoped` — the orchestration behind ``repro scope``: boot a
-  fleet (optionally under a seeded chaos schedule), attach a shared
-  :class:`~repro.trace.Tracer` and a :class:`~repro.scope.FleetScope`,
-  and return everything needed to render summaries and export the
-  merged Perfetto timeline.
-* :func:`run_scope_bench` — the overhead gate, following the
-  ``BENCH_turbo.json`` pattern: run the *same* fleet workload with the
-  scope detached and attached, wall-clock the request-drive phase (boot
-  excluded, GC paused), and check the parity contract — ledgers and
-  per-machine Chrome traces byte-identical across modes.  The CLI's
-  ``--max-overhead`` turns the ratio into a CI gate.
+:func:`run_scoped` boots a fleet (optionally under a seeded chaos
+schedule), attaches a shared :class:`~repro.trace.Tracer` and a
+:class:`~repro.scope.FleetScope`, and returns everything needed to
+render summaries and export the merged Perfetto timeline.  It lives
+above the trust boundary, like every bench.
 """
 
 from __future__ import annotations
 
-import gc
-import json
-import time
-from dataclasses import dataclass
-
 from ..chaos.plan import PROFILES
 from ..scope import FleetScope
-from ..trace import Tracer, dumps_chrome_trace
+from ..trace import Tracer
 
 #: ``--schedule`` value meaning "no fault injection, plain fleet".
 NO_SCHEDULE = "none"
@@ -37,9 +24,7 @@ def run_scoped(*, replicas: int = 4, requests: int = 64,
                schedule: str = "mayhem", seed: int = 1,
                service: str = "memcached",
                policy: str = "least-outstanding",
-               shielded: bool = False, capacity: int = 65536,
-               scope: "FleetScope | None" = None,
-               tracer: "Tracer | None" = None):
+               capacity: int = 65536):
     """One scoped fleet run; returns ``(result, tracer, scope)``.
 
     With ``schedule == "none"`` this is a plain attested fleet run
@@ -50,161 +35,15 @@ def run_scoped(*, replicas: int = 4, requests: int = 64,
     """
     from ..chaos import ChaosConfig, run_chaos_cluster
     from ..cluster import ClusterConfig, run_cluster
-    if tracer is None:
-        tracer = Tracer(capacity=capacity)
-    if scope is None:
-        scope = FleetScope()
+    tracer = Tracer(capacity=capacity)
+    scope = FleetScope()
     if schedule == NO_SCHEDULE:
         result = run_cluster(ClusterConfig(
             replicas=replicas, requests=requests, workload=service,
-            policy=policy, shielded=shielded), tracer=tracer,
-            scope=scope)
+            policy=policy), tracer=tracer, scope=scope)
     else:
         result = run_chaos_cluster(ChaosConfig(
             seed=seed, profile=schedule, replicas=replicas,
             requests=requests, workload=service, policy=policy),
             tracer=tracer, scope=scope)
     return result, tracer, scope
-
-
-@dataclass(frozen=True)
-class ScopeBenchResult:
-    """One scope-off vs. scope-on comparison run."""
-
-    bare_seconds: float
-    scoped_seconds: float
-    cycles_bare: int
-    cycles_scoped: int
-    trace_parity: bool
-    requests_observed: int
-    percentiles: dict
-    replicas: int
-    requests: int
-    repeats: int
-
-    @property
-    def overhead(self) -> float:
-        """Fractional wall-clock cost of observation (0.05 == +5%)."""
-        if self.bare_seconds == 0:
-            return 0.0
-        return self.scoped_seconds / self.bare_seconds - 1.0
-
-    @property
-    def cycles_equal(self) -> bool:
-        """Whether both modes charged identical fleet cycle totals."""
-        return self.cycles_bare == self.cycles_scoped
-
-    @property
-    def parity_ok(self) -> bool:
-        """The determinism contract: cycles and traces both identical."""
-        return self.cycles_equal and self.trace_parity
-
-    def as_dict(self) -> dict:
-        """JSON-serializable result (the ``BENCH_scope.json`` payload)."""
-        return {
-            "bare_seconds": self.bare_seconds,
-            "scoped_seconds": self.scoped_seconds,
-            "overhead": self.overhead,
-            "cycles_bare": self.cycles_bare,
-            "cycles_scoped": self.cycles_scoped,
-            "cycles_equal": self.cycles_equal,
-            "trace_parity": self.trace_parity,
-            "parity_ok": self.parity_ok,
-            "requests_observed": self.requests_observed,
-            "percentiles": dict(sorted(self.percentiles.items())),
-            "workload": {"replicas": self.replicas,
-                         "requests": self.requests,
-                         "repeats": self.repeats},
-        }
-
-
-def _run_mode(scoped: bool, *, replicas: int, requests: int,
-              service: str, policy: str,
-              repeats: int) -> tuple[float, int, str, "FleetScope | None"]:
-    """Best-of-``repeats`` timed drive phase in one scope mode.
-
-    Each repeat boots a fresh fleet (boot excluded from the timing) and
-    times only the closed-loop request drive, GC paused, exactly like
-    the veil-turbo harness.  Returns the best wall-clock, the fleet
-    cycle total, the per-machine Chrome trace bytes, and the last
-    repeat's scope (None in bare mode).
-    """
-    from ..cluster import ClusterConfig, ClusterFleet
-    config = ClusterConfig(replicas=replicas, requests=requests,
-                           workload=service, policy=policy)
-    best = float("inf")
-    cycles = 0
-    chrome = ""
-    scope = None
-    for _ in range(repeats):
-        tracer = Tracer()
-        scope = FleetScope() if scoped else None
-        fleet = ClusterFleet(config, tracer=tracer, scope=scope)
-        fleet.attest_all()
-        fleet.frontend.reset_schedule()
-        gc.collect()
-        was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            start = time.perf_counter()
-            fleet.drive(requests)
-            elapsed = time.perf_counter() - start
-        finally:
-            if was_enabled:
-                gc.enable()
-        if elapsed < best:
-            best = elapsed
-        cycles = fleet.clock.total
-        chrome = dumps_chrome_trace(tracer)
-    return best, cycles, chrome, scope
-
-
-def run_scope_bench(*, replicas: int = 2, requests: int = 120,
-                    service: str = "memcached",
-                    policy: str = "least-outstanding",
-                    repeats: int = 2) -> ScopeBenchResult:
-    """Run the scope-off vs. scope-on comparison and return the result."""
-    bare_wall, bare_cycles, bare_chrome, _none = _run_mode(
-        False, replicas=replicas, requests=requests, service=service,
-        policy=policy, repeats=repeats)
-    scoped_wall, scoped_cycles, scoped_chrome, scope = _run_mode(
-        True, replicas=replicas, requests=requests, service=service,
-        policy=policy, repeats=repeats)
-    percentiles = {}
-    for klass, hist in scope.metrics.latencies_named("latency").items():
-        percentiles[klass] = hist.percentiles()
-    return ScopeBenchResult(
-        bare_seconds=bare_wall, scoped_seconds=scoped_wall,
-        cycles_bare=bare_cycles, cycles_scoped=scoped_cycles,
-        trace_parity=bare_chrome == scoped_chrome,
-        requests_observed=len(scope.records),
-        percentiles=percentiles, replicas=replicas, requests=requests,
-        repeats=repeats)
-
-
-def render_scope_bench(result: ScopeBenchResult) -> str:
-    """Human-readable report of one comparison run."""
-    lines = [
-        "veil-scope: observation overhead (fleet drive phase)",
-        f"  workload: {result.replicas} replicas x {result.requests} "
-        f"requests (best of {result.repeats})",
-        f"  scope off: {result.bare_seconds * 1e3:8.2f} ms",
-        f"  scope on:  {result.scoped_seconds * 1e3:8.2f} ms",
-        f"  overhead: {result.overhead:+.1%}",
-        f"  cycle parity: {'OK' if result.cycles_equal else 'VIOLATED'} "
-        f"({result.cycles_bare} vs {result.cycles_scoped})",
-        f"  trace parity: {'OK' if result.trace_parity else 'VIOLATED'}",
-        f"  requests observed: {result.requests_observed}",
-    ]
-    for klass in sorted(result.percentiles):
-        pct = result.percentiles[klass]
-        lines.append(f"  {klass:<10} p50={pct['p50']:,} "
-                     f"p95={pct['p95']:,} p99={pct['p99']:,} cycles")
-    return "\n".join(lines)
-
-
-def write_scope_bench_json(result: ScopeBenchResult, path: str) -> None:
-    """Write the ``BENCH_scope.json`` artifact."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result.as_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -9,11 +9,11 @@ swept across load factors, recording achieved throughput and
 p50/p95/p99 cycle latency at each point -- plus one flagship run at the
 default config that must sustain the 1000-in-flight bar.
 
-Unlike the wall-clock benches (turbo/scope), every number here is
-*virtual*: cycle latencies, virtual-time throughput, event counts.  The
-whole ``BENCH_surge.json`` artifact is therefore byte-reproducible --
-two runs of the bench on any machines produce identical files, which is
-the determinism contract CI enforces on the smoke summary.
+Every number here is *virtual*: cycle latencies, virtual-time
+throughput, event counts -- no wall clock.  The whole
+``BENCH_surge.json`` artifact is therefore byte-reproducible: two runs
+of the bench on any machines produce identical files, and CI compares
+a fresh sweep with the committed file byte for byte.
 """
 
 from __future__ import annotations

@@ -165,6 +165,8 @@ def run_chaos_cluster(config: ChaosConfig | None = None, *,
                     profile.corrupt_attestations)
 
     fleet.attest_all()
+    if not fleet.frontend.members:
+        raise SimulationError("no attested replicas admitted")
     fleet.frontend.reset_schedule()
     plan.activate()
 

@@ -14,8 +14,6 @@ Commands map one-to-one onto the paper's experiments:
 ``lint``       veil-lint trust-boundary static analysis of the tree
 ``flow``       veil-flow secret-flow + determinism analysis (baseline)
 ``trace``      run a workload under veil-trace, export a Perfetto trace
-``turbo``      software-TLB speedup microbenchmark (veil-turbo)
-``profile``    cProfile a trace workload and print the hotspots
 ``cluster``    boot a veil-fleet: N attested replicas behind a front end
 ``chaos``      torture a fleet with a seeded fault schedule (veil-chaos)
 ``scope``      fleet-wide distributed tracing + latency telemetry
@@ -179,40 +177,15 @@ def _cmd_trace(args) -> None:
               f"{args.out} (load in Perfetto / chrome://tracing)")
 
 
-def _cmd_turbo(args) -> None:
-    from .bench.turbo import render_turbo, run_turbo, write_turbo_json
-    result = run_turbo(iters=args.iterations, sweeps=args.sweeps,
-                       repeats=args.repeats)
-    print(render_turbo(result))
-    if args.json:
-        write_turbo_json(result, args.json)
-        print(f"wrote {args.json}")
-    if not result.cycles_equal:
-        print("FAIL: cycle totals differ between VEIL_TLB modes")
-        sys.exit(1)
-    if args.min_speedup and result.speedup < args.min_speedup:
-        print(f"FAIL: speedup {result.speedup:.2f}x is below the "
-              f"--min-speedup floor {args.min_speedup:.2f}x")
-        sys.exit(1)
-
-
-def _cmd_profile(args) -> None:
-    import cProfile
-    import pstats
-    from .workloads.trace_demo import run_trace_workload_system
-    profiler = cProfile.Profile()
-    profiler.enable()
-    run_trace_workload_system(args.workload)
-    profiler.disable()
-    stats = pstats.Stats(profiler, stream=sys.stdout)
-    stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
-
-
 def _cmd_cluster(args) -> None:
     from .cluster import ClusterConfig, run_cluster
     from .trace import Tracer, write_chrome_trace
-    tampered = tuple(int(i) for i in args.tampered.split(",")
-                     if i != "") if args.tampered else ()
+    try:
+        tampered = tuple(int(i) for i in args.tampered.split(",") if i)
+    except ValueError:
+        raise SimulationError(
+            f"--tampered takes comma-separated replica indices, got "
+            f"{args.tampered!r}") from None
     tracer = Tracer(capacity=args.capacity)
     result = run_cluster(ClusterConfig(
         replicas=args.replicas, requests=args.requests,
@@ -287,39 +260,17 @@ def _cmd_chaos(args) -> None:
 
 
 def _cmd_scope(args) -> None:
-    from .bench.scope import (render_scope_bench, run_scope_bench,
-                              run_scoped, write_scope_bench_json)
+    from .bench.scope import run_scoped
     from .scope import (render_scope_summary, write_merged_trace,
                         write_scope_json)
-    if args.bench:
-        bench = run_scope_bench(replicas=args.replicas,
-                                requests=args.requests,
-                                service=args.service, policy=args.policy,
-                                repeats=args.repeats)
-        print(render_scope_bench(bench))
-        if args.bench_json:
-            write_scope_bench_json(bench, args.bench_json)
-            print(f"wrote {args.bench_json}")
-        if not bench.parity_ok:
-            print("FAIL: scope on/off parity violated (ledger or trace "
-                  "bytes differ)")
-            sys.exit(1)
-        if args.max_overhead is not None and \
-                bench.overhead > args.max_overhead:
-            print(f"FAIL: observation overhead {bench.overhead:+.1%} "
-                  f"exceeds the --max-overhead cap "
-                  f"{args.max_overhead:+.1%}")
-            sys.exit(1)
-        return
     result, tracer, scope = run_scoped(
         replicas=args.replicas, requests=args.requests,
         schedule=args.schedule, seed=args.seed, service=args.service,
         policy=args.policy, capacity=args.capacity)
     faulted = args.schedule != "none"
-    print(f"veil-scope: {args.workload} workload, {args.replicas} "
-          f"replicas, {args.requests} requests, schedule "
-          f"{args.schedule!r}" + (f", seed {args.seed}" if faulted
-                                  else ""))
+    print(f"veil-scope: {args.replicas} replicas, {args.requests} "
+          f"requests, schedule {args.schedule!r}" +
+          (f", seed {args.seed}" if faulted else ""))
     print()
     print(render_scope_summary(scope))
     if args.json:
@@ -515,31 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="span kinds to show in the summary table")
     trace.set_defaults(fn=_cmd_trace)
 
-    turbo = sub.add_parser(
-        "turbo", help="software-TLB speedup microbenchmark")
-    turbo.add_argument("--iterations", type=int, default=4,
-                       help="syscall-redirection iterations")
-    turbo.add_argument("--sweeps", type=int, default=300,
-                       help="buffer peek sweeps per iteration")
-    turbo.add_argument("--repeats", type=int, default=3,
-                       help="timed runs per mode (best is reported)")
-    turbo.add_argument("--json", default=None,
-                       help="write a BENCH_turbo.json artifact")
-    turbo.add_argument("--min-speedup", type=float, default=0.0,
-                       help="exit non-zero if speedup falls below this")
-    turbo.set_defaults(fn=_cmd_turbo)
-
-    profile = sub.add_parser(
-        "profile", help="cProfile a trace workload, print hotspots")
-    profile.add_argument("workload", choices=sorted(TRACE_WORKLOADS),
-                         help="which demo workload to profile")
-    profile.add_argument("--sort", default="cumulative",
-                         choices=("cumulative", "tottime", "calls"),
-                         help="pstats sort order")
-    profile.add_argument("--top", type=int, default=25,
-                         help="number of hotspot rows to print")
-    profile.set_defaults(fn=_cmd_profile)
-
     cluster = sub.add_parser(
         "cluster", help="boot an attested multi-CVM fleet")
     cluster.add_argument("--replicas", type=int, default=2,
@@ -583,10 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
     scope = sub.add_parser(
         "scope", help="fleet-wide tracing + latency telemetry")
     from .bench.scope import SCHEDULES
-    scope.add_argument("workload", choices=("cluster", "chaos"),
-                       help="fleet scenario to observe (both run the "
-                            "attested fleet; the schedule decides "
-                            "whether faults are injected)")
     scope.add_argument("--replicas", type=int, default=4,
                        help="fleet size (independent Veil CVMs)")
     scope.add_argument("--requests", type=int, default=48,
@@ -609,17 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the merged fleet Chrome trace here")
     scope.add_argument("--json", default=None,
                        help="write the telemetry/metrics snapshot here")
-    scope.add_argument("--bench", action="store_true",
-                       help="measure scope-off vs scope-on overhead "
-                            "and check the parity contract")
-    scope.add_argument("--repeats", type=int, default=2,
-                       help="timed runs per bench mode (best reported)")
-    scope.add_argument("--max-overhead", type=float, default=None,
-                       help="with --bench: exit non-zero if overhead "
-                            "exceeds this fraction (e.g. 0.15)")
-    scope.add_argument("--bench-json", default=None,
-                       help="with --bench: write a BENCH_scope.json "
-                            "artifact")
     scope.set_defaults(fn=_cmd_scope)
 
     surge = sub.add_parser(

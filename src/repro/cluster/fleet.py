@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 from ..errors import AttestationError, SimulationError
 from ..hv.attestation import platform_signing_key
-from ..hw.cycles import CLOCK_HZ
 from ..scope.collector import NULL_SCOPE
 from .attest import AttestedLink, FleetVerifier, RejectedHandshake
 from .auditor import FleetAuditor, FleetAuditReport
@@ -61,6 +60,11 @@ class ClusterConfig:
         if self.requests < 1:
             raise SimulationError(
                 f"requests must be at least 1, got {self.requests}")
+        for index in self.tampered:
+            if not 0 <= index < self.replicas:
+                raise SimulationError(
+                    f"tampered replica index {index} is outside "
+                    f"[0, {self.replicas})")
 
 
 class FleetClock:
@@ -298,8 +302,3 @@ def run_cluster(config: ClusterConfig | None = None, *,
     fleet.drive(config.requests)
     audit = fleet.audit_all()
     return fleet.result(audit)
-
-
-def cycles_to_seconds(cycles: int) -> float:
-    """Seconds at the simulator's nominal clock."""
-    return cycles / CLOCK_HZ

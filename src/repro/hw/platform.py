@@ -95,6 +95,9 @@ class SevSnpMachine:
     def __init__(self, *, memory_bytes: int = 64 * 1024 * 1024,
                  num_cores: int = 4, cost: CostModel | None = None,
                  tracer=None, tlb_enabled: bool | None = None):
+        if num_cores < 1:
+            raise SimulationError(
+                f"num_cores must be at least 1, got {num_cores}")
         self.cost = cost or CostModel()
         # veil-turbo: per-core software TLB + RMP permission cache.  On by
         # default; ``VEIL_TLB=0`` in the environment (or an explicit

@@ -24,8 +24,8 @@ Layered on top:
 * **Autoscaling** -- a least-outstanding-aware policy over a warm pool:
   all replicas are booted and attested up front, but only ``min_active``
   serve initially; the scaler activates standbys when outstanding work
-  per active replica crosses ``scale_up_outstanding`` and drains the
-  idlest active one below ``scale_down_outstanding``.
+  per active replica crosses ``SurgeRun.SCALE_UP_OUTSTANDING`` and
+  drains the idlest active one below ``SCALE_DOWN_OUTSTANDING``.
 
 Determinism: same config (seed included) => byte-identical ledgers,
 traces, FleetScope records, and summary -- pinned by
@@ -52,6 +52,10 @@ from .sched import ARRIVAL, COMPLETION, DiscreteEventScheduler
 if typing.TYPE_CHECKING:
     from ..trace.tracer import Tracer
 
+#: Per-request service-cycle estimate that converts ``load`` into an
+#: arrival rate; calibrated from measured runs.
+SERVICE_ESTIMATE = 280_000
+
 
 @dataclass(frozen=True)
 class SurgeConfig:
@@ -61,28 +65,17 @@ class SurgeConfig:
     arrivals: str = "poisson"
     replicas: int = 8
     requests: int = 2000
-    #: Mean inter-arrival gap in cycles.  0 = derive from ``load``:
-    #: ``service_estimate / (active slots) / load``.
-    mean_gap_cycles: int = 0
-    #: Offered load as a multiple of estimated fleet capacity (only
-    #: used when ``mean_gap_cycles`` is 0).
+    #: Offered load as a multiple of estimated fleet capacity: the mean
+    #: inter-arrival gap is ``SERVICE_ESTIMATE / (active slots) / load``.
     load: float = 2.0
-    #: Per-request service-cycle estimate used to convert ``load`` into
-    #: an arrival rate; calibrated per workload from measured runs.
-    service_estimate: int = 280_000
     workload: str = "memcached"
     policy: str = "least-outstanding"
-    shielded: bool = False
     #: Service slots per replica (its cores serving concurrently).
     concurrency: int = 2
     #: Total in-flight cap; 0 disables admission control.
     admit_limit: int = 0
     #: Warm-pool floor: replicas serving from the first arrival.
     min_active: int = 0            # 0 = all replicas active, no scaler
-    #: Outstanding requests per active replica that trigger scale-up.
-    scale_up_outstanding: int = 8
-    #: ... and scale-down of the idlest active replica.
-    scale_down_outstanding: int = 1
     set_every: int = 10
     keyspace: int = 16
     net_cost: NetCostModel = field(default_factory=NetCostModel)
@@ -108,20 +101,18 @@ class SurgeConfig:
     def arrival_profile(self) -> ArrivalProfile:
         """The arrival shape at this config's offered rate."""
         profile = arrivals_by_name(self.arrivals)
-        gap = self.mean_gap_cycles
-        if not gap:
-            slots = max(1, (self.min_active or self.replicas) *
-                        self.concurrency)
-            gap = max(1, int(self.service_estimate / (slots * self.load)))
-        return profile.with_gap(gap)
+        slots = max(1, (self.min_active or self.replicas) *
+                    self.concurrency)
+        return profile.with_gap(
+            max(1, int(SERVICE_ESTIMATE / (slots * self.load))))
 
     def cluster_config(self) -> ClusterConfig:
         """The underlying fleet shape for this surge run."""
         return ClusterConfig(
             replicas=self.replicas, requests=self.requests,
             workload=self.workload, policy=self.policy,
-            shielded=self.shielded, set_every=self.set_every,
-            keyspace=self.keyspace, net_cost=self.net_cost)
+            set_every=self.set_every, keyspace=self.keyspace,
+            net_cost=self.net_cost)
 
 
 @dataclass
@@ -220,6 +211,10 @@ class SurgeRun:
 
     #: Failover attempts per admitted request before it counts failed.
     MAX_ATTEMPTS = 4
+    #: Outstanding requests per active replica that trigger scale-up.
+    SCALE_UP_OUTSTANDING = 8
+    #: ... and scale-down of the idlest active replica.
+    SCALE_DOWN_OUTSTANDING = 1
 
     def __init__(self, config: SurgeConfig, *,
                  tracer: "Tracer | None" = None,
@@ -288,7 +283,7 @@ class SurgeRun:
         outstanding = {n: self.servers[n].outstanding
                        for n in candidates}
         per_active = sum(outstanding.values()) / len(candidates)
-        if per_active >= config.scale_up_outstanding and self.standby:
+        if per_active >= self.SCALE_UP_OUTSTANDING and self.standby:
             name = self.standby.pop(0)
             self.active.append(name)
             self.active_high_water = max(self.active_high_water,
@@ -299,7 +294,7 @@ class SurgeRun:
                 args={"replica": name,
                       "outstanding_per_active": round(per_active, 2)})
             self._dispatch(name)
-        elif (per_active <= config.scale_down_outstanding and
+        elif (per_active <= self.SCALE_DOWN_OUTSTANDING and
                 len(candidates) > max(1, config.min_active)):
             # Drain the idlest active replica (ties to highest name so
             # low-index replicas, the warm core, stay hot).

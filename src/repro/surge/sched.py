@@ -33,22 +33,10 @@ off event time instead of ledger time.
 from __future__ import annotations
 
 import heapq
-import os
 import typing
 from dataclasses import dataclass, field
 
 from ..errors import SimulationError
-
-#: Environment variable enabling the event-heap invariant self-checks
-#: (O(n) per pop).  Off by default; the determinism suite turns it on so
-#: a broken heap fails loudly instead of reordering events silently.
-SURGE_CHECK_ENV = "VEIL_SURGE_CHECK"
-
-
-def surge_check_enabled() -> bool:
-    """True when event-heap invariant checks are enabled (off by default)."""
-    return os.environ.get(SURGE_CHECK_ENV, "0") != "0"
-
 
 #: Event ranks, in tie-break order at one instant.  Completions free
 #: capacity before new arrivals claim it; control (autoscale) decisions
@@ -104,21 +92,11 @@ class EventHeap:
         """Remove and return the earliest event."""
         if not self._heap:
             raise SimulationError("pop from an empty event heap")
-        if surge_check_enabled():
-            self._validate()
         return heapq.heappop(self._heap)
 
     def peek(self) -> Event | None:
         """The earliest event without removing it (None when empty)."""
         return self._heap[0] if self._heap else None
-
-    def _validate(self) -> None:
-        """Debug-knob invariant check: the heap property holds."""
-        heap = self._heap
-        for i in range(1, len(heap)):
-            if heap[i] < heap[(i - 1) // 2]:
-                raise SimulationError(
-                    f"event heap invariant violated at index {i}")
 
 
 class DiscreteEventScheduler:

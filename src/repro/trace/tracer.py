@@ -27,6 +27,7 @@ import typing
 from collections import deque
 from dataclasses import dataclass
 
+from ..errors import SimulationError
 from .metrics import NULL_METRICS, MetricsRegistry
 
 #: Default ring capacity (events).  Big enough to hold the interesting
@@ -149,8 +150,9 @@ class Tracer:
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY,
                  clock: "typing.Callable[[], int] | None" = None):
-        if capacity <= 0:
-            raise ValueError(f"tracer capacity must be positive: {capacity}")
+        if capacity < 1:
+            raise SimulationError(
+                f"tracer capacity must be at least 1, got {capacity}")
         self.capacity = capacity
         self.events: deque[TraceEvent] = deque(maxlen=capacity)
         self.dropped = 0

@@ -94,3 +94,10 @@ class TestDegenerateConfig:
 
     def test_zero_heal_interval_means_no_periodic_heal(self):
         assert ChaosConfig(heal_every=0).heal_every == 0
+
+    def test_every_replica_rejected_refused(self):
+        # The byzantine victim is the only replica, so the relying party
+        # admits nobody; the run must refuse instead of serving nothing.
+        with pytest.raises(SimulationError,
+                           match="^no attested replicas admitted$"):
+            run("byzantine", replicas=1)

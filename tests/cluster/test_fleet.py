@@ -110,3 +110,10 @@ class TestDegenerateConfig:
                            match=f"requests must be at least 1, got "
                                  f"{requests}"):
             ClusterConfig(requests=requests)
+
+    @pytest.mark.parametrize("index", [2, -1])
+    def test_tampered_index_outside_fleet_refused(self, index):
+        with pytest.raises(SimulationError,
+                           match=rf"tampered replica index {index} is "
+                                 rf"outside \[0, 2\)"):
+            ClusterConfig(replicas=2, tampered=(index,))

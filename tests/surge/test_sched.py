@@ -61,24 +61,6 @@ class TestEventOrdering:
         assert EventHeap().peek() is None
 
 
-class TestInvariantKnob:
-    def test_corrupted_heap_fails_loudly_under_the_knob(self, monkeypatch):
-        monkeypatch.setenv("VEIL_SURGE_CHECK", "1")
-        heap = EventHeap()
-        for ts in (5, 10, 15):
-            heap.push(ts, ARRIVAL, lambda: None)
-        # Violate the heap property behind the API's back.
-        heap._heap[0], heap._heap[-1] = heap._heap[-1], heap._heap[0]
-        with pytest.raises(SimulationError, match="invariant"):
-            heap.pop()
-
-    def test_knob_off_by_default(self, monkeypatch):
-        monkeypatch.delenv("VEIL_SURGE_CHECK", raising=False)
-        heap = EventHeap()
-        heap.push(5, ARRIVAL, lambda: None)
-        assert heap.pop().ts == 5
-
-
 class TestScheduler:
     def test_runs_callbacks_in_virtual_time_order(self):
         sched = DiscreteEventScheduler()

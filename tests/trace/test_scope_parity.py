@@ -6,11 +6,18 @@ model, so they must cost the same whether anyone is watching); turning
 the scope on only swaps the null observer for a collecting one.  These
 tests pin the contract for the clean fleet and for a chaos run: cycle
 ledgers (totals and per-category) and per-machine Chrome traces must be
-byte-identical with the scope attached or detached.
+byte-identical with the scope attached or detached.  Observing must
+also stay cheap: a capped share of the drive phase's CPU time.
 """
 
 from repro.scope import FleetScope
 from repro.trace import Tracer, dumps_chrome_trace
+
+#: Fleet shape and cap of the observation-overhead gate: the scoped
+#: drive phase may cost at most 1.5x the bare one (+50%).
+OVERHEAD_REPLICAS = 4
+OVERHEAD_REQUESTS = 120
+MAX_OVERHEAD_RATIO = 1.5
 
 
 def _cluster_run(scoped: bool) -> dict:
@@ -92,3 +99,23 @@ def test_scoped_runs_are_reproducible():
         return dumps_merged_trace(tracer, scope)
 
     assert merged() == merged()
+
+
+def test_observation_overhead_is_capped(cpu_time_ratio):
+    """Scoped drive phase costs at most 1.5x the bare one in CPU time."""
+    from repro.cluster import ClusterConfig, ClusterFleet
+    config = ClusterConfig(replicas=OVERHEAD_REPLICAS,
+                           requests=OVERHEAD_REQUESTS)
+
+    def fleet_drive(scoped: bool):
+        def setup():
+            fleet = ClusterFleet(config, tracer=Tracer(),
+                                 scope=FleetScope() if scoped else None)
+            fleet.attest_all()
+            fleet.frontend.reset_schedule()
+            return lambda: fleet.drive(config.requests)
+        return setup
+
+    ratio = cpu_time_ratio(fleet_drive(True), fleet_drive(False))
+    assert ratio <= MAX_OVERHEAD_RATIO, \
+        f"observation overhead {ratio - 1:+.1%}"

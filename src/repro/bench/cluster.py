@@ -14,7 +14,7 @@ from __future__ import annotations
 import typing
 from dataclasses import dataclass, field
 
-from ..cluster import ClusterConfig, ClusterResult, run_cluster
+from ..chaos import ChaosConfig, run_chaos_cluster
 from ..hw.cycles import CLOCK_HZ
 
 if typing.TYPE_CHECKING:
@@ -38,11 +38,6 @@ class ClusterScalingRow:
     audit_entries: int = 0
 
     @property
-    def speedup_base(self) -> float:
-        """Filled in by the renderer relative to the 1-replica row."""
-        return self.throughput_rps
-
-    @property
     def mean_handshake_cycles(self) -> float:
         if not self.handshake_cycles:
             return 0.0
@@ -56,13 +51,14 @@ def run_cluster_scaling(sizes: tuple[int, ...] = SCALING_FLEET_SIZES, *,
                         workload: str = "memcached",
                         tracer: "Tracer | None" = None
                         ) -> list[ClusterScalingRow]:
-    """Sweep fleet sizes and collect the scaling table."""
+    """Sweep fleet sizes (clean ``none`` runs) and collect the table."""
     rows = []
     for replicas in sizes:
-        result: ClusterResult = run_cluster(
-            ClusterConfig(replicas=replicas, requests=requests,
-                          policy=policy, workload=workload),
-            tracer=tracer)
+        result = run_chaos_cluster(
+            ChaosConfig(profile="none", replicas=replicas,
+                        requests=requests, policy=policy,
+                        workload=workload),
+            tracer=tracer).cluster
         rows.append(ClusterScalingRow(
             replicas=replicas, requests=requests,
             throughput_rps=result.throughput_rps,

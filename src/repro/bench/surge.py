@@ -154,8 +154,9 @@ def render_surge_bench(result: SurgeBenchResult) -> str:
     return "\n".join(lines)
 
 
-def write_surge_json(result: SurgeBenchResult, path: str) -> None:
-    """Write the ``BENCH_surge.json`` artifact (byte-reproducible)."""
+def write_surge_json(doc: dict, path: str) -> None:
+    """Write a surge summary or the ``BENCH_surge.json`` artifact
+    (sorted keys, so byte-reproducible)."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result.as_dict(), fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -14,11 +14,13 @@ liveness story survives:
   plaintext on the wire, no unattested replica served, audit chain
   verifies or tampering was detected;
 * :mod:`~repro.chaos.runner` -- :func:`run_chaos_cluster`, one seeded
-  boot-torture-recover-verify cycle (the ``repro chaos`` CLI command).
+  boot-torture-recover-verify cycle and the fleet's only closed-loop
+  driver (``repro chaos``; ``repro cluster`` is its ``none`` schedule).
 
 Injection is strictly outside-in: nothing in the production stack
 imports chaos (enforced by veil-lint's layering rule), and with the
-plan inactive a chaos-wrapped fleet is byte-identical to a plain one.
+plan inactive -- or under the ``none`` schedule, which injects nothing
+-- a chaos-wrapped fleet is byte-identical to a plain one.
 """
 
 from .invariants import (PLAINTEXT_MARKERS, InvariantChecker,

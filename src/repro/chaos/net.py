@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import typing
 
-from ..cluster.net import InterHostNetwork, NetCostModel
+from ..cluster.net import InterHostNetwork
 
 if typing.TYPE_CHECKING:
     from .plan import FaultPlan
@@ -26,9 +26,8 @@ if typing.TYPE_CHECKING:
 class ChaoticNetwork(InterHostNetwork):
     """The untrusted fabric, with the adversary actually misbehaving."""
 
-    def __init__(self, plan: "FaultPlan | None" = None,
-                 cost: NetCostModel | None = None, tracer=None):
-        super().__init__(cost=cost, tracer=tracer)
+    def __init__(self, plan: "FaultPlan | None" = None, tracer=None):
+        super().__init__(tracer=tracer)
         self.plan = plan
         #: Everything that crossed the fabric: (src, dst, wire bytes).
         #: The adversary's transcript, scanned by the invariant checker.

@@ -65,8 +65,11 @@ class FaultProfile:
     spurious_period: int = 0
 
 
-#: Named schedules the CLI / CI smoke / tests select by name.
+#: Named schedules the CLI / CI smoke / tests select by name.  ``none``
+#: injects nothing: its zero rates draw no randomness, so it runs the
+#: clean fleet (``repro cluster``).
 PROFILES: dict[str, FaultProfile] = {
+    "none": FaultProfile("none"),
     "drops": FaultProfile("drops", drop=0.12),
     "dup-reorder": FaultProfile("dup-reorder", duplicate=0.12,
                                 delay=0.15),

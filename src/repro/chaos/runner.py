@@ -1,16 +1,18 @@
 """Drive a fleet through one seeded chaos schedule, then check it.
 
-:func:`run_chaos_cluster` is the chaos analog of
-:func:`~repro.cluster.fleet.run_cluster`: boot the fleet on a
-fault-injecting fabric, attest (possibly against a byzantine
-hypervisor), then push a closed-loop workload while the plan drops,
-duplicates, delays, and corrupts messages, crashes replicas
-mid-request, and injects spurious exits.  The front end is expected to
-*complete* the workload through bounded retries, failover, quarantine,
-and re-attestation -- not to raise.  Afterwards injection is switched
-off, held messages are flushed, quarantined replicas are healed, and
-the :class:`~repro.chaos.invariants.InvariantChecker` asserts the
-security story survived.
+:func:`run_chaos_cluster` is the fleet's one closed-loop driver: boot
+the fleet on a fault-injecting fabric, attest (possibly against a
+byzantine hypervisor), then push the closed-loop request stream while
+the plan drops, duplicates, delays, and corrupts messages, crashes
+replicas mid-request, and injects spurious exits.  The front end is
+expected to *complete* the workload through bounded retries, failover,
+quarantine, and re-attestation -- not to raise.  Afterwards injection is
+switched off, held messages are flushed, quarantined replicas are
+healed, and the :class:`~repro.chaos.invariants.InvariantChecker`
+asserts the security story survived.
+
+The ``none`` schedule injects nothing, so the same driver runs the clean
+fleet: ``repro cluster`` and a clean ``repro scope`` are its presets.
 
 Everything is deterministic: same :class:`ChaosConfig` -> same fault
 schedule, same ledgers, same result.
@@ -19,11 +21,11 @@ schedule, same ledgers, same result.
 from __future__ import annotations
 
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..cluster.auditor import FleetAuditReport
-from ..cluster.fleet import ClusterConfig, ClusterFleet, ClusterResult
-from ..cluster.net import NetCostModel
+from ..cluster.fleet import (ClusterConfig, ClusterFleet, ClusterResult,
+                             request_payload)
 from ..errors import SimulationError
 from .invariants import InvariantChecker, InvariantReport
 from .net import ChaoticNetwork
@@ -33,38 +35,18 @@ if typing.TYPE_CHECKING:
     from ..trace.tracer import Tracer
 
 
-@dataclass(frozen=True)
-class ChaosConfig:
-    """Shape of one chaos run."""
+#: Try to re-admit quarantined replicas every this many requests.
+HEAL_EVERY = 8
 
-    seed: int = 1
-    profile: str = "mayhem"
+
+@dataclass(frozen=True)
+class ChaosConfig(ClusterConfig):
+    """Shape of one chaos run: a fleet plus its fault schedule."""
+
     replicas: int = 3
     requests: int = 48
-    workload: str = "memcached"
-    policy: str = "least-outstanding"
-    #: Attempt to re-admit quarantined replicas every N requests
-    #: (0 = no periodic heal).
-    heal_every: int = 8
-    set_every: int = 10
-    keyspace: int = 16
-    net_cost: NetCostModel = field(default_factory=NetCostModel)
-
-    def __post_init__(self):
-        # The fleet shape refuses a replica or request count below 1.
-        self.cluster_config()
-        if self.heal_every < 0:
-            raise SimulationError(
-                f"heal_every must be at least 0 (0 = no periodic heal), "
-                f"got {self.heal_every}")
-
-    def cluster_config(self) -> ClusterConfig:
-        """The underlying fleet shape for this chaos run."""
-        return ClusterConfig(
-            replicas=self.replicas, requests=self.requests,
-            workload=self.workload, policy=self.policy,
-            set_every=self.set_every, keyspace=self.keyspace,
-            net_cost=self.net_cost)
+    seed: int = 1
+    profile: str = "mayhem"
 
 
 @dataclass
@@ -131,15 +113,6 @@ def _maybe_spurious_exit(fleet: ClusterFleet, plan: FaultPlan,
     plan.record("spurious_exit", victim.name, index)
 
 
-def _request_payload(config: ChaosConfig, index: int) -> dict:
-    """The same closed-loop request stream ``ClusterFleet.drive`` uses."""
-    key = f"key{index % config.keyspace}"
-    if config.workload == "memcached":
-        op = "set" if index % config.set_every == 0 else "get"
-        return {"op": op, "key": key}
-    return {"op": "insert", "key": key}
-
-
 def run_chaos_cluster(config: ChaosConfig | None = None, *,
                       tracer: "Tracer | None" = None,
                       scope=None) -> ChaosResult:
@@ -150,9 +123,8 @@ def run_chaos_cluster(config: ChaosConfig | None = None, *,
     if tracer is None:
         from ..trace.tracer import default_tracer
         tracer = default_tracer()
-    net = ChaoticNetwork(plan, cost=config.net_cost, tracer=tracer)
-    fleet = ClusterFleet(config.cluster_config(), tracer=tracer, net=net,
-                         scope=scope)
+    net = ChaoticNetwork(plan, tracer=tracer)
+    fleet = ClusterFleet(config, tracer=tracer, net=net, scope=scope)
 
     # Byzantine mode: one victim hypervisor corrupts attestation replies
     # before the initial handshakes; the relying party must detect it.
@@ -165,9 +137,6 @@ def run_chaos_cluster(config: ChaosConfig | None = None, *,
                     profile.corrupt_attestations)
 
     fleet.attest_all()
-    if not fleet.frontend.members:
-        raise SimulationError("no attested replicas admitted")
-    fleet.frontend.reset_schedule()
     plan.activate()
 
     completed = failed = 0
@@ -177,13 +146,13 @@ def run_chaos_cluster(config: ChaosConfig | None = None, *,
         _maybe_crash(fleet, plan, index, downed)
         _maybe_spurious_exit(fleet, plan, index)
         try:
-            fleet.frontend.request(_request_payload(config, index))
+            fleet.frontend.request(request_payload(config.workload, index))
             completed += 1
         except SimulationError as exhausted:
             failed += 1
             plan.record("request_failed", index, str(exhausted))
             net.tracer.metrics.count("chaos_request_failed", "frontend")
-        if config.heal_every and (index + 1) % config.heal_every == 0:
+        if (index + 1) % HEAL_EVERY == 0:
             fleet.frontend.heal_quarantined()
 
     # Schedule over: stop injecting, bring everything back, and let the

@@ -25,6 +25,7 @@ Commands map one-to-one onto the paper's experiments:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .attacks import (run_log_attacks, run_table1, run_table2,
@@ -178,7 +179,7 @@ def _cmd_trace(args) -> None:
 
 
 def _cmd_cluster(args) -> None:
-    from .cluster import ClusterConfig, run_cluster
+    from .chaos import ChaosConfig, run_chaos_cluster
     from .trace import Tracer, write_chrome_trace
     try:
         tampered = tuple(int(i) for i in args.tampered.split(",") if i)
@@ -187,10 +188,11 @@ def _cmd_cluster(args) -> None:
             f"--tampered takes comma-separated replica indices, got "
             f"{args.tampered!r}") from None
     tracer = Tracer(capacity=args.capacity)
-    result = run_cluster(ClusterConfig(
-        replicas=args.replicas, requests=args.requests,
+    run = run_chaos_cluster(ChaosConfig(
+        profile="none", replicas=args.replicas, requests=args.requests,
         workload=args.workload, policy=args.policy,
         shielded=args.shielded, tampered=tampered), tracer=tracer)
+    result, inv = run.cluster, run.invariants
     print(f"veil-fleet: {args.replicas} replicas, policy {args.policy}, "
           f"workload {args.workload}")
     rule = "-" * 64
@@ -209,14 +211,18 @@ def _cmd_cluster(args) -> None:
           f"{result.throughput_rps:,.0f} req/s "
           f"(makespan {cycles_to_seconds(result.makespan_cycles) * 1000:.2f}"
           " simulated ms)")
+    # The verdict comes from the invariant sweep: when the audit raises,
+    # the run's own report is an empty (vacuously verified) one.
     print(f"audit: {result.audit.total_entries:,} records pulled from "
           f"{len(result.audit.replicas)} replicas, chains "
-          f"{'OK' if result.audit.all_verified else 'MISMATCH'}")
+          f"{'OK' if inv.audit_verified else 'MISMATCH'}")
     if args.out:
         write_chrome_trace(tracer, args.out)
         print(f"wrote {tracer.recorded - tracer.dropped} events to "
               f"{args.out} (load in Perfetto / chrome://tracing)")
-    if not result.audit.all_verified:
+    for violation in inv.violations:
+        print(f"VIOLATION: {violation}")
+    if not (inv.ok and inv.audit_verified):
         sys.exit(1)
 
 
@@ -260,17 +266,19 @@ def _cmd_chaos(args) -> None:
 
 
 def _cmd_scope(args) -> None:
-    from .bench.scope import run_scoped
-    from .scope import (render_scope_summary, write_merged_trace,
-                        write_scope_json)
-    result, tracer, scope = run_scoped(
-        replicas=args.replicas, requests=args.requests,
-        schedule=args.schedule, seed=args.seed, service=args.service,
-        policy=args.policy, capacity=args.capacity)
-    faulted = args.schedule != "none"
+    from .chaos import ChaosConfig, run_chaos_cluster
+    from .scope import (FleetScope, render_scope_summary,
+                        write_merged_trace, write_scope_json)
+    from .trace import Tracer
+    tracer = Tracer(capacity=args.capacity)
+    scope = FleetScope()
+    result = run_chaos_cluster(ChaosConfig(
+        seed=args.seed, profile=args.schedule, replicas=args.replicas,
+        requests=args.requests, workload=args.service, policy=args.policy),
+        tracer=tracer, scope=scope)
     print(f"veil-scope: {args.replicas} replicas, {args.requests} "
           f"requests, schedule {args.schedule!r}" +
-          (f", seed {args.seed}" if faulted else ""))
+          (f", seed {args.seed}" if args.schedule != "none" else ""))
     print()
     print(render_scope_summary(scope))
     if args.json:
@@ -282,7 +290,7 @@ def _cmd_scope(args) -> None:
         write_merged_trace(tracer, scope, args.out)
         print(f"wrote {len(doc['traceEvents'])} merged fleet events to "
               f"{args.out} (load in Perfetto / chrome://tracing)")
-    if faulted and not result.invariants.ok:
+    if not result.invariants.ok:
         for violation in result.invariants.violations:
             print(f"VIOLATION: {violation}")
         sys.exit(1)
@@ -294,20 +302,19 @@ def _cmd_surge(args) -> None:
                               smoke_summary, write_surge_json)
     from .hw.cycles import CLOCK_HZ
     from .surge import SurgeConfig, run_surge
+    from .surge.runner import SLOTS
     if args.smoke:
         summary = smoke_summary(seed=args.seed)
         print(_json.dumps(summary, indent=2, sort_keys=True))
         if args.json:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                _json.dump(summary, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            write_surge_json(summary, args.json)
         return
     if args.knee:
         bench = run_surge_bench(seed=args.seed, replicas=args.replicas,
                                 requests=args.requests)
         print(render_surge_bench(bench))
         if args.json:
-            write_surge_json(bench, args.json)
+            write_surge_json(bench.as_dict(), args.json)
             print(f"wrote {args.json}")
         if not bench.replay_ok:
             print("FAIL: same-seed smoke runs produced different "
@@ -327,7 +334,7 @@ def _cmd_surge(args) -> None:
         min_active=args.min_active))
     cfg = result.config
     print(f"veil-surge: {cfg.arrivals} arrivals, load {cfg.load}, "
-          f"{cfg.replicas} replicas x {cfg.concurrency} slots, seed "
+          f"{cfg.replicas} replicas x {SLOTS} slots, seed "
           f"{cfg.seed}")
     print(f"  requests: {result.completed:,} completed, "
           f"{result.shed:,} shed, {result.failed:,} failed of "
@@ -348,10 +355,7 @@ def _cmd_surge(args) -> None:
         print(f"  {klass:<8} p50={pct['p50']:,} p95={pct['p95']:,} "
               f"p99={pct['p99']:,} cycles")
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            _json.dump(result.summary_dict(), fh, indent=2,
-                       sort_keys=True)
-            fh.write("\n")
+        write_surge_json(result.summary_dict(), args.json)
         print(f"wrote {args.json}")
     if args.min_inflight and result.max_in_flight < args.min_inflight:
         print(f"FAIL: peak in-flight {result.max_in_flight} is below "
@@ -392,6 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Veil (ASPLOS'23) reproduction experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)
+    from .chaos.plan import PROFILES
+    from .cluster.frontend import POLICIES
+    from .cluster.replica import WORKLOADS
 
     boot = sub.add_parser("boot", help="boot a Veil CVM")
     boot.add_argument("--memory-mb", type=int, default=64)
@@ -473,10 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--requests", type=int, default=200,
                          help="closed-loop requests through the front end")
     cluster.add_argument("--policy", default="least-outstanding",
-                         choices=("round-robin", "least-outstanding",
-                                  "consistent-hash"))
+                         choices=tuple(POLICIES))
     cluster.add_argument("--workload", default="memcached",
-                         choices=("memcached", "sqlite"))
+                         choices=WORKLOADS)
     cluster.add_argument("--shielded", action="store_true",
                          help="host replica handlers inside VeilS-ENC "
                               "enclaves")
@@ -491,39 +497,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     chaos = sub.add_parser(
         "chaos", help="fault-inject a fleet and check invariants")
-    from .chaos.plan import PROFILES
     chaos.add_argument("--seed", type=int, default=1,
                        help="fault-schedule seed (replayable)")
     chaos.add_argument("--schedule", default="mayhem",
                        choices=sorted(PROFILES),
-                       help="named fault profile to inject")
+                       help="named fault profile to inject ('none' for "
+                            "a clean fleet)")
     chaos.add_argument("--replicas", type=int, default=3)
     chaos.add_argument("--requests", type=int, default=48)
     chaos.add_argument("--policy", default="least-outstanding",
-                       choices=("round-robin", "least-outstanding",
-                                "consistent-hash"))
+                       choices=tuple(POLICIES))
     chaos.add_argument("--workload", default="memcached",
-                       choices=("memcached", "sqlite"))
+                       choices=WORKLOADS)
     chaos.set_defaults(fn=_cmd_chaos)
 
     scope = sub.add_parser(
         "scope", help="fleet-wide tracing + latency telemetry")
-    from .bench.scope import SCHEDULES
     scope.add_argument("--replicas", type=int, default=4,
                        help="fleet size (independent Veil CVMs)")
     scope.add_argument("--requests", type=int, default=48,
                        help="closed-loop requests through the front end")
     scope.add_argument("--schedule", default="mayhem",
-                       choices=SCHEDULES,
+                       choices=sorted(PROFILES),
                        help="fault schedule to inject ('none' for a "
                             "clean fleet)")
     scope.add_argument("--seed", type=int, default=1,
                        help="fault-schedule seed (replayable)")
     scope.add_argument("--policy", default="least-outstanding",
-                       choices=("round-robin", "least-outstanding",
-                                "consistent-hash"))
+                       choices=tuple(POLICIES))
     scope.add_argument("--service", default="memcached",
-                       choices=("memcached", "sqlite"),
+                       choices=WORKLOADS,
                        help="service each replica hosts")
     scope.add_argument("--capacity", type=int, default=65536,
                        help="tracer ring-buffer capacity (events)")
@@ -549,10 +552,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="offered load as a multiple of estimated "
                             "fleet capacity")
     surge.add_argument("--workload", default="memcached",
-                       choices=("memcached", "sqlite"))
+                       choices=WORKLOADS)
     surge.add_argument("--policy", default="least-outstanding",
-                       choices=("round-robin", "least-outstanding",
-                                "consistent-hash"))
+                       choices=tuple(POLICIES))
     surge.add_argument("--admit-limit", type=int, default=0,
                        help="in-flight admission cap (0 = unlimited)")
     surge.add_argument("--min-active", type=int, default=0,
@@ -592,16 +594,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output_paths(args) -> None:
+    """Refuse an ``--out``/``--json`` file that cannot be written.
+
+    Checked before the run, which may take seconds.  ``export --out``
+    names a directory that the command creates, so it is not a file.
+    """
+    if args.command == "export":
+        return
+    for path in (getattr(args, "out", None), getattr(args, "json", None)):
+        if not path:
+            continue
+        parent = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            raise SimulationError(f"cannot write {path}: it is a directory")
+        if not os.path.isdir(parent):
+            raise SimulationError(
+                f"cannot write {path}: directory {parent} does not exist")
+
+
 def main(argv=None) -> None:
     """CLI entry point: parse arguments and run the command.
 
     A run the simulator refuses to start (zero replicas, zero
-    iterations, ...) raises :class:`SimulationError`; it exits with
-    argparse's usage-error status 2 and a one-line message.
+    iterations, an output path it cannot write, ...) raises
+    :class:`SimulationError`; it exits with argparse's usage-error
+    status 2 and a one-line message.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output_paths(args)
         args.fn(args)
     except SimulationError as refused:
         parser.exit(2, f"{parser.prog}: error: {refused}\n")

@@ -7,15 +7,15 @@ inter-host fabric (:mod:`~repro.cluster.net`), admitted into a routing
 set only after remote attestation (:mod:`~repro.cluster.attest`), served
 by a load-balancing front end (:mod:`~repro.cluster.frontend`), and
 audited fleet-wide by a central log collector
-(:mod:`~repro.cluster.auditor`).  :func:`~repro.cluster.fleet.run_cluster`
-ties the phases together.
+(:mod:`~repro.cluster.auditor`).  :mod:`repro.chaos` drives it in a
+closed loop and :mod:`repro.surge` in an open one.
 """
 
 from .attest import (AttestedLink, FleetVerifier, RejectedHandshake,
                      derive_data_key)
 from .auditor import FleetAuditor, FleetAuditReport, ReplicaAudit
 from .fleet import (ClusterConfig, ClusterFleet, ClusterResult, FleetClock,
-                    run_cluster)
+                    request_payload)
 from .frontend import (POLICIES, ConsistentHash, FrontEnd, LeastOutstanding,
                        RoundRobin, RoutingPolicy, make_policy)
 from .net import HostEndpoint, InterHostNetwork, NetCostModel, \
@@ -27,7 +27,7 @@ __all__ = [
     "AttestedLink", "FleetVerifier", "RejectedHandshake", "derive_data_key",
     "FleetAuditor", "FleetAuditReport", "ReplicaAudit",
     "ClusterConfig", "ClusterFleet", "ClusterResult", "FleetClock",
-    "run_cluster",
+    "request_payload",
     "POLICIES", "ConsistentHash", "FrontEnd", "LeastOutstanding",
     "RoundRobin", "RoutingPolicy", "make_policy",
     "HostEndpoint", "InterHostNetwork", "NetCostModel",

@@ -1,10 +1,10 @@
 """Fleet orchestration: boot N Veil CVMs, attest, route, audit.
 
-:func:`run_cluster` is the whole story in one call -- boot the fleet,
-run the relying-party handshakes (recording which replicas were
-rejected), drive a closed-loop request stream through the front end, and
-finish with a fleet-wide audit sweep.  The CLI (``repro cluster``), the
-scaling benchmark, and the cluster tests all sit on top of it.
+:class:`ClusterFleet` holds the phases of one run -- boot, attest,
+serve, audit -- and :func:`request_payload` the one request stream.  The
+drivers sit above this package: the closed loop is
+:func:`~repro.chaos.runner.run_chaos_cluster` (``repro cluster`` is its
+``none`` schedule), the open loop :class:`~repro.surge.runner.SurgeRun`.
 
 Determinism contract: given the same :class:`ClusterConfig`, two runs
 produce identical ledgers, metrics, and trace event streams (the
@@ -17,7 +17,7 @@ event ordering is a pure function of simulated work.
 from __future__ import annotations
 
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import AttestationError, SimulationError
 from ..hv.attestation import platform_signing_key
@@ -25,16 +25,31 @@ from ..scope.collector import NULL_SCOPE
 from .attest import AttestedLink, FleetVerifier, RejectedHandshake
 from .auditor import FleetAuditor, FleetAuditReport
 from .frontend import FrontEnd
-from .net import InterHostNetwork, NetCostModel
+from .net import InterHostNetwork
 from .replica import ClusterReplica, expected_fleet_measurement
 
 if typing.TYPE_CHECKING:
     from ..trace.tracer import Tracer
 
 
+#: 90:10 GET:SET mix like memaslap: every ``SET_EVERY``-th op is a set.
+SET_EVERY = 10
+#: Distinct keys cycled through the request stream.
+KEYSPACE = 16
+
+
+def request_payload(workload: str, index: int) -> dict:
+    """Request ``index`` of the stream every fleet driver issues."""
+    key = f"key{index % KEYSPACE}"
+    if workload == "memcached":
+        return {"op": "set" if index % SET_EVERY == 0 else "get",
+                "key": key}
+    return {"op": "insert", "key": key}
+
+
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Shape of one fleet run."""
+    """Shape of one fleet run (the chaos and surge configs extend it)."""
 
     replicas: int = 2
     requests: int = 100
@@ -44,14 +59,6 @@ class ClusterConfig:
     shielded: bool = False
     #: Replica indices booted from a tampered (backdoored) image.
     tampered: tuple[int, ...] = ()
-    #: 90:10 GET:SET mix like memaslap; every ``set_every``-th op is a set.
-    set_every: int = 10
-    #: Distinct keys cycled through the request stream.
-    keyspace: int = 16
-    net_cost: NetCostModel = field(default_factory=NetCostModel)
-    memory_bytes: int = 32 * 1024 * 1024
-    num_cores: int = 2
-    log_storage_pages: int = 64
 
     def __post_init__(self):
         if self.replicas < 1:
@@ -86,10 +93,6 @@ class FleetClock:
     def __init__(self, ledgers: list):
         self._ledgers = list(ledgers)
         self._high_water = 0
-
-    def add(self, ledger) -> None:
-        """Fold another host's ledger into the fleet timeline."""
-        self._ledgers.append(ledger)
 
     def replace(self, old, new) -> None:
         """Swap a rebuilt host ledger in without stepping backwards.
@@ -159,16 +162,13 @@ class ClusterFleet:
         #: ``net`` lets a caller supply a pre-built fabric -- the chaos
         #: harness wraps the fleet in a fault-injecting subclass this way.
         self.net = net if net is not None else InterHostNetwork(
-            cost=config.net_cost, tracer=tracer)
+            tracer=tracer)
         self.replicas: dict[str, ClusterReplica] = {}
         for index in range(config.replicas):
             replica = ClusterReplica(
                 index, self.net, workload=config.workload,
-                shielded=config.shielded,
-                memory_bytes=config.memory_bytes,
-                num_cores=config.num_cores,
-                log_storage_pages=config.log_storage_pages,
-                tracer=tracer, tampered=index in config.tampered)
+                shielded=config.shielded, tracer=tracer,
+                tampered=index in config.tampered)
             self.replicas[replica.name] = replica
         self.frontend = FrontEnd(self.net, policy=config.policy,
                                  tracer=tracer)
@@ -189,9 +189,8 @@ class ClusterFleet:
         self.links: dict[str, AttestedLink] = {}
         self.rejected: list[RejectedHandshake] = []
         self.frontend.reattest = self._reattest
-        clock = FleetClock([r.ledger for r in self.replicas.values()])
-        clock.add(self.frontend.ledger)
-        clock.add(self.auditor.ledger)
+        clock = FleetClock([r.ledger for r in self.replicas.values()] +
+                           [self.frontend.ledger, self.auditor.ledger])
         self.clock = clock
         if tracer is not None:
             tracer.attach_ledger(clock)
@@ -234,7 +233,8 @@ class ClusterFleet:
     # -- phases ----------------------------------------------------------
 
     def attest_all(self) -> None:
-        """Handshake every replica; admit the verified, record the rest."""
+        """Handshake every replica; admit the verified, record the rest,
+        refuse an empty fleet, and start the serving epoch."""
         for name in sorted(self.replicas,
                            key=lambda n: self.replicas[n].index):
             replica = self.replicas[name]
@@ -246,20 +246,9 @@ class ClusterFleet:
                 continue
             self.links[name] = link
             self.frontend.admit(link, replica)
-
-    def drive(self, requests: int) -> int:
-        """Closed-loop client: issue ``requests`` ops through the front
-        end and return how many were routed."""
-        config = self.config
-        for i in range(requests):
-            key = f"key{i % config.keyspace}"
-            if config.workload == "memcached":
-                op = "set" if i % config.set_every == 0 else "get"
-                payload = {"op": op, "key": key}
-            else:
-                payload = {"op": "insert", "key": key}
-            self.frontend.request(payload)
-        return sum(self.frontend.routed.values())
+        if not self.frontend.members:
+            raise SimulationError("no attested replicas admitted")
+        self.frontend.reset_schedule()
 
     def audit_all(self) -> FleetAuditReport:
         """Fleet-wide log pull + chain verification over attested links."""
@@ -289,16 +278,3 @@ class ClusterFleet:
             replica_cycles=replica_cycles,
             frontend_cycles=self.frontend.ledger.total,
             audit=audit)
-
-
-def run_cluster(config: ClusterConfig | None = None, *,
-                tracer: "Tracer | None" = None,
-                scope=None) -> ClusterResult:
-    """Boot, attest, serve, and audit one fleet run."""
-    config = config or ClusterConfig()
-    fleet = ClusterFleet(config, tracer=tracer, scope=scope)
-    fleet.attest_all()
-    fleet.frontend.reset_schedule()
-    fleet.drive(config.requests)
-    audit = fleet.audit_all()
-    return fleet.result(audit)

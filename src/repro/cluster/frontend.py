@@ -324,20 +324,18 @@ class FrontEnd:
         The surge scheduler owns arrival time, queueing, and completion
         on its event heap, so this path deliberately skips the
         closed-loop machinery -- no ``busy_until`` horizon push, no
-        backoff charge, no retry loop.  Failure bookkeeping (strikes,
-        quarantine, scope retry records) still runs through
-        :meth:`_note_failure` inside :meth:`_attempt`, so chaos faults
-        degrade the candidate set identically in both loops.
+        backoff charge, no retry loop.  Success bookkeeping runs through
+        :meth:`_served` and failure bookkeeping (strikes, quarantine,
+        scope retry records) through :meth:`_note_failure` inside
+        :meth:`_attempt`, as in the closed loop, so chaos faults degrade
+        the candidate set identically in both loops.
 
         Returns ``(result, service_cycles, breakdown)`` or ``None``.
         """
         body = dict(payload, request_id=request_id)
         out = self._attempt(name, body, request_id, ctx)
         if out is not None:
-            self.health[name].strikes = 0
-            self.routed[name] = self.routed.get(name, 0) + 1
-            self.tracer.metrics.count("cluster_route", name)
-            self.tracer.metrics.observe("service_cycles", name, out[1])
+            self._served(name, out[1])
         return out
 
     def request(self, payload: dict) -> dict:
@@ -464,14 +462,18 @@ class FrontEnd:
         return matched
 
     def _complete(self, picked: str, service_cycles: int) -> None:
-        """Success bookkeeping: schedule horizon, counters, metrics."""
-        self.health[picked].strikes = 0
+        """Closed-loop success: push the schedule horizon, then count."""
         now = self.ledger.total
         start = max(now, self.busy_until.get(picked, 0))
         self.busy_until[picked] = start + service_cycles
-        self.routed[picked] = self.routed.get(picked, 0) + 1
-        self.tracer.metrics.count("cluster_route", picked)
-        self.tracer.metrics.observe("service_cycles", picked,
+        self._served(picked, service_cycles)
+
+    def _served(self, name: str, service_cycles: int) -> None:
+        """Success bookkeeping both request paths share."""
+        self.health[name].strikes = 0
+        self.routed[name] = self.routed.get(name, 0) + 1
+        self.tracer.metrics.count("cluster_route", name)
+        self.tracer.metrics.observe("service_cycles", name,
                                     service_cycles)
 
     # -- schedule accounting ---------------------------------------------

@@ -124,11 +124,14 @@ class SyscallSanitizer:
         """Copy results back into the enclave and IAGO-check pointers."""
         spec = SYSCALL_SPECS[name]
         runtime = self.runtime
-        copied = result if isinstance(result, int) else None
+        # An int result is the byte count: it fills the copy-back
+        # buffers in order, and nothing past it leaves staging.
+        remaining = result if isinstance(result, int) else None
         for staging, enclave_vaddr, length in marshalled.copy_back:
             take = length
-            if copied is not None and len(marshalled.copy_back) == 1:
-                take = max(0, min(length, copied))
+            if remaining is not None:
+                take = max(0, min(length, remaining))
+                remaining -= take
             if take:
                 runtime.stage_in(staging, enclave_vaddr, take)
         if spec.returns_pointer and isinstance(result, int):

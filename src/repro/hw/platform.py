@@ -14,7 +14,7 @@ import typing
 from ..errors import CvmHalted, SimulationError
 from ..trace import NULL_TRACER, default_tracer
 from .cycles import CostModel, CycleLedger
-from .memory import PhysicalMemory
+from .memory import PAGE_SIZE, PhysicalMemory
 from .pagetable import GuestPageTable
 from .rmp import Rmp
 from .vcpu import VirtualCpu
@@ -98,6 +98,10 @@ class SevSnpMachine:
         if num_cores < 1:
             raise SimulationError(
                 f"num_cores must be at least 1, got {num_cores}")
+        if memory_bytes <= 0 or memory_bytes % PAGE_SIZE:
+            raise SimulationError(
+                f"memory_bytes must be a positive multiple of "
+                f"{PAGE_SIZE}, got {memory_bytes}")
         self.cost = cost or CostModel()
         # veil-turbo: per-core software TLB + RMP permission cache.  On by
         # default; ``VEIL_TLB=0`` in the environment (or an explicit

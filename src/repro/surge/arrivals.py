@@ -31,8 +31,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from ..errors import SimulationError
 from ..chaos.plan import SplitMix64
+from ..cluster.fleet import request_payload
+from ..errors import SimulationError
 
 
 @dataclass(frozen=True)
@@ -91,14 +92,14 @@ class ArrivalPlan:
     """One seeded, replayable open-loop traffic schedule.
 
     The schedule is generated eagerly and cached: ``schedule()`` is a
-    pure function of ``(seed, profile, requests, workload, set_every,
-    keyspace)``, so two plans built alike agree on every timestamp and
-    payload -- the determinism suite diffs them byte for byte.
+    pure function of ``(seed, profile, requests, workload)``, so two
+    plans built alike agree on every timestamp and payload -- the
+    determinism suite diffs them byte for byte.  Payloads come from
+    :func:`~repro.cluster.fleet.request_payload`, like the closed loop's.
     """
 
     def __init__(self, seed: int, profile: ArrivalProfile | str, *,
-                 requests: int, workload: str = "memcached",
-                 set_every: int = 10, keyspace: int = 16):
+                 requests: int, workload: str = "memcached"):
         if requests <= 0:
             raise SimulationError(
                 f"arrival plan needs requests > 0, got {requests}")
@@ -107,8 +108,6 @@ class ArrivalPlan:
             if isinstance(profile, str) else profile
         self.requests = requests
         self.workload = workload
-        self.set_every = set_every
-        self.keyspace = keyspace
         self.rng = SplitMix64(seed)
         self._schedule: list[Arrival] | None = None
 
@@ -160,16 +159,6 @@ class ArrivalPlan:
                 mean / max(rate_factor, 1e-3)))
         return gaps
 
-    # -- payload mix -----------------------------------------------------
-
-    def _payload(self, index: int) -> tuple[dict, str]:
-        """The same 90:10 GET:SET mix the closed-loop driver uses."""
-        key = f"key{index % self.keyspace}"
-        if self.workload == "memcached":
-            op = "set" if index % self.set_every == 0 else "get"
-            return {"op": op, "key": key}, op
-        return {"op": "insert", "key": key}, "insert"
-
     # -- the schedule ----------------------------------------------------
 
     def schedule(self) -> list[Arrival]:
@@ -187,9 +176,9 @@ class ArrivalPlan:
         ts = 0
         for index, gap in enumerate(gaps):
             ts += gap
-            payload, klass = self._payload(index)
-            arrivals.append(Arrival(index=index, ts=ts,
-                                    payload=payload, klass=klass))
+            payload = request_payload(self.workload, index)
+            arrivals.append(Arrival(index=index, ts=ts, payload=payload,
+                                    klass=payload["op"]))
         self._schedule = arrivals
         return arrivals
 

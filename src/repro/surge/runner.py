@@ -1,13 +1,13 @@
 """Open-loop surge runs: arrivals meet the attested fleet.
 
-:func:`run_surge` is the open-loop sibling of
-:func:`~repro.cluster.fleet.run_cluster`: boot and attest the same
-fleet, but instead of issuing one request at a time it replays a seeded
-:class:`~repro.surge.arrivals.ArrivalPlan` on the discrete-event
+:func:`run_surge` is the open-loop sibling of the closed-loop driver
+(:func:`~repro.chaos.runner.run_chaos_cluster`): boot and attest the
+same fleet, but instead of issuing one request at a time it replays a
+seeded :class:`~repro.surge.arrivals.ArrivalPlan` on the discrete-event
 scheduler -- arrivals land whether or not the fleet has kept up, so
 offered load and service rate can diverge and queueing becomes real.
 
-The queueing model per replica is M/G/c-shaped: ``concurrency`` service
+The queueing model per replica is M/G/c-shaped: :data:`SLOTS` service
 slots (the replica's cores), a FIFO backlog behind them, and measured
 service times -- each dispatched request runs the *actual* sealed round
 trip through the fabric and the replica CVM, and its measured cycle
@@ -40,7 +40,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from ..cluster.fleet import ClusterConfig, ClusterFleet
-from ..cluster.net import NetCostModel
 from ..errors import SimulationError
 from ..hw.cycles import CLOCK_HZ
 from ..scope.collector import FleetScope
@@ -55,40 +54,32 @@ if typing.TYPE_CHECKING:
 #: Per-request service-cycle estimate that converts ``load`` into an
 #: arrival rate; calibrated from measured runs.
 SERVICE_ESTIMATE = 280_000
+#: Service slots per replica: its cores serving concurrently.
+SLOTS = 2
 
 
 @dataclass(frozen=True)
-class SurgeConfig:
+class SurgeConfig(ClusterConfig):
     """Shape of one open-loop surge run."""
 
-    seed: int = 1
-    arrivals: str = "poisson"
     replicas: int = 8
     requests: int = 2000
+    seed: int = 1
+    arrivals: str = "poisson"
     #: Offered load as a multiple of estimated fleet capacity: the mean
     #: inter-arrival gap is ``SERVICE_ESTIMATE / (active slots) / load``.
     load: float = 2.0
-    workload: str = "memcached"
-    policy: str = "least-outstanding"
-    #: Service slots per replica (its cores serving concurrently).
-    concurrency: int = 2
     #: Total in-flight cap; 0 disables admission control.
     admit_limit: int = 0
     #: Warm-pool floor: replicas serving from the first arrival.
     min_active: int = 0            # 0 = all replicas active, no scaler
-    set_every: int = 10
-    keyspace: int = 16
-    net_cost: NetCostModel = field(default_factory=NetCostModel)
 
     def __post_init__(self):
         # The fleet shape refuses a replica or request count below 1.
-        self.cluster_config()
+        super().__post_init__()
         if not 0 < self.load < math.inf:
             raise SimulationError(
                 f"load must be a positive finite number, got {self.load}")
-        if self.concurrency < 1:
-            raise SimulationError(
-                f"concurrency must be at least 1, got {self.concurrency}")
         if self.admit_limit < 0:
             raise SimulationError(
                 f"admit_limit must be at least 0 (0 = no limit), got "
@@ -101,18 +92,9 @@ class SurgeConfig:
     def arrival_profile(self) -> ArrivalProfile:
         """The arrival shape at this config's offered rate."""
         profile = arrivals_by_name(self.arrivals)
-        slots = max(1, (self.min_active or self.replicas) *
-                    self.concurrency)
+        slots = max(1, (self.min_active or self.replicas) * SLOTS)
         return profile.with_gap(
             max(1, int(SERVICE_ESTIMATE / (slots * self.load))))
-
-    def cluster_config(self) -> ClusterConfig:
-        """The underlying fleet shape for this surge run."""
-        return ClusterConfig(
-            replicas=self.replicas, requests=self.requests,
-            workload=self.workload, policy=self.policy,
-            set_every=self.set_every, keyspace=self.keyspace,
-            net_cost=self.net_cost)
 
 
 @dataclass
@@ -184,7 +166,7 @@ class SurgeResult:
                 "load": self.config.load,
                 "workload": self.config.workload,
                 "policy": self.config.policy,
-                "concurrency": self.config.concurrency,
+                "concurrency": SLOTS,
                 "admit_limit": self.config.admit_limit,
                 "min_active": self.config.min_active,
             },
@@ -221,8 +203,7 @@ class SurgeRun:
                  scope: FleetScope | None = None):
         self.config = config
         self.scope = scope if scope is not None else FleetScope()
-        self.fleet = ClusterFleet(config.cluster_config(), tracer=tracer,
-                                  scope=self.scope)
+        self.fleet = ClusterFleet(config, tracer=tracer, scope=self.scope)
         self.tracer = self.fleet.tracer or NULL_TRACER
         self.sched = DiscreteEventScheduler()
         # Scope timestamps come off *event time*, not ledger time: the
@@ -231,8 +212,7 @@ class SurgeRun:
         self.scope.attach_clock(self.sched)
         self.plan = ArrivalPlan(
             config.seed, config.arrival_profile(),
-            requests=config.requests, workload=config.workload,
-            set_every=config.set_every, keyspace=config.keyspace)
+            requests=config.requests, workload=config.workload)
         self.servers: dict[str, _Server] = {}
         self.active: list[str] = []
         self.standby: list[str] = []
@@ -254,8 +234,6 @@ class SurgeRun:
         """Split the attested fleet into active set and warm standbys."""
         config = self.config
         members = self.fleet.frontend.members
-        if not members:
-            raise SimulationError("no attested replicas admitted")
         floor = config.min_active or len(members)
         floor = max(1, min(floor, len(members)))
         for name in members:
@@ -352,7 +330,7 @@ class SurgeRun:
     def _dispatch(self, name: str) -> None:
         """Start queued jobs while ``name`` has free service slots."""
         server = self.servers[name]
-        while server.queue and server.busy < self.config.concurrency:
+        while server.queue and server.busy < SLOTS:
             job = server.queue.popleft()
             self._start(server, job)
 
@@ -414,7 +392,6 @@ class SurgeRun:
     def run(self) -> SurgeResult:
         """Attest, replay the plan on the scheduler, summarize."""
         self.fleet.attest_all()
-        self.fleet.frontend.reset_schedule()
         self._setup_pool()
         arrivals = self.plan.schedule()
         self.first_arrival = arrivals[0].ts

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 
+from ..errors import SimulationError
 from .tracer import PHASE_INSTANT, PHASE_SPAN, Tracer
 
 #: Display names for the VMPL tracks (Veil's domain naming).
@@ -143,6 +144,8 @@ def validate_chrome_trace(obj) -> list[str]:
 
 def render_summary(tracer: Tracer, top: int = 10) -> str:
     """Human-readable per-operation summary (top-N by total cycles)."""
+    if top < 0:
+        raise SimulationError(f"top must be at least 0, got {top}")
     rows = []
     for key in tracer.metrics.histograms:
         name, _, op = key.partition("/")

@@ -19,12 +19,10 @@ class FakeLedger:
 
 
 def attested_fleet(tracer=None, **overrides):
-    defaults = dict(replicas=2, requests=8, keyspace=4,
-                    policy="round-robin")
+    defaults = dict(replicas=2, requests=8, policy="round-robin")
     defaults.update(overrides)
     fleet = ClusterFleet(ClusterConfig(**defaults), tracer=tracer)
     fleet.attest_all()
-    fleet.frontend.reset_schedule()
     return fleet
 
 

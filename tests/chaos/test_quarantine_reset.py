@@ -12,12 +12,10 @@ from repro.cluster import ClusterConfig, ClusterFleet
 
 
 def attested_fleet(**overrides):
-    defaults = dict(replicas=2, requests=8, keyspace=4,
-                    policy="least-outstanding")
+    defaults = dict(replicas=2, requests=8, policy="least-outstanding")
     defaults.update(overrides)
     fleet = ClusterFleet(ClusterConfig(**defaults))
     fleet.attest_all()
-    fleet.frontend.reset_schedule()
     return fleet
 
 

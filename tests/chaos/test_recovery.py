@@ -13,12 +13,10 @@ from repro.errors import SimulationError
 
 
 def attested_fleet(**overrides):
-    defaults = dict(replicas=2, requests=8, keyspace=4,
-                    policy="round-robin")
+    defaults = dict(replicas=2, requests=8, policy="round-robin")
     defaults.update(overrides)
     fleet = ClusterFleet(ClusterConfig(**defaults))
     fleet.attest_all()
-    fleet.frontend.reset_schedule()
     return fleet
 
 

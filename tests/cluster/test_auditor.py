@@ -2,18 +2,18 @@
 
 import pytest
 
-from repro.cluster import ClusterConfig, ClusterFleet
+from repro.cluster import ClusterConfig, ClusterFleet, request_payload
 from repro.errors import SecurityViolation
 
 
 def served_fleet(**overrides):
-    defaults = dict(replicas=2, requests=20, keyspace=4)
+    defaults = dict(replicas=2, requests=20)
     defaults.update(overrides)
     config = ClusterConfig(**defaults)
     fleet = ClusterFleet(config)
     fleet.attest_all()
-    fleet.frontend.reset_schedule()
-    fleet.drive(config.requests)
+    for index in range(config.requests):
+        fleet.frontend.request(request_payload(config.workload, index))
     return fleet
 
 

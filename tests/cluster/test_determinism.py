@@ -1,32 +1,33 @@
 """The determinism contract extended to multi-machine fleet runs."""
 
-from repro.cluster import ClusterConfig, run_cluster
+from repro.chaos import ChaosConfig, run_chaos_cluster
 from repro.trace import Tracer
 from repro.trace.export import dumps_chrome_trace
 
 
 def traced_run(config):
     tracer = Tracer()
-    result = run_cluster(config, tracer=tracer)
+    result = run_chaos_cluster(config, tracer=tracer).cluster
     return result, tracer
 
 
 class TestFleetDeterminism:
     def test_identical_runs_export_identical_traces(self):
-        config = ClusterConfig(replicas=2, requests=16, keyspace=4)
+        config = ChaosConfig(profile="none", replicas=2, requests=16)
         _res_a, tracer_a = traced_run(config)
         _res_b, tracer_b = traced_run(config)
         assert dumps_chrome_trace(tracer_a) == dumps_chrome_trace(tracer_b)
 
     def test_rejection_path_is_deterministic_too(self):
-        config = ClusterConfig(replicas=2, requests=10, tampered=(1,))
+        config = ChaosConfig(profile="none", replicas=2, requests=10,
+                             tampered=(1,))
         _res_a, tracer_a = traced_run(config)
         _res_b, tracer_b = traced_run(config)
         assert dumps_chrome_trace(tracer_a) == dumps_chrome_trace(tracer_b)
 
     def test_ledgers_and_routing_are_reproducible(self):
-        config = ClusterConfig(replicas=3, requests=24,
-                               policy="consistent-hash")
+        config = ChaosConfig(profile="none", replicas=3, requests=24,
+                             policy="consistent-hash")
         res_a, _ = traced_run(config)
         res_b, _ = traced_run(config)
         assert res_a.routed_by_replica == res_b.routed_by_replica

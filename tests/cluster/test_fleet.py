@@ -2,45 +2,50 @@
 
 import pytest
 
-from repro.cluster import ClusterConfig, ClusterFleet, run_cluster
+from repro.chaos import ChaosConfig, run_chaos_cluster
+from repro.cluster import ClusterConfig, ClusterFleet
 from repro.errors import SimulationError
 from repro.trace import Tracer
 
-SMALL = dict(requests=20, keyspace=4)
+SMALL = dict(requests=20)
+
+
+def run_clean(tracer=None, **config):
+    """One clean closed-loop run: the chaos driver's ``none`` preset."""
+    return run_chaos_cluster(ChaosConfig(profile="none", **config),
+                             tracer=tracer).cluster
 
 
 class TestHonestFleet:
     def test_all_replicas_admitted_and_served(self):
-        result = run_cluster(ClusterConfig(replicas=2, **SMALL))
+        result = run_clean(replicas=2, **SMALL)
         assert result.rejected == []
         assert result.requests_routed == 20
         assert set(result.routed_by_replica) == {"replica0", "replica1"}
         assert all(n > 0 for n in result.routed_by_replica.values())
 
     def test_handshake_costs_accounted(self):
-        result = run_cluster(ClusterConfig(replicas=2, **SMALL))
+        result = run_clean(replicas=2, **SMALL)
         for name in ("replica0", "replica1"):
             assert result.handshake_cycles[name] > 0
             assert result.replica_cycles[name] > 0
         assert result.frontend_cycles > 0
 
     def test_audit_sweep_verifies_every_replica(self):
-        result = run_cluster(ClusterConfig(replicas=2, **SMALL))
+        result = run_clean(replicas=2, **SMALL)
         assert result.audit.all_verified
         # Every served request leaves audited records (recvfrom/sendto).
         assert result.audit.total_entries > result.requests_routed
 
     def test_sqlite_workload(self):
-        result = run_cluster(ClusterConfig(replicas=2, workload="sqlite",
-                                           **SMALL))
+        result = run_clean(replicas=2, workload="sqlite", **SMALL)
         assert result.requests_routed == 20
         assert result.audit.all_verified
 
     def test_shielded_replicas(self):
         """Enclave-hosted handlers serve the same stream, dearer."""
-        native = run_cluster(ClusterConfig(replicas=1, **SMALL))
-        shielded = run_cluster(ClusterConfig(replicas=1, shielded=True,
-                                             **SMALL))
+        native = run_clean(replicas=1, **SMALL)
+        shielded = run_clean(replicas=1, shielded=True, **SMALL)
         assert shielded.requests_routed == native.requests_routed
         assert shielded.replica_cycles["replica0"] > \
             native.replica_cycles["replica0"]
@@ -49,9 +54,7 @@ class TestHonestFleet:
 class TestTamperedReplica:
     def test_zero_requests_routed(self):
         tracer = Tracer()
-        result = run_cluster(
-            ClusterConfig(replicas=3, tampered=(1,), **SMALL),
-            tracer=tracer)
+        result = run_clean(tracer, replicas=3, tampered=(1,), **SMALL)
         assert [r.replica for r in result.rejected] == ["replica1"]
         assert "replica1" not in result.routed_by_replica
         assert result.requests_routed == 20
@@ -65,8 +68,7 @@ class TestTamperedReplica:
 
     def test_tampered_replica_gets_no_fabric_request_traffic(self):
         tracer = Tracer()
-        run_cluster(ClusterConfig(replicas=2, tampered=(0,), **SMALL),
-                    tracer=tracer)
+        run_clean(tracer, replicas=2, tampered=(0,), **SMALL)
         counters = tracer.metrics.counters
         # Handshake probes reached it; request routing never did.
         assert counters.get("cluster_route/replica0") is None
@@ -77,10 +79,11 @@ class TestTamperedReplica:
         fleet = ClusterFleet(
             ClusterConfig(replicas=2, tampered=(0, 1), **SMALL),
             tracer=tracer)
-        fleet.attest_all()
+        with pytest.raises(SimulationError,
+                           match="^no attested replicas admitted$"):
+            fleet.attest_all()
         assert fleet.links == {}
         assert len(fleet.rejected) == 2
-        from repro.errors import SimulationError
         with pytest.raises(SimulationError):
             fleet.frontend.request({"op": "get", "key": "k"})
 
@@ -89,9 +92,8 @@ class TestScaling:
     def test_throughput_monotonic_1_2_4(self):
         previous = 0.0
         for replicas in (1, 2, 4):
-            result = run_cluster(ClusterConfig(
-                replicas=replicas, requests=32,
-                policy="least-outstanding"))
+            result = run_clean(replicas=replicas, requests=32,
+                               policy="least-outstanding")
             assert result.throughput_rps > previous
             previous = result.throughput_rps
 

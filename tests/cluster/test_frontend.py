@@ -3,7 +3,8 @@
 import pytest
 
 from repro.cluster import (ClusterConfig, ClusterFleet, ConsistentHash,
-                           LeastOutstanding, RoundRobin, make_policy)
+                           LeastOutstanding, RoundRobin, make_policy,
+                           request_payload)
 from repro.errors import SimulationError
 
 CANDIDATES = ["replica0", "replica1", "replica2"]
@@ -81,23 +82,27 @@ class TestFrontEndScheduling:
     def make_fleet(self, policy):
         fleet = ClusterFleet(ClusterConfig(replicas=2, policy=policy))
         fleet.attest_all()
-        fleet.frontend.reset_schedule()
         return fleet
+
+    @staticmethod
+    def serve(fleet, requests):
+        for index in range(requests):
+            fleet.frontend.request(request_payload("memcached", index))
 
     def test_round_robin_splits_evenly(self):
         fleet = self.make_fleet("round-robin")
-        fleet.drive(10)
+        self.serve(fleet, 10)
         assert fleet.frontend.routed == {"replica0": 5, "replica1": 5}
 
     def test_least_outstanding_uses_both(self):
         fleet = self.make_fleet("least-outstanding")
-        fleet.drive(10)
+        self.serve(fleet, 10)
         assert all(n > 0 for n in fleet.frontend.routed.values())
 
     def test_outstanding_horizon_advances(self):
         fleet = self.make_fleet("least-outstanding")
         frontend = fleet.frontend
-        fleet.drive(4)
+        self.serve(fleet, 4)
         assert frontend.makespan_cycles() > 0
         assert frontend.throughput_rps() > 0
 

@@ -22,7 +22,7 @@ NAMES = ("replica0", "replica1", "replica2")
 
 @pytest.fixture(scope="module")
 def fleet():
-    fleet = ClusterFleet(ClusterConfig(replicas=3, requests=6, keyspace=4))
+    fleet = ClusterFleet(ClusterConfig(replicas=3, requests=6))
     fleet.attest_all()
     return fleet
 

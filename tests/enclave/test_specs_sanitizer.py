@@ -107,6 +107,61 @@ class TestSanitizerThroughEnclave:
 
         assert host.run(body) == b"abc"
 
+    @staticmethod
+    def scatter_read(libc, name, fd, sizes):
+        """Scatter-read into pre-filled buffers; returns (count, bufs)."""
+        bufs = [libc.malloc(size) for size in sizes]
+        for buf, size, fill in zip(bufs, sizes, (b"\xaa", b"\xbb")):
+            libc.poke(buf, fill * size)
+        got = libc.rt.syscall(name, fd, list(zip(bufs, sizes)))
+        return got, [libc.peek(buf, size) for buf, size in zip(bufs, sizes)]
+
+    @staticmethod
+    def file_with(libc, path, data):
+        from repro.kernel.fs import O_CREAT, O_RDWR
+        fd = libc.open(path, O_CREAT | O_RDWR)
+        libc.write(fd, data)
+        libc.lseek(fd, 0, 0)
+        return fd
+
+    def test_short_readv_copies_only_result(self, host):
+        """Bytes past the count stay the enclave's own: the staging area
+        behind them is the untrusted side's to fill."""
+        def body(libc):
+            fd = self.file_with(libc, "/tmp/scatter", b"0123456789")
+            return self.scatter_read(libc, "readv", fd, (8, 8))
+
+        assert host.run(body) == (10, [b"01234567", b"89" + b"\xbb" * 6])
+
+    def test_short_recvmsg_copies_only_result(self, host):
+        def body(libc):
+            left, right = libc.rt.syscall("socketpair", 1, 1)
+            libc.write(left, b"abc!")
+            return self.scatter_read(libc, "recvmsg", right, (3, 3))
+
+        assert host.run(body) == (4, [b"abc", b"!\xbb\xbb"])
+
+    def test_full_readv_fills_every_buffer(self, host):
+        def body(libc):
+            fd = self.file_with(libc, "/tmp/full", b"0123456789abcdef")
+            return self.scatter_read(libc, "readv", fd, (8, 8))
+
+        assert host.run(body) == (16, [b"01234567", b"89abcdef"])
+
+    def test_writev_gathers_both_buffers(self, host):
+        from repro.kernel.fs import O_CREAT, O_RDWR
+
+        def body(libc):
+            fd = libc.open("/tmp/gather", O_CREAT | O_RDWR)
+            head, tail = libc.malloc(6), libc.malloc(5)
+            libc.poke(head, b"hello ")
+            libc.poke(tail, b"world")
+            wrote = libc.rt.syscall("writev", fd, [(head, 6), (tail, 5)])
+            libc.lseek(fd, 0, 0)
+            return wrote, libc.read(fd, 64)
+
+        assert host.run(body) == (11, b"hello world")
+
     def test_iago_pointer_rejected(self, host, veil):
         """If the OS returns an mmap pointer aliasing enclave memory, the
         sanitizer kills the enclave."""

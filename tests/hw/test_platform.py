@@ -111,6 +111,13 @@ class TestMachine:
         text = machine.describe()
         assert "4 cores" in text and "4096 pages" in text
 
+    @pytest.mark.parametrize("size", [0, -8 * 1024 * 1024, 4097])
+    def test_memory_size_must_be_a_positive_page_multiple(self, size):
+        with pytest.raises(SimulationError,
+                           match=rf"^memory_bytes must be a positive "
+                                 rf"multiple of 4096, got {size}$"):
+            SevSnpMachine(memory_bytes=size)
+
     def test_halt_is_terminal(self):
         machine = SevSnpMachine(memory_bytes=4 * 1024 * 1024)
         with pytest.raises(CvmHalted):

@@ -328,6 +328,42 @@ class TestCrossPageAccess:
         assert results[False] == results[True]
 
 
+#: 16 instruction bytes written 8 bytes before the seam of vpn 0x10/0x11.
+FETCH_CODE = bytes(range(16))
+FETCH_VADDR = 0x11_000 - 8
+
+
+class TestCrossPageFetch:
+    """A fetch across two executable pages: the TLB's cross-page loop
+    (on) and ``_fetch_slow`` (off) must agree."""
+
+    @staticmethod
+    def fetch_across(tlb_enabled, second_nx):
+        machine, core = machine_with_boot_core(tlb_enabled=tlb_enabled)
+        table = machine.create_page_table()
+        table.map(0x10, machine.frames.alloc(), nx=False)
+        table.map(0x11, machine.frames.alloc(), nx=second_nx)
+        core.regs.cr3 = table.root_ppn
+        core.regs.cpl = 0
+        core.write(FETCH_VADDR, FETCH_CODE)
+        before = machine.ledger.snapshot()
+        try:
+            outcome = core.fetch(FETCH_VADDR, len(FETCH_CODE))
+        except PageFault as fault:
+            outcome = (fault.vpn, fault.access)
+        charged = machine.ledger.since(before)
+        return outcome, charged.total, dict(charged.by_category)
+
+    @pytest.mark.parametrize("second_nx, outcome, cycles", [
+        (False, FETCH_CODE, 84),
+        (True, (0x11, "nx"), 82),      # both walks, page one's copy
+    ])
+    def test_both_modes_agree(self, second_nx, outcome, cycles):
+        on = self.fetch_across(True, second_nx)
+        assert on == self.fetch_across(False, second_nx)
+        assert on[:2] == (outcome, cycles)
+
+
 class TestGenerationCounters:
     def test_table_mutators_bump_generation(self):
         machine, _core = machine_with_boot_core()

@@ -4,17 +4,27 @@ import json
 
 import pytest
 
-from repro.bench.scope import run_scoped
+from repro.chaos import ChaosConfig, run_chaos_cluster
+from repro.scope import FleetScope
 from repro.scope.export import (CHAOS_TRACK, FABRIC_TRACK, REQUESTS_TRACK,
                                 dumps_merged_trace, merged_chrome_trace,
                                 render_scope_summary, scope_snapshot)
+from repro.trace import Tracer
 from repro.trace.export import validate_chrome_trace
+
+
+def observed_run(**config):
+    """One fleet run observed end to end: ``(result, tracer, scope)``."""
+    tracer, scope = Tracer(), FleetScope()
+    result = run_chaos_cluster(ChaosConfig(**config), tracer=tracer,
+                               scope=scope)
+    return result, tracer, scope
 
 
 @pytest.fixture(scope="module")
 def chaos_run():
     """One 4-replica chaos run observed end to end."""
-    return run_scoped(replicas=4, requests=32, schedule="mayhem", seed=3)
+    return observed_run(replicas=4, requests=32, profile="mayhem", seed=3)
 
 
 @pytest.fixture(scope="module")
@@ -136,8 +146,8 @@ class TestSnapshotAndSummary:
         assert "faults:" in text
 
     def test_clean_run_has_no_faults(self):
-        _result, _tracer, scope = run_scoped(
-            replicas=2, requests=8, schedule="none")
+        _result, _tracer, scope = observed_run(
+            replicas=2, requests=8, profile="none")
         assert scope.faults == []
         assert len([r for r in scope.records
                     if r.status == "ok"]) == 8

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster.fleet import KEYSPACE, request_payload
 from repro.errors import SimulationError
 from repro.surge.arrivals import (ARRIVALS, ArrivalPlan, ArrivalProfile,
                                   arrivals_by_name)
@@ -41,7 +42,7 @@ class TestSchedules:
         assert [a.index for a in arrivals] == list(range(50))
 
     def test_memcached_mix_is_90_10(self):
-        plan = ArrivalPlan(1, "poisson", requests=100, set_every=10)
+        plan = ArrivalPlan(1, "poisson", requests=100)
         klasses = [a.klass for a in plan.schedule()]
         assert klasses.count("set") == 10
         assert klasses.count("get") == 90
@@ -52,9 +53,20 @@ class TestSchedules:
         assert {a.klass for a in plan.schedule()} == {"insert"}
 
     def test_keyspace_cycles(self):
-        plan = ArrivalPlan(1, "poisson", requests=20, keyspace=4)
-        keys = {a.payload["key"] for a in plan.schedule()}
-        assert keys == {"key0", "key1", "key2", "key3"}
+        plan = ArrivalPlan(1, "poisson", requests=2 * KEYSPACE)
+        keys = [a.payload["key"] for a in plan.schedule()]
+        assert KEYSPACE == 16
+        assert keys[:KEYSPACE] == [f"key{i}" for i in range(KEYSPACE)]
+        assert keys[KEYSPACE:] == keys[:KEYSPACE]
+
+    @pytest.mark.parametrize("workload", ["memcached", "sqlite"])
+    def test_payloads_are_the_fleet_request_stream(self, workload):
+        """Open and closed loops issue the same requests."""
+        plan = ArrivalPlan(2, "bursty", requests=60, workload=workload)
+        for arrival in plan.schedule():
+            assert arrival.payload == request_payload(workload,
+                                                      arrival.index)
+            assert arrival.klass == arrival.payload["op"]
 
     def test_zero_requests_refused(self):
         with pytest.raises(SimulationError, match="requests > 0"):

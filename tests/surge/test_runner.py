@@ -68,8 +68,7 @@ class TestDegenerateConfig:
     @pytest.mark.parametrize("field, value", [
         ("load", -1.0), ("load", 0.0), ("load", float("nan")),
         ("load", float("inf")), ("admit_limit", -1), ("min_active", -1),
-        ("min_active", 3), ("requests", 0), ("replicas", 0),
-        ("concurrency", 0), ("concurrency", -1)])
+        ("min_active", 3), ("requests", 0), ("replicas", 0)])
     def test_refused(self, field, value):
         with pytest.raises(SimulationError,
                            match=rf"^{field} .*, got {value}$"):

@@ -58,6 +58,11 @@ class TestDegenerateSizes:
          "--requests", "10"],
         ["scope", "--replicas", "1", "--schedule", "byzantine",
          "--requests", "6"],
+        ["boot", "--memory-mb", "0"],
+        ["boot", "--memory-mb", "-8"],
+        ["micro", "--memory-mb", "0"],
+        ["all", "--memory-mb", "0"],
+        ["trace", "switch", "--top", "-2"],
     ], ids=" ".join)
     def test_exits_2_without_traceback(self, capsys, argv):
         with pytest.raises(SystemExit) as exited:
@@ -67,6 +72,29 @@ class TestDegenerateSizes:
         assert err.startswith("repro: error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    @pytest.mark.parametrize("argv", [
+        ["trace", "switch", "--out"],
+        ["cluster", "--out"],
+        ["scope", "--out"],
+        ["scope", "--json"],
+        ["surge", "--smoke", "--json"],
+        ["surge", "--knee", "--json"],
+    ], ids=" ".join)
+    def test_unwritable_output_refused_before_the_run(self, capsys,
+                                                      tmp_path, argv,
+                                                      target):
+        path = tmp_path if target == "directory" \
+            else tmp_path / "missing" / "out.json"
+        with pytest.raises(SystemExit) as exited:
+            main(argv + [str(path)])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"repro: error: cannot write {path}: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestCommands:

@@ -4,28 +4,30 @@ The scope is a pure observer.  Trace context rides in every fabric
 envelope *unconditionally* (the bytes are charged by the network cost
 model, so they must cost the same whether anyone is watching); turning
 the scope on only swaps the null observer for a collecting one.  These
-tests pin the contract for the clean fleet and for a chaos run: cycle
-ledgers (totals and per-category) and per-machine Chrome traces must be
-byte-identical with the scope attached or detached.  Observing must
-also stay cheap: a capped share of the drive phase's CPU time.
+tests pin the contract for the clean fleet (the ``none`` schedule) and
+for a chaos run: cycle ledgers (totals and per-category) and per-machine
+Chrome traces must be byte-identical with the scope attached or
+detached.  Observing must also stay cheap: a capped share of the
+serving loop's CPU time.
 """
 
 from repro.scope import FleetScope
 from repro.trace import Tracer, dumps_chrome_trace
 
 #: Fleet shape and cap of the observation-overhead gate: the scoped
-#: drive phase may cost at most 1.5x the bare one (+50%).
+#: serving loop may cost at most 1.5x the bare one (+50%).
 OVERHEAD_REPLICAS = 4
 OVERHEAD_REQUESTS = 120
 MAX_OVERHEAD_RATIO = 1.5
 
 
 def _cluster_run(scoped: bool) -> dict:
-    from repro.cluster import ClusterConfig, run_cluster
+    from repro.chaos import ChaosConfig, run_chaos_cluster
     tracer = Tracer()
     scope = FleetScope() if scoped else None
-    result = run_cluster(ClusterConfig(replicas=3, requests=24),
-                         tracer=tracer, scope=scope)
+    result = run_chaos_cluster(
+        ChaosConfig(profile="none", replicas=3, requests=24),
+        tracer=tracer, scope=scope).cluster
     return {
         "replica_cycles": dict(result.replica_cycles),
         "frontend_cycles": result.frontend_cycles,
@@ -102,8 +104,8 @@ def test_scoped_runs_are_reproducible():
 
 
 def test_observation_overhead_is_capped(cpu_time_ratio):
-    """Scoped drive phase costs at most 1.5x the bare one in CPU time."""
-    from repro.cluster import ClusterConfig, ClusterFleet
+    """Scoped serving loop costs at most 1.5x the bare one in CPU time."""
+    from repro.cluster import ClusterConfig, ClusterFleet, request_payload
     config = ClusterConfig(replicas=OVERHEAD_REPLICAS,
                            requests=OVERHEAD_REQUESTS)
 
@@ -112,8 +114,12 @@ def test_observation_overhead_is_capped(cpu_time_ratio):
             fleet = ClusterFleet(config, tracer=Tracer(),
                                  scope=FleetScope() if scoped else None)
             fleet.attest_all()
-            fleet.frontend.reset_schedule()
-            return lambda: fleet.drive(config.requests)
+
+            def serve():
+                for index in range(config.requests):
+                    fleet.frontend.request(
+                        request_payload(config.workload, index))
+            return serve
         return setup
 
     ratio = cpu_time_ratio(fleet_drive(True), fleet_drive(False))

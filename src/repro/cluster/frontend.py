@@ -50,9 +50,9 @@ from ..errors import AttestationError, SecurityViolation, SimulationError
 from ..hw.cycles import CLOCK_HZ, CycleLedger
 from ..scope.collector import NULL_SCOPE
 from ..scope.context import TraceContext
-from ..trace.tracer import NULL_TRACER
+from ..trace.tracer import NULL_SPAN, NULL_TRACER
 from .attest import AttestedLink
-from .net import InterHostNetwork, encode_message, try_decode
+from .net import InterHostNetwork, encode_request, try_decode
 
 if typing.TYPE_CHECKING:
     from .replica import ClusterReplica
@@ -396,11 +396,14 @@ class FrontEnd:
         """One sealed round trip to ``picked``; ``None`` on any failure."""
         link = self._links[picked]
         replica = self._replicas[picked]
-        with self.tracer.span("cluster", "route",
-                              args={"replica": picked,
-                                    "policy": self.policy.name,
-                                    "trace_id": ctx.trace_id,
-                                    "span_id": ctx.span_id}):
+        tracer = self.tracer
+        span = tracer.span("cluster", "route",
+                           args={"replica": picked,
+                                 "policy": self.policy.name,
+                                 "trace_id": ctx.trace_id,
+                                 "span_id": ctx.span_id}) \
+            if tracer.enabled else NULL_SPAN
+        with span:
             before = replica.ledger.snapshot()
             try:
                 sealed = link.data.send(body)
@@ -408,10 +411,8 @@ class FrontEnd:
                 self._note_failure(picked, f"seal failed: {refused}",
                                    ctx=ctx)
                 return None
-            self.net.send(self.name, picked, encode_message(
-                {"kind": "request", "request_id": request_id,
-                 "record_hex": sealed.hex(),
-                 "trace": ctx.as_wire()}))
+            self.net.send(self.name, picked,
+                          encode_request(request_id, sealed, ctx))
             replica.pump()
             reply = self._reply_for(request_id, picked)
             if reply is None:
@@ -472,9 +473,10 @@ class FrontEnd:
         """Success bookkeeping both request paths share."""
         self.health[name].strikes = 0
         self.routed[name] = self.routed.get(name, 0) + 1
-        self.tracer.metrics.count("cluster_route", name)
-        self.tracer.metrics.observe("service_cycles", name,
-                                    service_cycles)
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.metrics.count("cluster_route", name)
+            tracer.metrics.observe("service_cycles", name, service_cycles)
 
     # -- schedule accounting ---------------------------------------------
 

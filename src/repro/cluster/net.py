@@ -29,6 +29,7 @@ from ..trace.tracer import NULL_TRACER
 
 if typing.TYPE_CHECKING:
     from ..hw.cycles import CycleLedger
+    from ..scope.context import TraceContext
 
 
 #: Shared encoder: identical bytes to ``json.dumps`` with
@@ -50,15 +51,76 @@ def try_decode(wire: bytes) -> dict | None:
     """Decode a fabric message, or ``None`` if it is not well-formed.
 
     The fabric is untrusted: under fault injection (or a real bit-flip)
-    a message may arrive as arbitrary bytes.  Endpoints use this instead
-    of :func:`decode_message` on any receive path that must survive
+    a message may arrive as arbitrary bytes, nested deeper than the
+    parser recurses.  Endpoints use this instead of
+    :func:`decode_message` on any receive path that must survive
     garbage rather than crash the simulation.
     """
     try:
         message = json.loads(wire.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
+    except (ValueError, RecursionError):
         return None
     return message if isinstance(message, dict) else None
+
+
+# -- the two sealed-record envelopes of the request path -------------------
+#
+# Every request crosses the fabric as a front-end envelope and comes back
+# as a replica's ``ok`` envelope.  Both are written from templates: the
+# bytes :func:`encode_message` gives (sorted keys, compact separators)
+# whenever every id is an exact ``int`` (a ``bool`` would print as
+# ``true``) and the record is ASCII-alphanumeric hex.  Anything else goes
+# through :func:`encode_message`.
+
+_TRACE_FIELD = b',"trace":{"parent_id":%s,"span_id":%d,"trace_id":%d}'
+_REQUEST_FORM = b'{"kind":"request","record_hex":"%s","request_id":%d%s}'
+_REPLY_FORM = b'{"record_hex":"%s","request_id":%d,"status":"ok"%s}'
+
+
+def _trace_field(ctx: "TraceContext") -> "bytes | None":
+    """The ``,"trace":{...}`` bytes of ``ctx``, or None if an id is not
+    an exact int."""
+    trace_id, span_id, parent_id = ctx.trace_id, ctx.span_id, ctx.parent_id
+    if type(trace_id) is not int or type(span_id) is not int:
+        return None
+    if parent_id is None:
+        return _TRACE_FIELD % (b"null", span_id, trace_id)
+    if type(parent_id) is not int:
+        return None
+    return _TRACE_FIELD % (b"%d" % parent_id, span_id, trace_id)
+
+
+def encode_request(request_id: int, sealed: bytes,
+                   ctx: "TraceContext") -> bytes:
+    """The front end's envelope for one sealed request record."""
+    field = _trace_field(ctx)
+    if type(request_id) is int and field is not None:
+        return _REQUEST_FORM % (sealed.hex().encode(), request_id, field)
+    return encode_message({"kind": "request", "request_id": request_id,
+                           "record_hex": sealed.hex(),
+                           "trace": ctx.as_wire()})
+
+
+def encode_reply(reply: dict, request_id,
+                 ctx: "TraceContext | None") -> bytes:
+    """A replica's reply envelope: ``reply`` plus the echoed request id
+    and, when the request carried one, its trace context.
+
+    ``request_id`` comes off the wire unchecked, so it may be any JSON
+    value; only an ``int`` takes the template.
+    """
+    field = b"" if ctx is None else _trace_field(ctx)
+    record_hex = reply.get("record_hex")
+    if (len(reply) == 2 and reply.get("status") == "ok" and
+            type(request_id) is int and field is not None and
+            type(record_hex) is str and record_hex.isascii()):
+        record = record_hex.encode()
+        if record.isalnum():
+            return _REPLY_FORM % (record, request_id, field)
+    envelope = dict(reply, request_id=request_id)
+    if ctx is not None:
+        envelope["trace"] = ctx.as_wire()
+    return encode_message(envelope)
 
 
 @dataclass(frozen=True)
@@ -148,9 +210,11 @@ class InterHostNetwork:
         target.inbox.append((src, payload))
         self.messages += 1
         self.bytes_moved += len(payload)
-        link = f"{src}->{dst}"
-        self.tracer.metrics.count("net_msgs", link)
-        self.tracer.metrics.count("net_bytes", link, len(payload))
+        tracer = self.tracer
+        if tracer.enabled:
+            link = f"{src}->{dst}"
+            tracer.metrics.count("net_msgs", link)
+            tracer.metrics.count("net_bytes", link, len(payload))
         if self.scope.enabled:
             self.scope.on_message(src, dst, payload)
 

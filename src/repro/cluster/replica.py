@@ -32,13 +32,14 @@ from ..crypto import SecureChannel, sha256
 from ..errors import SecurityViolation
 from ..kernel.net import AF_INET, SOCK_STREAM
 from ..scope.context import TraceContext, extract_context
+from ..trace.tracer import NULL_SPAN
 from ..workloads.audit_programs import (MEMCACHED_COMPUTE_PER_OP,
                                         MEMCACHED_VALUE_BYTES)
 from ..workloads.base import NativeApi
 from ..workloads.programs import (SQLITE_COMPUTE_PER_INSERT,
                                   SQLITE_JOURNAL_BYTES, SQLITE_ROW_BYTES)
 from .attest import CHANNEL_WINDOW, derive_data_key
-from .net import InterHostNetwork, encode_message, try_decode
+from .net import InterHostNetwork, encode_message, encode_reply, try_decode
 
 if typing.TYPE_CHECKING:
     from ..trace.tracer import Tracer
@@ -269,8 +270,11 @@ class ClusterReplica:
                 self.tracer.metrics.count("replica_garbage_dropped",
                                           self.name)
                 continue
-            reply = self._dispatch(message)
-            self.net.send(self.name, src, encode_message(reply))
+            if message.get("kind") == "request":
+                reply = self._serve(message)
+            else:
+                reply = encode_message(self._dispatch(message))
+            self.net.send(self.name, src, reply)
             handled += 1
         return handled
 
@@ -299,25 +303,22 @@ class ClusterReplica:
             # Echo the chunk offset so the auditor can match retried
             # chunk replies to the request they answer.
             return dict(reply, start=start)
-        if kind == "request":
-            request_id = message.get("request_id")
-            # Propagated trace context (veil-scope): extracted and
-            # echoed regardless of observation, so reply bytes -- and
-            # with them fabric cycle charges -- never depend on whether
-            # a collector is attached.
-            ctx = extract_context(message)
-            try:
-                sealed = bytes.fromhex(message.get("record_hex", ""))
-            except ValueError:
-                reply = {"status": "error", "request_id": request_id,
-                         "reason": "malformed record"}
-            else:
-                reply = self._handle_request(sealed, ctx)
-                reply["request_id"] = request_id
-            if ctx is not None:
-                reply["trace"] = ctx.as_wire()
-            return reply
         return {"status": "error", "reason": f"unknown kind {kind!r}"}
+
+    def _serve(self, message: dict) -> bytes:
+        """The reply envelope to one sealed ``request`` envelope."""
+        # Propagated trace context (veil-scope): extracted and echoed
+        # regardless of observation, so reply bytes -- and with them
+        # fabric cycle charges -- never depend on whether a collector
+        # is attached.
+        ctx = extract_context(message)
+        try:
+            sealed = bytes.fromhex(message.get("record_hex", ""))
+        except (TypeError, ValueError):
+            reply = {"status": "error", "reason": "malformed record"}
+        else:
+            reply = self._handle_request(sealed, ctx)
+        return encode_reply(reply, message.get("request_id"), ctx)
 
     # -- the service replica --------------------------------------------
 
@@ -348,16 +349,7 @@ class ClusterReplica:
             self.tracer.metrics.count("idempotent_replay", self.name)
             result = cached
         else:
-            span_args = {"replica": self.name}
-            if ctx is not None:
-                # Link this serve span to the front end's request trace
-                # (args come off the wire, so they are identical with
-                # scope on or off).
-                span_args["trace_id"] = ctx.trace_id
-                span_args["span_id"] = ctx.span_id
-            with self.tracer.span("cluster", f"serve:{self.workload}",
-                                  vcpu=self.core.cpu_index,
-                                  args=span_args):
+            with self._serve_span(ctx):
                 if self.workload == "memcached":
                     result = self._serve_memcached(request)
                 else:
@@ -370,6 +362,21 @@ class ClusterReplica:
         response = self.data_channel.send(result)
         self.ledger.charge("crypto", cost.cipher_cost(len(response)))
         return {"status": "ok", "record_hex": response.hex()}
+
+    def _serve_span(self, ctx: "TraceContext | None"):
+        """The ``serve:<workload>`` span (nothing built with tracing off)."""
+        tracer = self.tracer
+        if not tracer.enabled:
+            return NULL_SPAN
+        span_args = {"replica": self.name}
+        if ctx is not None:
+            # Link this serve span to the front end's request trace
+            # (args come off the wire, so they are identical with scope
+            # on or off).
+            span_args["trace_id"] = ctx.trace_id
+            span_args["span_id"] = ctx.span_id
+        return tracer.span("cluster", f"serve:{self.workload}",
+                           vcpu=self.core.cpu_index, args=span_args)
 
     def _run_handler(self, body) -> dict:
         """Execute ``body(api)`` in the configured hosting mode."""

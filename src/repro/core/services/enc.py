@@ -78,7 +78,8 @@ class EnclaveRecord:
     ghcb_ppn: int = 0
     shared_ppns: tuple = ()
     measurement_hex: str = ""
-    key: bytes = b""
+    #: Key schedule of the enclave's page-swap key, built once here.
+    key: "cipher.KeySchedule | None" = None
     swapped: dict = field(default_factory=dict)     # vpn -> SwapRecord
     counter_source: itertools.count = field(
         default_factory=lambda: itertools.count(1))
@@ -198,7 +199,7 @@ class VeilSEnc(ProtectedService):
             base_vaddr=base_vaddr, num_pages=len(mapping),
             ghcb_ppn=ghcb_ppn,
             shared_ppns=tuple(p for _v, p in shared),
-            key=generate_key())
+            key=cipher.KeySchedule(generate_key()))
 
         # ---- clone the page table into protected memory ------------------
         root_ppn = self.veilmon.heap_alloc(1)[0]
@@ -416,7 +417,7 @@ class VeilSEnc(ProtectedService):
         counter = next(record.counter_source)
         nonce = cipher.nonce_from_counter(counter)
         aad = vpn.to_bytes(8, "little")
-        sealed = cipher.seal(record.key, nonce, plaintext, aad=aad)
+        sealed = record.key.seal(nonce, plaintext, aad=aad)
         self.charge(self.machine.cost.cipher_cost(len(plaintext)), "crypto")
         ciphertext, tag = sealed[:-cipher.TAG_BYTES], \
             sealed[-cipher.TAG_BYTES:]
@@ -456,8 +457,8 @@ class VeilSEnc(ProtectedService):
         aad = vpn.to_bytes(8, "little")
         # Raises SecurityViolation if the OS returned a corrupted or stale
         # page (wrong counter => wrong nonce => tag mismatch).
-        plaintext = cipher.open_sealed(record.key, nonce,
-                                       ciphertext + tag, aad=aad)
+        plaintext = record.key.open_sealed(nonce, ciphertext + tag,
+                                           aad=aad)
         self.charge(self.machine.cost.cipher_cost(len(plaintext)), "crypto")
         core.rmpadjust(ppn=new_ppn, target_vmpl=VMPL_UNT,
                        perms=Access.NONE)

@@ -52,6 +52,9 @@ class SecureChannel:
         if window < 0:
             raise ValueError("window must be >= 0")
         self.key = key
+        #: Raises ``ValueError`` here, not at first use, for a key that
+        #: is not :data:`~repro.crypto.cipher.KEY_BYTES` long.
+        self._cipher = cipher.KeySchedule(key)
         self.role = role
         self.window = window
         self._send_seq = 0
@@ -78,7 +81,7 @@ class SecureChannel:
         blob = _ENCODER.encode(payload).encode("utf-8")
         nonce = cipher.nonce_from_counter(self._send_seq)
         aad = self._direction(sending=True) + nonce
-        record = cipher.seal(self.key, nonce, blob, aad=aad)
+        record = self._cipher.seal(nonce, blob, aad=aad)
         self._send_seq += 1
         return nonce + record
 
@@ -105,7 +108,7 @@ class SecureChannel:
     def _open(self, nonce: bytes, record: bytes) -> bytes:
         """Authenticate and decrypt one record body."""
         aad = self._direction(sending=False) + nonce
-        return cipher.open_sealed(self.key, nonce, record, aad=aad)
+        return self._cipher.open_sealed(nonce, record, aad=aad)
 
     def _receive_windowed(self, nonce: bytes, record: bytes) -> dict:
         """Sliding-window acceptance: new counters within the window.

@@ -400,8 +400,13 @@ class Hypervisor:
         if exited is None:
             raise SimulationError("automatic exit with no instance")
         self.exit_log.append(f"auto:{reason}:vmpl{exited.vmpl}")
-        self.machine.tracer.metrics.count("auto_exit", reason)
-        with self.trace_span(core, exited, f"auto:{reason}"):
+        tracer = self.machine.tracer
+        if tracer.enabled:
+            tracer.metrics.count("auto_exit", reason)
+            span = self.trace_span(core, exited, f"auto:{reason}")
+        else:
+            span = NULL_SPAN
+        with span:
             if exited.vmpl != VMPL_ENC:
                 # Kernel/monitor context: re-enter and let the guest
                 # handle it.

@@ -16,12 +16,17 @@ then the sorted-key JSON of the message.  :func:`encode_frame`,
 callers move the bytes through :meth:`PhysicalMemory.read` / ``write``
 so every frame byte is charged as a copy.
 
-Two kinds of frame dominate the traffic and are encoded once at import:
-the four ``{"op": "domain_switch", "target_vmpl": v}`` requests
+Three kinds of frame dominate the traffic.  Two are encoded once at
+import: the four ``{"op": "domain_switch", "target_vmpl": v}`` requests
 (:data:`SWITCH_FRAMES`, written by :meth:`Ghcb.write_switch`) and the
 ``{"status": "ok"}`` reply (:data:`OK_FRAME`).  Decoding looks their
-payload bytes up before falling back to ``json.loads``.  The bytes in
-memory and the copy costs charged are the same as for the encoder path.
+payload bytes up before falling back to ``json.loads``.  The third is
+the VeilS-LOG append every audited syscall sends to DomSER,
+``{"_reply_to": r, "op": "log_append", "record_hex": h}``: it is
+encoded from a template, and decoding recognizes exactly that byte form
+(a decimal ``r`` without a leading zero, an ASCII-alphanumeric ``h``)
+before falling back.  The bytes in memory and the copy costs charged are
+the same as for the encoder path.
 """
 
 from __future__ import annotations
@@ -59,9 +64,57 @@ SWITCH_FRAMES = {
 _DECODED = {frame[FRAME_HEADER:]: json.loads(frame[FRAME_HEADER:])
             for frame in (OK_FRAME, *SWITCH_FRAMES.values())}
 
+#: The log-append payload around its two fields (sorted keys, the
+#: encoder's default separators).
+_APPEND_HEAD = b'{"_reply_to": '
+_APPEND_MID = b', "op": "log_append", "record_hex": "'
+_APPEND_TAIL = b'"}'
+_APPEND_FORM = _APPEND_HEAD + b"%d" + _APPEND_MID + b"%s" + _APPEND_TAIL
+#: Longer ``_reply_to`` digit strings go to ``json.loads`` (which also
+#: enforces the interpreter's integer-string limit).
+_APPEND_MAX_DIGITS = 18
+
+
+def _append_payload(message: dict) -> "bytes | None":
+    """The log-append payload bytes, or None for any other message."""
+    reply_to = message.get("_reply_to")
+    record_hex = message.get("record_hex")
+    if (len(message) != 3 or type(reply_to) is not int or
+            type(record_hex) is not str or not record_hex.isascii()):
+        return None
+    body = record_hex.encode()
+    # An ASCII-alphanumeric string needs no JSON escape, and an exact
+    # int prints as int.__repr__ does: the encoder's bytes.
+    return _APPEND_FORM % (reply_to, body) if body.isalnum() else None
+
+
+def _decode_append(payload: bytes) -> "dict | None":
+    """The message a log-append payload encodes, or None.
+
+    ``payload`` starts with :data:`_APPEND_HEAD`.  Matches only the
+    exact bytes :func:`_append_payload` writes; any other form
+    (whitespace, escapes, a leading zero, more keys) is left to
+    ``json.loads``.
+    """
+    mid = payload.find(_APPEND_MID, len(_APPEND_HEAD))
+    if mid < 0 or not payload.endswith(_APPEND_TAIL):
+        return None
+    digits = payload[len(_APPEND_HEAD):mid]
+    body = payload[mid + len(_APPEND_MID):-len(_APPEND_TAIL)]
+    if (not digits.isdigit() or len(digits) > _APPEND_MAX_DIGITS or
+            (digits[0] == 0x30 and len(digits) > 1) or
+            not body.isalnum()):
+        return None
+    return {"_reply_to": int(digits), "op": "log_append",
+            "record_hex": body.decode("ascii")}
+
 
 def encode_frame(message: dict) -> bytes:
     """The length-prefixed frame bytes for ``message``."""
+    if type(message) is dict and message.get("op") == "log_append":
+        payload = _append_payload(message)
+        if payload is not None:
+            return len(payload).to_bytes(FRAME_HEADER, "little") + payload
     # A dict equal to {"status": "ok"} encodes to exactly OK_FRAME.
     if message == _OK_MESSAGE:
         return OK_FRAME
@@ -76,14 +129,22 @@ def frame_length(header: bytes) -> int:
 def decode_payload(payload: bytes):
     """Decode a frame's payload bytes into a fresh object.
 
-    Raises :class:`ValueError` (``UnicodeDecodeError`` or
-    ``json.JSONDecodeError``) when the bytes are not UTF-8 JSON; the
-    decoded value need not be an object.
+    Raises :class:`ValueError` when the bytes are not UTF-8 JSON, or
+    nest too deeply for the parser; the decoded value need not be an
+    object.
     """
-    known = _DECODED.get(payload)
-    if known is not None:
-        return dict(known)
-    return json.loads(payload.decode("utf-8"))
+    if payload.startswith(_APPEND_HEAD):
+        message = _decode_append(payload)
+        if message is not None:
+            return message
+    else:
+        known = _DECODED.get(payload)
+        if known is not None:
+            return dict(known)
+    try:
+        return json.loads(payload.decode("utf-8"))
+    except RecursionError:
+        raise ValueError("frame payload nests too deeply") from None
 
 
 class Ghcb:

@@ -53,8 +53,17 @@ class AuditEntry:
 
     def serialize(self) -> bytes:
         """JSON-encode the record for storage."""
+        seq, cycles, pid = self.seq, self.cycles, self.pid
+        if type(seq) is int and type(cycles) is int and type(pid) is int:
+            # The outer keys are fixed, so only ``kind`` and ``detail``
+            # need the encoder; an exact int prints as the encoder does
+            # (a bool would print as ``true``, hence ``type(x) is int``).
+            return (f'{{"cycles": {cycles}, '
+                    f'"detail": {_ENCODER.encode(self.detail)}, '
+                    f'"kind": {_ENCODER.encode(self.kind)}, '
+                    f'"pid": {pid}, "seq": {seq}}}').encode("utf-8")
         return _ENCODER.encode({
-            "seq": self.seq, "cycles": self.cycles, "pid": self.pid,
+            "seq": seq, "cycles": cycles, "pid": pid,
             "kind": self.kind, "detail": self.detail,
         }).encode("utf-8")
 
@@ -160,9 +169,11 @@ class Kaudit:
                            kind="syscall",
                            detail={"syscall": name, "args": args_summary,
                                    "ret": repr(result)})
-        core.machine.tracer.instant(
-            "audit", f"append:{name}", vcpu=core.cpu_index, pid=pid,
-            args={"seq": entry.seq, "sink": self.sink.name})
+        tracer = core.machine.tracer
+        if tracer.enabled:
+            tracer.instant(
+                "audit", f"append:{name}", vcpu=core.cpu_index, pid=pid,
+                args={"seq": entry.seq, "sink": self.sink.name})
         self.sink.append(core, entry)
 
     def log_event(self, core: "VirtualCpu", kind: str, detail: dict) -> None:

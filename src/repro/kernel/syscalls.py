@@ -24,6 +24,7 @@ from collections import Counter
 from ..errors import KernelError
 from ..hw.memory import PAGE_SIZE
 from ..hw.rng import DeterministicRandom, GETRANDOM_SEED
+from ..trace import NULL_SPAN
 from . import fs as fsmod
 from . import layout, net
 from .fs import (O_CREAT, O_RDONLY, O_TRUNC, O_WRONLY, InodeType)
@@ -103,10 +104,14 @@ class SyscallTable:
         self.call_count += 1
         self.per_syscall_counts[name] += 1
         tracer = machine.tracer
-        tracer.metrics.count("syscall", name)
-        vmpl = core.instance.vmpl if core.instance is not None else -1
-        with tracer.span("syscall", name, vcpu=core.cpu_index,
-                         vmpl=vmpl, pid=proc.pid):
+        if tracer.enabled:
+            tracer.metrics.count("syscall", name)
+            vmpl = core.instance.vmpl if core.instance is not None else -1
+            span = tracer.span("syscall", name, vcpu=core.cpu_index,
+                               vmpl=vmpl, pid=proc.pid)
+        else:
+            span = NULL_SPAN
+        with span:
             machine.ledger.charge("syscall", machine.cost.syscall_entry)
             machine.ledger.charge("syscall", BASE_COSTS.get(name, 1000))
             # Execute-ahead auditing (section 6.3): the record is produced

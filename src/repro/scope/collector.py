@@ -14,7 +14,9 @@ timestamped on the fleet's virtual clock:
   :meth:`FleetScope.metrics`.
 * **Fabric hops** — one :class:`HopEvent` per message the fabric
   delivered, with the trace context peeked from the wire, so the merged
-  timeline shows every fabric crossing of a request.
+  timeline shows every fabric crossing of a request.  The collector
+  keeps each message's bytes and peeks the contexts when :attr:`hops`
+  is read, so a run whose hops nobody reads never parses them.
 * **Fault events** — one :class:`FaultEvent` per injected misbehavior
   (drop / corrupt / delay / dup from the chaotic fabric, plus anything
   a runner reports), inline on the same timeline.
@@ -110,7 +112,9 @@ class FleetScope:
     def __init__(self):
         self.metrics = MetricsRegistry()
         self.records: list[RequestRecord] = []
-        self.hops: list[HopEvent] = []
+        self._hops: list[HopEvent] = []
+        #: (ts, src, dst, payload) per delivery not yet in ``_hops``.
+        self._unread: list[tuple[int, str, str, bytes]] = []
         self.faults: list[FaultEvent] = []
         #: trace_id -> in-flight record (insertion-ordered).
         self._open: dict[int, RequestRecord] = {}
@@ -194,12 +198,21 @@ class FleetScope:
 
     def on_message(self, src: str, dst: str, payload: bytes) -> None:
         """The fabric delivered one message (called by the network)."""
-        ctx = peek_context(payload)
-        self.hops.append(HopEvent(
-            ts=self.now(), src=src, dst=dst, nbytes=len(payload),
-            trace_id=ctx.trace_id if ctx else None,
-            span_id=ctx.span_id if ctx else None))
+        self._unread.append((self.now(), src, dst, payload))
         self.metrics.count("hops", f"{src}->{dst}")
+
+    @property
+    def hops(self) -> list[HopEvent]:
+        """One :class:`HopEvent` per delivered message, in order."""
+        if self._unread:
+            for ts, src, dst, payload in self._unread:
+                ctx = peek_context(payload)
+                self._hops.append(HopEvent(
+                    ts=ts, src=src, dst=dst, nbytes=len(payload),
+                    trace_id=ctx.trace_id if ctx else None,
+                    span_id=ctx.span_id if ctx else None))
+            self._unread.clear()
+        return self._hops
 
     def on_fault(self, kind: str, subject: str, detail: str = "") -> None:
         """An injected fault struck (called by the chaotic fabric)."""

@@ -89,11 +89,12 @@ def peek_context(wire: bytes) -> "TraceContext | None":
 
     The scope layer sits *below* ``cluster`` and must not import its
     codec, so it carries its own (identical, trivial) JSON peek.
-    Garbage — corrupted frames, sealed blobs — yields ``None``.
+    Garbage — corrupted frames, sealed blobs, nesting deeper than the
+    parser recurses — yields ``None``.
     """
     try:
         message = json.loads(wire.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
+    except (ValueError, RecursionError):
         return None
     if not isinstance(message, dict):
         return None

@@ -49,9 +49,10 @@ _RANK_NAMES = {COMPLETION: "completion", ARRIVAL: "arrival",
                CONTROL: "control"}
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Event:
-    """One scheduled event.  Orders by ``(ts, rank, seq)`` only."""
+    """One scheduled event.  :class:`EventHeap` orders it by its
+    ``(ts, rank, seq)`` key; equality ignores ``fn`` too."""
 
     ts: int
     rank: int
@@ -73,7 +74,9 @@ class EventHeap:
     """
 
     def __init__(self):
-        self._heap: list[Event] = []
+        #: ``(ts, rank, seq, event)`` entries: tuples compare in C, and
+        #: ``seq`` is unique, so a comparison never reaches the event.
+        self._heap: list[tuple[int, int, int, Event]] = []
         self._pushed = 0
 
     def __len__(self) -> int:
@@ -83,20 +86,21 @@ class EventHeap:
         """Schedule ``fn`` at ``(ts, rank)``; returns the event."""
         if ts < 0:
             raise SimulationError(f"event timestamp {ts} is negative")
-        event = Event(ts=ts, rank=rank, seq=self._pushed, fn=fn)
+        seq = self._pushed
+        event = Event(ts=ts, rank=rank, seq=seq, fn=fn)
         self._pushed += 1
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (ts, rank, seq, event))
         return event
 
     def pop(self) -> Event:
         """Remove and return the earliest event."""
         if not self._heap:
             raise SimulationError("pop from an empty event heap")
-        return heapq.heappop(self._heap)
+        return heapq.heappop(self._heap)[3]
 
     def peek(self) -> Event | None:
         """The earliest event without removing it (None when empty)."""
-        return self._heap[0] if self._heap else None
+        return self._heap[0][3] if self._heap else None
 
 
 class DiscreteEventScheduler:

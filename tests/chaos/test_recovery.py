@@ -8,7 +8,8 @@ and fabric garbage never crashes an endpoint.
 
 import pytest
 
-from repro.cluster import ClusterConfig, ClusterFleet, encode_message
+from repro.cluster import (ClusterConfig, ClusterFleet, decode_message,
+                           encode_message)
 from repro.errors import SimulationError
 
 
@@ -49,6 +50,23 @@ class TestRefusedRequestIsRetryable:
         for i in range(4):
             fleet.frontend.request({"op": "get", "key": f"k{i}"})
         assert frontend.routed["replica0"] >= 1
+
+    @pytest.mark.parametrize("record", [5, None, ["00"], "zz"],
+                             ids=["int", "null", "list", "bad-hex"])
+    def test_malformed_record_draws_an_error_reply(self, record):
+        """The envelope's record is untrusted: a non-string or non-hex
+        value is refused with an error reply echoing id and context."""
+        fleet = attested_fleet()
+        net, frontend = fleet.net, fleet.frontend
+        net.send(frontend.name, "replica0", encode_message(
+            {"kind": "request", "request_id": 7, "record_hex": record,
+             "trace": {"trace_id": 7, "span_id": 1, "parent_id": 0}}))
+        assert fleet.replicas["replica0"].pump() == 1
+        _src, wire = net.recv(frontend.name)
+        assert decode_message(wire) == {
+            "status": "error", "reason": "malformed record",
+            "request_id": 7,
+            "trace": {"trace_id": 7, "span_id": 1, "parent_id": 0}}
 
     def test_fabric_garbage_is_dropped_not_fatal(self):
         fleet = attested_fleet()

@@ -1,11 +1,14 @@
 """Unit tests: the inter-host fabric model."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.cluster import (InterHostNetwork, NetCostModel, decode_message,
                            encode_message, try_decode)
+from repro.cluster.net import encode_reply, encode_request
 from repro.errors import SimulationError
 from repro.hw.cycles import CycleLedger
+from repro.scope.context import TraceContext
 
 
 @pytest.fixture
@@ -79,6 +82,69 @@ class TestTryDecode:
     def test_truncated_message_returns_none(self):
         wire = encode_message({"kind": "request"})
         assert try_decode(wire[:len(wire) // 2]) is None
+
+    def test_deep_nesting_returns_none(self):
+        # Fabric garbage nested past the parser's recursion limit.
+        assert try_decode(b"[" * 3000 + b"]" * 3000) is None
+        assert try_decode(b'{"a":' * 3000 + b"1" + b"}" * 3000) is None
+
+
+#: Ids as a context or envelope may carry them: exact ints take the
+#: templates; bools, floats, strings and None must not.
+IDS = st.one_of(st.integers(), st.integers(min_value=-5, max_value=5),
+                st.booleans(), st.none(), st.floats(allow_nan=False),
+                st.text(max_size=3))
+CONTEXTS = st.builds(TraceContext, trace_id=IDS, span_id=IDS,
+                     parent_id=IDS)
+
+
+class TestEnvelopeTemplates:
+    """The request-path envelopes equal :func:`encode_message` byte for
+    byte, whatever the ids are."""
+
+    @given(IDS, st.binary(max_size=120), CONTEXTS)
+    def test_request_envelope(self, request_id, sealed, ctx):
+        assert encode_request(request_id, sealed, ctx) == encode_message(
+            {"kind": "request", "request_id": request_id,
+             "record_hex": sealed.hex(), "trace": ctx.as_wire()})
+
+    @given(st.one_of(
+        st.binary(max_size=120).map(
+            lambda b: {"status": "ok", "record_hex": b.hex()}),
+        st.fixed_dictionaries({"status": st.sampled_from(["ok", "error"]),
+                               "record_hex": st.text(max_size=6)}),
+        st.fixed_dictionaries({"status": st.just("error"),
+                               "reason": st.text(max_size=6)}),
+        st.fixed_dictionaries({"status": st.just("ok"),
+                               "record_hex": st.just("00"),
+                               "extra": IDS})),
+        IDS, st.none() | CONTEXTS)
+    def test_reply_envelope(self, reply, request_id, ctx):
+        expected = dict(reply, request_id=request_id)
+        if ctx is not None:
+            expected["trace"] = ctx.as_wire()
+        assert encode_reply(reply, request_id, ctx) == \
+            encode_message(expected)
+
+    @pytest.mark.parametrize("request_id, ctx", [
+        (True, TraceContext(1, 1, 0)), (5, TraceContext(True, 1, 0)),
+        (5, TraceContext(1, False, 0)), (5, TraceContext(1, 1, True)),
+        (5, TraceContext(1, 1, 1.0)), (5.0, TraceContext(1, 1, None))],
+        ids=["bool-id", "bool-trace", "bool-span", "bool-parent",
+             "float-parent", "float-id"])
+    def test_non_int_ids_take_the_encoder(self, request_id, ctx):
+        assert encode_request(request_id, b"\x01", ctx) == encode_message(
+            {"kind": "request", "request_id": request_id,
+             "record_hex": "01", "trace": ctx.as_wire()})
+        assert encode_reply({"status": "ok", "record_hex": "01"},
+                            request_id, ctx) == encode_message(
+            {"status": "ok", "record_hex": "01", "request_id": request_id,
+             "trace": ctx.as_wire()})
+
+    def test_reply_leaves_the_reply_dict_alone(self):
+        reply = {"status": "error", "reason": "x"}
+        encode_reply(reply, "7", TraceContext(1, 2, 0))
+        assert reply == {"status": "error", "reason": "x"}
 
 
 class TestCostAccounting:

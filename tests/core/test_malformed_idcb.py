@@ -18,6 +18,8 @@ PAYLOADS = {
     "non-object": b'["op", "ping"]',
     "bad-reply-to": b'{"_reply_to": "x", "op": "ping"}',
     "infinite-reply-to": b'{"_reply_to": Infinity, "op": "ping"}',
+    # Nested past the JSON parser's recursion limit.
+    "deep-nesting": b"[" * 3000 + b"]" * 3000,
 }
 
 

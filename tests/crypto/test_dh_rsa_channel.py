@@ -126,6 +126,15 @@ class TestSecureChannel:
         with pytest.raises(ValueError):
             SecureChannel(generate_key(), role="middlebox")
 
+    @pytest.mark.parametrize("role", ["initiator", "responder"])
+    @pytest.mark.parametrize("key", [b"short-key", b"k" * 33, b""],
+                             ids=["short", "long", "empty"])
+    def test_wrong_key_length_refused_at_construction(self, role, key):
+        # Not later, at first use, where a receive would report the bad
+        # key as a forged record.
+        with pytest.raises(ValueError, match="bad key length"):
+            SecureChannel(key, role=role)
+
 
 class TestWindowedChannel:
     """The DTLS-style sliding-window mode the fleet links opt into."""

@@ -1,16 +1,21 @@
-"""Equivalence tests for the attestation crypto fast paths.
+"""Equivalence tests for the crypto fast paths.
 
 RSA signs through the CRT, and DH raises the generator (and a recurring
 peer value) through a fixed-base table; each must produce exactly the
-bytes of the textbook ``pow``.
+bytes of the textbook ``pow``.  The cipher's HMAC runs from a key
+schedule with its pad states precomputed; it must produce exactly the
+bytes of ``hmac``.
 """
 
+import hashlib
+import hmac
 import random
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
-from repro.crypto import DhKeyPair, dh
+from repro.crypto import DhKeyPair, cipher, dh
 from repro.crypto.rsa import RsaKeyPair, _digest_padded, generate_keypair
 from repro.errors import SecurityViolation
 
@@ -117,3 +122,39 @@ class TestSharedKeyTable:
         for bad in (1, dh.MODP_2048_P - 1):
             with pytest.raises(ValueError):
                 user.shared_key(bad, dh.FixedBase(bad))
+
+
+class TestKeySchedule:
+    @given(st.binary(min_size=32, max_size=32), st.binary(max_size=300))
+    def test_mac_equals_hmac(self, key, message):
+        assert cipher.KeySchedule(key).mac(message) == \
+            hmac.new(key, message, hashlib.sha256).digest()
+
+    @given(st.binary(min_size=32, max_size=32),
+           st.binary(min_size=16, max_size=16), st.binary(max_size=200),
+           st.binary(max_size=24))
+    def test_schedule_reuse_equals_a_fresh_key(self, key, nonce, data,
+                                               aad):
+        """One schedule, used many times, gives every call's bytes."""
+        schedule = cipher.KeySchedule(key)
+        for _ in range(2):
+            assert schedule.seal(nonce, data, aad) == \
+                cipher.seal(key, nonce, data, aad)
+            assert schedule.stream_xor(nonce, data) == \
+                cipher.stream_xor(key, nonce, data)
+        assert schedule.open_sealed(nonce, schedule.seal(nonce, data, aad),
+                                    aad) == data
+
+    @pytest.mark.parametrize("key", [b"", b"k" * 31, b"k" * 33, b"k" * 64])
+    def test_wrong_key_length_refused(self, key):
+        with pytest.raises(ValueError, match="bad key length"):
+            cipher.KeySchedule(key)
+
+    def test_no_one_shot_hmac_left(self, monkeypatch):
+        """Sealing and opening run on the schedule, not hmac.digest."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("hmac.digest called")
+        monkeypatch.setattr(hmac, "digest", refuse)
+        key, nonce = b"\x11" * 32, cipher.nonce_from_counter(1)
+        sealed = cipher.seal(key, nonce, b"x" * 100, b"aad")
+        assert cipher.open_sealed(key, nonce, sealed, b"aad") == b"x" * 100

@@ -162,6 +162,17 @@ class TestSanitizerThroughEnclave:
 
         assert host.run(body) == (11, b"hello world")
 
+    def test_sendmsg_gathers_both_buffers(self, host):
+        def body(libc):
+            left, right = libc.rt.syscall("socketpair", 1, 1)
+            head, tail = libc.malloc(6), libc.malloc(5)
+            libc.poke(head, b"hello ")
+            libc.poke(tail, b"world")
+            sent = libc.rt.syscall("sendmsg", left, [(head, 6), (tail, 5)])
+            return sent, libc.read(right, 64)
+
+        assert host.run(body) == (11, b"hello world")
+
     def test_iago_pointer_rejected(self, host, veil):
         """If the OS returns an mmap pointer aliasing enclave memory, the
         sanitizer kills the enclave."""

@@ -223,6 +223,20 @@ class TestMalformedGhcbMessage:
         assert machine.halted
         assert machine.halt_reason.startswith("malformed GHCB message")
 
+    @pytest.mark.parametrize("payload", [
+        b"[" * 1500 + b"]" * 1500,
+        b'{"op": "domain_switch", "target_vmpl": ' + b"[" * 1500 +
+        b"]" * 1500 + b"}",
+    ], ids=["nested-list", "nested-field"])
+    def test_deeply_nested_message_halts(self, payload):
+        # Nesting past the JSON parser's recursion limit is one more
+        # malformed message, not a RecursionError out of the exit path.
+        machine, core, ghcb = switch_ready()
+        machine.memory.write(ghcb.gpa, raw_frame(payload))
+        with pytest.raises(CvmHalted):
+            core.vmgexit()
+        assert machine.halt_reason.startswith("malformed GHCB message")
+
     def test_malformed_field_of_other_op_halts(self):
         machine, hv, core = launched()
         ghcb = armed_ghcb(machine, core)

@@ -140,6 +140,102 @@ class TestFrameCodec:
     def test_frame_length_reads_the_little_endian_header(self):
         assert frame_length(OK_FRAME[:4]) == len(OK_FRAME) - 4
 
+    def test_deep_nesting_is_a_value_error(self):
+        # The parser recurses per level; the codec's callers catch only
+        # ValueError, so exhausting the recursion must not escape.
+        for payload in (b"[" * 3000 + b"]" * 3000, b'{"a":' * 3000):
+            with pytest.raises(ValueError):
+                decode_payload(payload)
+
+
+def append_message(reply_to, record_hex):
+    """The dict ``MonitorGateway.call_service`` writes for a log append."""
+    return {"op": "log_append", "record_hex": record_hex,
+            "_reply_to": reply_to}
+
+
+def json_or_error(payload):
+    """``json.loads`` of a payload, or the ValueError type it raised."""
+    try:
+        return json.loads(payload.decode("utf-8"))
+    except ValueError:
+        return ValueError
+
+
+def codec_or_error(payload):
+    try:
+        return decode_payload(payload)
+    except ValueError:
+        return ValueError
+
+
+APPEND = encoder_frame(append_message(3, "00ff"))[4:]
+
+
+class TestLogAppendFrame:
+    """The VeilS-LOG append frame is written from a template and read by
+    a recognizer; both must agree with the generic codec byte for byte."""
+
+    @given(st.one_of(st.integers(), st.booleans(), st.none()),
+           st.one_of(st.text(), st.text(alphabet="0123456789abcdefABCDEF"),
+                     st.text(st.characters(max_codepoint=127)),
+                     st.binary().map(bytes.hex), st.integers()))
+    def test_encode_equals_the_encoder(self, reply_to, record_hex):
+        message = append_message(reply_to, record_hex)
+        assert encode_frame(message) == encoder_frame(message)
+
+    @pytest.mark.parametrize("record_hex", [
+        'a"b', "a\\b", "a b", "a\x7f", "a\x00", "é", ""])
+    def test_records_needing_escapes_take_the_encoder(self, record_hex):
+        message = append_message(3, record_hex)
+        assert encode_frame(message) == encoder_frame(message)
+
+    @given(st.integers(min_value=-10**6, max_value=10**20),
+           st.binary(max_size=600).map(bytes.hex))
+    def test_decode_equals_json_loads(self, reply_to, record_hex):
+        payload = encoder_frame(append_message(reply_to, record_hex))[4:]
+        decoded = decode_payload(payload)
+        assert decoded == json.loads(payload)
+        assert list(decoded) == ["_reply_to", "op", "record_hex"]
+
+    @given(st.binary(max_size=80), st.binary(max_size=8))
+    def test_any_bytes_after_the_head_match_json_loads(self, body, tail):
+        head = b'{"_reply_to": '
+        for payload in (head + body, head + body + b'"}',
+                        APPEND[:20] + body + APPEND[20:] + tail):
+            assert codec_or_error(payload) == json_or_error(payload)
+
+    def test_extra_key_takes_the_encoder_path(self):
+        message = dict(append_message(3, "00"), extra=1)
+        assert encode_frame(message) == encoder_frame(message)
+
+    @pytest.mark.parametrize("payload", [
+        APPEND,
+        APPEND.replace(b": 3,", b": 03,"),           # leading zero
+        APPEND.replace(b": 3,", b": 0,"),
+        APPEND.replace(b": 3,", b": -3,"),
+        APPEND.replace(b": 3,", b": 3.0,"),
+        APPEND.replace(b": 3,", b": 1" + b"9" * 30 + b","),
+        APPEND.replace(b"00ff", b"\\u0061ff"),     # JSON escape
+        APPEND.replace(b"00ff", b"00FF"),            # uppercase hex
+        APPEND.replace(b"00ff", b""),                # empty record
+        APPEND.replace(b"00ff", b"00 ff"),
+        APPEND.replace(b"00ff", "00\u00e9".encode()),  # non-ASCII
+        APPEND + b"x",                               # trailing bytes
+        APPEND + b" ",
+        APPEND[:-1],
+        APPEND.replace(b'"_reply_to": 3, ', b""),    # no _reply_to
+        APPEND.replace(b"log_append", b"log_appenD"),
+        APPEND.replace(b", ", b","),
+    ])
+    def test_near_misses_match_json_loads(self, payload):
+        assert codec_or_error(payload) == json_or_error(payload)
+
+    def test_recognized_frames_are_fresh(self):
+        first = decode_payload(APPEND)
+        first["record_hex"] = "changed"
+        assert decode_payload(APPEND)["record_hex"] == "00ff"
+
 
 class TestRegisterFile:
     def test_has_all_gprs(self):

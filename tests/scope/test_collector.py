@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.scope.collector import NULL_SCOPE, FleetScope, NullScope
-from repro.scope.context import TRACE_KEY, TraceContext
+from repro.scope.context import TRACE_KEY, TraceContext, peek_context
 
 
 class FakeClock:
@@ -133,6 +133,32 @@ class TestHopsAndFaults:
         (hop,) = scope.hops
         assert hop.trace_id is None
         assert scope.metrics.counters["hops/frontend->replica0"] == 1
+
+    def test_hops_are_peeked_when_read(self, scope, monkeypatch):
+        """Delivery keeps the bytes; reading ``hops`` parses each message
+        once, and later deliveries append in order."""
+        from repro.scope import collector
+        peeked = []
+
+        def counting_peek(payload):
+            peeked.append(payload)
+            return peek_context(payload)
+        monkeypatch.setattr(collector, "peek_context", counting_peek)
+        clock = scope_clock(scope)
+        for ts, trace_id in ((1, 4), (2, 5)):
+            clock.total = ts
+            scope.on_message("frontend", "replica0",
+                             wire(TraceContext(trace_id=trace_id)))
+        assert peeked == []
+        assert scope.metrics.counters["hops/frontend->replica0"] == 2
+        assert [(h.ts, h.trace_id) for h in scope.hops] == [(1, 4), (2, 5)]
+        assert [(h.ts, h.trace_id) for h in scope.hops] == [(1, 4), (2, 5)]
+        assert len(peeked) == 2
+        clock.total = 3
+        scope.on_message("replica0", "frontend", b"garbage")
+        assert [(h.ts, h.trace_id) for h in scope.hops] == [
+            (1, 4), (2, 5), (3, None)]
+        assert len(peeked) == 3
 
     def test_on_fault_records_timeline_event(self, scope):
         clock = scope_clock(scope)

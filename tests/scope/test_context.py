@@ -91,3 +91,8 @@ class TestPeek:
     ])
     def test_peek_never_raises_on_garbage(self, garbage):
         assert peek_context(garbage) is None
+
+    def test_peek_survives_deep_nesting(self):
+        # Nested past the JSON parser's recursion limit.
+        assert peek_context(b"[" * 3000 + b"]" * 3000) is None
+        assert peek_context(b'{"trace":' * 3000) is None

@@ -40,6 +40,22 @@ class TestEventOrdering:
         heap.push(1, ARRIVAL, object())
         assert heap.pop().seq < heap.pop().seq
 
+    def test_heap_orders_keys_not_events(self, monkeypatch):
+        """Entries are ``(ts, rank, seq, event)`` tuples: ordering never
+        calls an :class:`Event` comparison, and push/pop/peek hand back
+        the very objects pushed."""
+        def refuse(self, other):
+            raise AssertionError("Event compared")
+        monkeypatch.setattr(Event, "__lt__", refuse)
+        heap = EventHeap()
+        pushed = [heap.push(ts, rank, lambda: None)
+                  for ts, rank in ((5, ARRIVAL), (5, COMPLETION), (1, CONTROL),
+                                   (5, COMPLETION), (3, ARRIVAL))]
+        assert heap.peek() is pushed[2]
+        popped = [heap.pop() for _ in pushed]
+        assert [pushed.index(event) for event in popped] == [2, 4, 1, 3, 0]
+        assert all(isinstance(event, Event) for event in popped)
+
     def test_kind_names_the_rank(self):
         assert Event(ts=0, rank=COMPLETION, seq=0,
                      fn=lambda: None).kind == "completion"

@@ -131,6 +131,22 @@ class TestTracingOff:
         assert system.gateway.call_monitor(core, {
             "op": "ping", "payload": 1}) == {"status": "ok", "echo": 1}
 
+    def test_fleet_request_path_builds_no_span_or_metric(self):
+        """A sealed fleet request (route, fabric hops, serve, two audited
+        syscalls with their VeilS-LOG round trips) records nothing."""
+        from repro.cluster import ClusterConfig, ClusterFleet, \
+            request_payload
+        fleet = ClusterFleet(ClusterConfig(replicas=2, requests=4))
+        fleet.attest_all()
+        refusing = RefusingTracer()
+        fleet.frontend.tracer = fleet.net.tracer = refusing
+        for replica in fleet.replicas.values():
+            replica.system.machine.tracer = refusing
+        for index in range(4):
+            reply = fleet.frontend.request(
+                request_payload("memcached", index))
+            assert reply["status"] == "ok"
+
 
 class TestExitLog:
     def test_bounded_with_compat_queries(self):

@@ -40,10 +40,21 @@ from .errors import SimulationError
 from .hw.cycles import cycles_to_seconds
 
 
+def _boot_sized(memory_mb: int, boot):
+    """Run ``boot()``; a guest too small for Veil's boot footprint
+    (about 6 MiB) is refused as a size, not a traceback."""
+    try:
+        return boot()
+    except MemoryError as short:
+        raise SimulationError(
+            f"--memory-mb {memory_mb} is too small to boot ({short})"
+        ) from None
+
+
 def _cmd_boot(args) -> None:
     config = VeilConfig(memory_bytes=args.memory_mb * 1024 * 1024,
                         num_cores=args.cores)
-    system = boot_veil_system(config)
+    system = _boot_sized(args.memory_mb, lambda: boot_veil_system(config))
     print(system.machine.describe())
     print(f"services: {', '.join(sorted(system.veilmon.services))}")
     print(f"protected pages: {len(system.veilmon.protected_ppns)}")
@@ -58,8 +69,8 @@ def _cmd_boot(args) -> None:
 
 
 def _cmd_micro(args) -> None:
-    print(render_boot(run_micro_boot(
-        memory_bytes=args.memory_mb * 1024 * 1024, runs=1)))
+    print(render_boot(_boot_sized(args.memory_mb, lambda: run_micro_boot(
+        memory_bytes=args.memory_mb * 1024 * 1024, runs=1))))
     print()
     print(render_switch(run_micro_switch(args.switches)))
     print()
@@ -166,9 +177,9 @@ def _cmd_trace(args) -> None:
     _tracer, system = run_trace_workload_system(args.workload,
                                                tracer=tracer)
     # Export before publishing the TLB counters: the Chrome trace embeds
-    # the metrics registry, and exported traces must stay byte-identical
-    # whether the software TLB is on or off (a tested invariant).  The
-    # text summary below then gets the counters.
+    # the metrics registry, and the exported trace holds model state only
+    # (the `trace syscalls --out` golden digest pins it).  The text
+    # summary below then gets the counters.
     if args.out:
         write_chrome_trace(tracer, args.out)
     system.machine.publish_tlb_metrics(tracer.metrics)

@@ -63,11 +63,6 @@ class VeilConfig:
     #: of the booted system.  ``None`` leaves tracing disabled (the
     #: no-op tracer); tracing charges no cycles either way.
     tracer: object = None
-    #: Software TLB + RMP verdict cache (veil-turbo).  ``None`` defers to
-    #: the ``VEIL_TLB`` environment variable (on unless ``VEIL_TLB=0``);
-    #: ``True``/``False`` force it.  Either way cycle totals and traces
-    #: are identical -- the cache only changes wall-clock time.
-    tlb: bool | None = None
 
 
 def build_boot_image(config: VeilConfig, *,
@@ -148,8 +143,7 @@ def boot_veil_system(config: VeilConfig | None = None) -> VeilSystem:
     config = config or VeilConfig()
     machine = SevSnpMachine(memory_bytes=config.memory_bytes,
                             num_cores=config.num_cores,
-                            cost=config.cost, tracer=config.tracer,
-                            tlb_enabled=config.tlb)
+                            cost=config.cost, tracer=config.tracer)
     hv = Hypervisor(machine)
     trusted_key = module_signing_key()
     boot_image = build_boot_image(
@@ -216,8 +210,7 @@ def boot_native_system(config: VeilConfig | None = None) -> NativeSystem:
     config = config or VeilConfig()
     machine = SevSnpMachine(memory_bytes=config.memory_bytes,
                             num_cores=config.num_cores,
-                            cost=config.cost, tracer=config.tracer,
-                            tlb_enabled=config.tlb)
+                            cost=config.cost, tracer=config.tracer)
     hv = Hypervisor(machine)
     boot_image = b"NATIVE-CVM-BOOT-IMAGE-v1"
     boot_vmsa = hv.launch(boot_image)

@@ -1,4 +1,4 @@
-"""Guest page tables and virtual-address translation.
+"""Guest page tables: the CPL-level half of every access check.
 
 Guest page tables express the CPL-level policy (present / writable / user /
 no-execute); the RMP expresses the VMPL-level policy.  A memory access must
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from ..errors import KernelError
 from .cycles import CostModel, CycleLedger
-from .memory import PAGE_SIZE, PAGE_SHIFT
 
 
 @dataclass
@@ -164,26 +163,3 @@ class GuestPageTable:
         # veil-lint: allow(rmp-mutation-generation) -- same fresh-table argument as above
         new._windows = list(self._windows)
         return new
-
-    # -- translation -------------------------------------------------------
-
-    def translate(self, vaddr: int, *, write: bool, execute: bool,
-                  cpl: int) -> int:
-        """Translate a virtual address, enforcing CPL-level page flags.
-
-        Returns the physical address.  Raises :class:`PageFault` for
-        OS-resolvable conditions (non-present) and for permission misses.
-        """
-        self.ledger.charge("page_table_walk", self.cost.page_table_walk)
-        vpn = vaddr >> PAGE_SHIFT
-        pte = self._lookup(vpn)
-        if pte is None:
-            raise PageFault(vpn, "write" if write else
-                            "execute" if execute else "read")
-        if write and not pte.writable:
-            raise PageFault(vpn, "write-protected")
-        if cpl == 3 and not pte.user:
-            raise PageFault(vpn, "supervisor-only")
-        if execute and pte.nx:
-            raise PageFault(vpn, "nx")
-        return (pte.ppn << PAGE_SHIFT) | (vaddr & (PAGE_SIZE - 1))

@@ -8,7 +8,6 @@ violations occur.
 
 from __future__ import annotations
 
-import os
 import typing
 
 from ..errors import CvmHalted, SimulationError
@@ -94,7 +93,7 @@ class SevSnpMachine:
 
     def __init__(self, *, memory_bytes: int = 64 * 1024 * 1024,
                  num_cores: int = 4, cost: CostModel | None = None,
-                 tracer=None, tlb_enabled: bool | None = None):
+                 tracer=None):
         if num_cores < 1:
             raise SimulationError(
                 f"num_cores must be at least 1, got {num_cores}")
@@ -103,13 +102,6 @@ class SevSnpMachine:
                 f"memory_bytes must be a positive multiple of "
                 f"{PAGE_SIZE}, got {memory_bytes}")
         self.cost = cost or CostModel()
-        # veil-turbo: per-core software TLB + RMP permission cache.  On by
-        # default; ``VEIL_TLB=0`` in the environment (or an explicit
-        # ``tlb_enabled=False``) disables it.  Semantics-preserving either
-        # way: cycle totals and traces are byte-identical across modes.
-        if tlb_enabled is None:
-            tlb_enabled = os.environ.get("VEIL_TLB", "1") != "0"
-        self.tlb_enabled = bool(tlb_enabled)
         self.ledger = CycleLedger()
         # Observability: an explicit tracer wins, then the process-wide
         # default (benchmark fixture), then the no-op tracer.  Tracing
@@ -191,8 +183,8 @@ class SevSnpMachine:
         """Aggregate software-TLB counters over every core.
 
         Keys match :class:`repro.hw.tlb.TlbStats` (``hits``, ``misses``,
-        ``rmp_hits``, ``rmp_misses``, ``flushes``, ...); all zero when
-        the cache is disabled.
+        ``rmp_hits``, ``rmp_misses``, ``flushes``, ...); all zero until
+        a core has touched memory.
         """
         totals: dict[str, int] = {}
         for core in self.cores:
@@ -205,8 +197,7 @@ class SevSnpMachine:
 
         Defaults to this machine's tracer registry.  Call *after* any
         Chrome-trace export: the exported file embeds the metrics dump,
-        and the determinism contract requires exports to be
-        byte-identical with the cache on or off.
+        and the exported trace holds model state only.
         """
         if metrics is None:
             metrics = self.tracer.metrics

@@ -1,11 +1,10 @@
 """veil-turbo: per-VCPU software TLB and RMP permission cache.
 
-Every simulated guest access used to run a full page-table walk
-(:meth:`~repro.hw.pagetable.GuestPageTable.translate`) and a per-page
-:meth:`~repro.hw.rmp.Rmp.check_access`.  Real SNP hardware caches both in
-the TLB; the paper's section 9 overheads assume cached translations, so
-re-deriving them per access is pure simulator wall-clock overhead.  This
-module caches both verdicts:
+Every simulated guest access used to run a full page-table walk and a
+per-page :meth:`~repro.hw.rmp.Rmp.check_access`.  Real SNP hardware
+caches both in the TLB; the paper's section 9 overheads assume cached
+translations, so re-deriving them per access is pure simulator
+wall-clock overhead.  This module caches both verdicts:
 
 * **Translation cache** -- per page-table root (a PCID-style tagged TLB):
   ``root_ppn -> {vpn -> Pte}``.  Hits return the cached effective entry;
@@ -43,10 +42,12 @@ access compares against.
 The cache is *semantics-preserving by construction*: the VCPU access path
 charges the same ledger categories with the same amounts whether it hits
 or misses, failures are never cached, and the cache emits no trace
-events -- cycle totals and exported Chrome traces are byte-identical with
-``VEIL_TLB=0`` and ``VEIL_TLB=1`` (a tested invariant).  Observability is
-counter-only: :meth:`SoftTlb.publish` folds the hit/miss/flush counters
-into a :class:`~repro.trace.MetricsRegistry` at end of run.
+events, so cycle totals and traces never depend on what it holds.
+``tests/hw/test_snp_reference.py`` checks every verdict and charge
+against an independent, cache-free model of the SNP rules.
+Observability is counter-only: :meth:`SoftTlb.publish` folds the
+hit/miss/flush counters into a :class:`~repro.trace.MetricsRegistry` at
+end of run.
 
 Known limitation, shared with real hardware: the caches track the
 *gated* mutators.  Code that holds a mutable :class:`~repro.hw.rmp.RmpEntry`
@@ -68,9 +69,8 @@ if typing.TYPE_CHECKING:
 class TlbStats:
     """Plain-integer counters for one :class:`SoftTlb`.
 
-    Deliberately not trace events: the determinism contract requires the
-    event stream to be identical with the cache on or off, so the cache
-    only counts.
+    Deliberately not trace events: the exported trace holds model state
+    only, so the cache only counts.
     """
 
     __slots__ = ("hits", "misses", "rmp_hits", "rmp_misses", "flushes",
@@ -126,11 +126,10 @@ class SoftTlb:
     flush rules, and the counters.
     """
 
-    __slots__ = ("enabled", "views", "rmp_allow", "rmp_generation", "stats",
+    __slots__ = ("views", "rmp_allow", "rmp_generation", "stats",
                  "cur_root", "cur_view", "cur_ptver")
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         #: ``root_ppn -> TlbView`` (the PCID-style tag is the root).
         self.views: dict[int, TlbView] = {}
         #: Cached *allow* verdicts, as packed integer keys
@@ -176,9 +175,8 @@ class SoftTlb:
     def publish(self, metrics) -> None:
         """Fold the counters into a metrics registry under ``tlb/...``.
 
-        Zero counters are skipped so a disabled cache contributes nothing
-        and metrics dumps stay byte-identical across ``VEIL_TLB`` modes
-        when the cache never ran.
+        Zero counters are skipped, so a core that never touched memory
+        adds nothing to the metrics dump.
         """
         for name, value in self.stats.as_dict().items():
             if value:

@@ -55,10 +55,10 @@ class VirtualCpu:
         self.instance: Vmsa | None = None
         self.regs: RegisterFile = RegisterFile()
         #: Per-core software TLB + RMP permission cache (veil-turbo).
-        self.tlb = SoftTlb(machine.tlb_enabled)
+        self.tlb = SoftTlb()
         # Pre-resolved ledger handles and costs for the access fast path.
-        # Handles charge exactly what CycleLedger.charge would, so cycle
-        # totals are independent of the cache being on or off.
+        # Handles charge exactly what CycleLedger.charge would, on a hit
+        # and on a miss alike.
         self._h_walk = machine.ledger.handle("page_table_walk")
         self._h_copy = machine.ledger.handle("copy")
         self._walk_cost = machine.cost.page_table_walk
@@ -130,56 +130,30 @@ class VirtualCpu:
         flush costs are charged where the architecture charges them
         (``unmap``/``protect``/``wbinvd``).
         """
-        if self.tlb.enabled:
-            self.tlb.flush()
+        self.tlb.flush()
 
     # -- memory access ------------------------------------------------------
 
-    def _translate(self, vaddr: int, *, write: bool, execute: bool) -> int:
-        """Uncached full-address translation (kept for callers that want a
-        physical address; the checked access paths below translate per
-        virtual page)."""
-        table = self.machine.page_table_for_root(self.regs.cr3)
-        return table.translate(vaddr, write=write, execute=execute,
-                               cpl=self.regs.cpl)
-
     def _translate_vpn(self, vpn: int, write: bool, execute: bool) -> int:
-        """Translate one virtual page, enforcing CPL policy; returns the
-        physical page number.
+        """Translate one virtual page through the TLB, enforcing CPL
+        policy; returns the physical page number.
 
-        With the software TLB enabled this is the cached walk.  It is
-        cycle-for-cycle identical to the uncached
-        :meth:`~repro.hw.pagetable.GuestPageTable.translate`: the same
-        walk cost is charged before any fault can raise, CPL policy is
-        re-evaluated per access from the cached flags, the same
-        :class:`PageFault` kinds are raised in the same order, and failed
+        The walk cost is charged before any fault can raise, hit or miss.
+        CPL policy is re-evaluated per access from the cached flags, the
+        :class:`PageFault` kinds are checked in the walk's order (not
+        present, write-protected, supervisor-only, nx), and failed
         lookups are never cached.
         """
-        machine = self.machine
-        tlb = self.tlb
-        if not tlb.enabled:
-            paddr = machine.page_table_for_root(self.regs.cr3).translate(
-                vpn << PAGE_SHIFT, write=write, execute=execute,
-                cpl=self.regs.cpl)
-            return paddr >> PAGE_SHIFT
-        root = self.regs.cr3
-        table = machine._page_tables.get(root)
-        if table is None:
-            raise SimulationError(f"no page table rooted at {root:#x}")
-        view = tlb.views.get(root)
-        if (view is None or view.table is not table
-                or view.generation != table.generation):
-            view = tlb.view_for(root, table)
+        stats = self.tlb.stats
+        view = self._refresh_view(self.regs.cr3)
         pte = view.entries.get(vpn)
         if pte is None:
-            tlb.stats.misses += 1
-            pte = table.entry(vpn)
+            stats.misses += 1
+            pte = view.table.entry(vpn)
             if pte is not None:
                 view.entries[vpn] = pte
         else:
-            tlb.stats.hits += 1
-        # Same walk charge as the uncached translate, hit or miss, so
-        # cycle totals are independent of the cache.
+            stats.hits += 1
         self._h_walk.charge(self._walk_cost)
         if pte is None:
             raise PageFault(vpn, "write" if write else
@@ -202,26 +176,16 @@ class VirtualCpu:
         cycles, so caching it is ledger-neutral); the cache is dropped
         whenever the RMP generation moved.
         """
-        machine = self.machine
         vmpl = self.vmpl
         tlb = self.tlb
-        if tlb.enabled:
-            rmp = machine.rmp
-            if tlb.rmp_generation != rmp.generation:
-                tlb.invalidate_rmp(rmp.generation)
-            key = (ppn << 6) | (vmpl << 4) | access.value
-            if key in tlb.rmp_allow:
-                tlb.stats.rmp_hits += 1
-                return
-            self._rmp_fill(ppn, vmpl, access, key)
+        rmp = self.machine.rmp
+        if tlb.rmp_generation != rmp.generation:
+            tlb.invalidate_rmp(rmp.generation)
+        key = (ppn << 6) | (vmpl << 4) | access.value
+        if key in tlb.rmp_allow:
+            tlb.stats.rmp_hits += 1
             return
-        try:
-            machine.rmp.check_access(ppn=ppn, vmpl=vmpl, access=access)
-        except NestedPageFault as fault:
-            machine.tracer.instant(
-                "hw", "NPF", vcpu=self.cpu_index, vmpl=vmpl,
-                args={"ppn": ppn, "access": access.name})
-            machine.halt(f"continuous #NPF: {fault}", cause=fault)
+        self._rmp_fill(ppn, vmpl, access, key)
 
     def _rmp_fill(self, ppn: int, vmpl: int, access: Access,
                   key: int) -> None:
@@ -268,17 +232,35 @@ class VirtualCpu:
         for ppn in pages_spanned(paddr, length):
             self._rmp_check_page(ppn, access)
 
+    def _degenerate_access(self, vaddr: int, length: int, write: bool,
+                           execute: bool) -> bytes:
+        """The accesses the fast paths below do not take.
+
+        A negative length raises ``ValueError`` and charges nothing.  A
+        zero length walks the first page (its page faults still raise),
+        charges a zero copy and returns ``b""``.  With no running
+        instance the walk is charged, then ``SimulationError``: there is
+        no VMPL to check the RMP at.
+        """
+        if length < 0:
+            raise ValueError("negative length")
+        self._translate_vpn(vaddr >> PAGE_SHIFT, write, execute)
+        if length:
+            raise SimulationError("VCPU is not running any instance")
+        self._h_copy.charge(0)
+        return b""
+
     # The three access methods below each have an inlined fast path: one
     # per-call validity check (RMP generation, current-root view), then a
     # per-page loop of plain dict/set operations with every attribute
     # pre-bound to a local.  The duplication across read/write/fetch is
     # deliberate -- this is the simulator's hottest loop, and factoring
     # the body into helpers costs ~2x wall-clock (measured; Python call
-    # overhead dominates).  The slow twins (`_read_slow` etc.) keep the
-    # seed-identical uncached path and handle the edge cases; both paths
-    # charge the same ledger categories with the same amounts at the same
-    # points, which is what keeps cycle totals and traces byte-identical
-    # across VEIL_TLB modes (a tested invariant).
+    # overhead dominates).  A hit and a miss charge the same ledger
+    # categories with the same amounts at the same points, so cycle
+    # totals never depend on what the cache holds.  Every verdict and
+    # charge is checked against a cache-free model of the SNP rules in
+    # tests/hw/test_snp_reference.py.
 
     def read(self, vaddr: int, length: int) -> bytes:
         """Read guest-virtual memory with full protection checks.
@@ -286,10 +268,10 @@ class VirtualCpu:
         Translates *every* spanned virtual page and gathers -- virtually
         contiguous pages need not be physically contiguous.
         """
-        tlb = self.tlb
         instance = self.instance
-        if not tlb.enabled or length <= 0 or instance is None:
-            return self._read_slow(vaddr, length)
+        if length <= 0 or instance is None:
+            return self._degenerate_access(vaddr, length, False, False)
+        tlb = self.tlb
         machine = self.machine
         # Per-call validity: nothing inside a single access can move the
         # RMP or page-table generations, so check once, not per page.
@@ -389,50 +371,18 @@ class VirtualCpu:
             charge_copy(copy_acc)
         return bytes(out)
 
-    def _read_slow(self, vaddr: int, length: int) -> bytes:
-        """Uncached / edge-case read path (seed-identical semantics)."""
-        if length <= 0:
-            if length < 0:
-                raise ValueError("negative length")
-            self._translate_vpn(vaddr >> PAGE_SHIFT, False, False)
-            self._h_copy.charge(0)
-            return b""
-        memory = self.machine.memory
-        offset = vaddr & _OFFSET_MASK
-        if offset + length <= PAGE_SIZE:
-            ppn = self._translate_vpn(vaddr >> PAGE_SHIFT, False, False)
-            self._rmp_check_page(ppn, Access.READ)
-            self._h_copy.charge(length * self._copy_x1000 // 1000)
-            return memory.page_bytes(ppn, offset, length)
-        # Aggregate the per-page copy charges (see `read`).
-        out = bytearray(length)
-        pos = 0
-        copy_acc = 0
-        try:
-            while pos < length:
-                cur = vaddr + pos
-                off = cur & _OFFSET_MASK
-                chunk = min(length - pos, PAGE_SIZE - off)
-                ppn = self._translate_vpn(cur >> PAGE_SHIFT, False, False)
-                self._rmp_check_page(ppn, Access.READ)
-                copy_acc += chunk * self._copy_x1000 // 1000
-                out[pos:pos + chunk] = memory.page_bytes(ppn, off, chunk)
-                pos += chunk
-        finally:
-            self._h_copy.charge(copy_acc)
-        return bytes(out)
-
     def write(self, vaddr: int, data: bytes) -> None:
         """Write guest-virtual memory with full protection checks.
 
         Scatter counterpart of :meth:`read`: translates and checks per
         spanned virtual page.
         """
-        tlb = self.tlb
         instance = self.instance
         length = len(data)
-        if not tlb.enabled or length == 0 or instance is None:
-            return self._write_slow(vaddr, data)
+        if length == 0 or instance is None:
+            self._degenerate_access(vaddr, length, True, False)
+            return
+        tlb = self.tlb
         machine = self.machine
         rmp = machine.rmp
         if tlb.rmp_generation != rmp.generation:
@@ -531,44 +481,12 @@ class VirtualCpu:
             charge_walk(walk_acc)
             charge_copy(copy_acc)
 
-    def _write_slow(self, vaddr: int, data: bytes) -> None:
-        """Uncached / edge-case write path (seed-identical semantics)."""
-        length = len(data)
-        if length == 0:
-            self._translate_vpn(vaddr >> PAGE_SHIFT, True, False)
-            self._h_copy.charge(0)
-            return
-        memory = self.machine.memory
-        offset = vaddr & _OFFSET_MASK
-        if offset + length <= PAGE_SIZE:
-            ppn = self._translate_vpn(vaddr >> PAGE_SHIFT, True, False)
-            self._rmp_check_page(ppn, Access.WRITE)
-            self._h_copy.charge(length * self._copy_x1000 // 1000)
-            memory.page_write(ppn, offset, data)
-            return
-        # Aggregate the per-page copy charges (see `read`).
-        view = memoryview(data)
-        pos = 0
-        copy_acc = 0
-        try:
-            while pos < length:
-                cur = vaddr + pos
-                off = cur & _OFFSET_MASK
-                chunk = min(length - pos, PAGE_SIZE - off)
-                ppn = self._translate_vpn(cur >> PAGE_SHIFT, True, False)
-                self._rmp_check_page(ppn, Access.WRITE)
-                copy_acc += chunk * self._copy_x1000 // 1000
-                memory.page_write(ppn, off, view[pos:pos + chunk])
-                pos += chunk
-        finally:
-            self._h_copy.charge(copy_acc)
-
     def fetch(self, vaddr: int, length: int = 16) -> bytes:
         """Instruction fetch: checks UEXEC/SEXEC per current CPL."""
-        tlb = self.tlb
         instance = self.instance
-        if not tlb.enabled or length <= 0 or instance is None:
-            return self._fetch_slow(vaddr, length)
+        if length <= 0 or instance is None:
+            return self._degenerate_access(vaddr, length, False, True)
+        tlb = self.tlb
         machine = self.machine
         rmp = machine.rmp
         if tlb.rmp_generation != rmp.generation:
@@ -667,40 +585,6 @@ class VirtualCpu:
         finally:
             charge_walk(walk_acc)
             charge_copy(copy_acc)
-        return bytes(out)
-
-    def _fetch_slow(self, vaddr: int, length: int) -> bytes:
-        """Uncached / edge-case fetch path (seed-identical semantics)."""
-        access = Access.SEXEC if self.regs.cpl == 0 else Access.UEXEC
-        if length <= 0:
-            if length < 0:
-                raise ValueError("negative length")
-            self._translate_vpn(vaddr >> PAGE_SHIFT, False, True)
-            self._h_copy.charge(0)
-            return b""
-        memory = self.machine.memory
-        offset = vaddr & _OFFSET_MASK
-        if offset + length <= PAGE_SIZE:
-            ppn = self._translate_vpn(vaddr >> PAGE_SHIFT, False, True)
-            self._rmp_check_page(ppn, access)
-            self._h_copy.charge(length * self._copy_x1000 // 1000)
-            return memory.page_bytes(ppn, offset, length)
-        # Aggregate the per-page copy charges (see `read`).
-        out = bytearray(length)
-        pos = 0
-        copy_acc = 0
-        try:
-            while pos < length:
-                cur = vaddr + pos
-                off = cur & _OFFSET_MASK
-                chunk = min(length - pos, PAGE_SIZE - off)
-                ppn = self._translate_vpn(cur >> PAGE_SHIFT, False, True)
-                self._rmp_check_page(ppn, access)
-                copy_acc += chunk * self._copy_x1000 // 1000
-                out[pos:pos + chunk] = memory.page_bytes(ppn, off, chunk)
-                pos += chunk
-        finally:
-            self._h_copy.charge(copy_acc)
         return bytes(out)
 
     # -- physical access (used only by VMPL-0 software, which owns all

@@ -177,8 +177,8 @@ def render_summary(tracer: Tracer, top: int = 10) -> str:
             lines.append(f"  {pair:<28} {switches[pair]:>8,}")
 
     # Software-TLB counters (veil-turbo), present when the machine
-    # published them after the run (the CLI does this post-export so the
-    # Chrome trace stays identical across VEIL_TLB modes).
+    # published them after the run (the CLI does this post-export: the
+    # exported trace holds model state only).
     tlb = tracer.metrics.counters_named("tlb")
     if tlb:
         lines.append("")

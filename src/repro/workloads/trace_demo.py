@@ -106,9 +106,9 @@ def run_trace_workload_system(name: str, *, tracer: Tracer | None = None
     """Like :func:`run_trace_workload` but also return the booted system.
 
     The CLI uses the system handle to publish TLB counters *after* the
-    Chrome trace export (the export embeds the metrics registry, and the
-    cache counters must not leak into it -- exported traces are
-    byte-identical across ``VEIL_TLB`` modes, a tested invariant).
+    Chrome trace export: the export embeds the metrics registry, and the
+    exported trace holds model state only, so the cache counters must not
+    leak into it (the ``trace syscalls --out`` golden digest pins this).
     """
     try:
         runner, _desc = TRACE_WORKLOADS[name]

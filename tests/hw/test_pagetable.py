@@ -1,9 +1,15 @@
-"""Unit tests: guest page tables, translation, linear windows."""
+"""Unit tests: guest page tables, translation, linear windows.
+
+Mapping and window cases read the effective entry; CPL-policy cases
+walk the table with a checked access on a running core.
+"""
 
 import pytest
 
+from repro.hw import SevSnpMachine
 from repro.hw.cycles import CycleLedger, free_cost_model
 from repro.hw.pagetable import GuestPageTable, LinearWindow, PageFault
+from repro.hw.vmsa import RegisterFile, Vmsa
 
 
 def make_table() -> GuestPageTable:
@@ -11,54 +17,67 @@ def make_table() -> GuestPageTable:
                           ledger=CycleLedger())
 
 
+def core_on(table: GuestPageTable, cpl: int = 0):
+    """A VMPL-0 core of a 4 MiB machine with every page accepted,
+    walking ``table`` at ``cpl``."""
+    machine = SevSnpMachine(memory_bytes=4 * 1024 * 1024, num_cores=1)
+    machine.rmp.bulk_assign_validate(machine.num_pages)
+    machine.register_page_table(table)
+    core = machine.core(0)
+    core.hw_enter(Vmsa(vcpu_id=0, vmpl=0, ppn=1,
+                       regs=RegisterFile(cr3=table.root_ppn, cpl=cpl)))
+    return core
+
+
 class TestMapping:
     def test_translate_mapped_page(self):
         table = make_table()
         table.map(0x10, 0x99)
-        assert table.translate(0x10_000 + 0x123, write=False,
-                               execute=False, cpl=0) == \
-            (0x99 << 12) | 0x123
+        assert table.entry(0x10).ppn == 0x99
+        assert core_on(table).read(0x10_000 + 0x123, 4) == bytes(4)
 
     def test_unmapped_raises_pagefault(self):
         table = make_table()
-        with pytest.raises(PageFault):
-            table.translate(0x5000, write=False, execute=False, cpl=0)
+        assert table.entry(5) is None
+        with pytest.raises(PageFault, match="vpn=0x5 access=read"):
+            core_on(table).read(0x5000, 1)
 
     def test_unmap_removes_translation(self):
         table = make_table()
         table.map(5, 7)
         table.unmap(5)
-        with pytest.raises(PageFault):
-            table.translate(5 << 12, write=False, execute=False, cpl=0)
+        assert table.entry(5) is None
 
     def test_write_protection(self):
         table = make_table()
         table.map(5, 7, writable=False)
-        table.translate(5 << 12, write=False, execute=False, cpl=0)
-        with pytest.raises(PageFault):
-            table.translate(5 << 12, write=True, execute=False, cpl=0)
+        core = core_on(table)
+        core.read(5 << 12, 1)
+        with pytest.raises(PageFault, match="access=write-protected"):
+            core.write(5 << 12, b"x")
 
     def test_user_bit_blocks_cpl3(self):
         table = make_table()
         table.map(5, 7, user=False)
-        table.translate(5 << 12, write=False, execute=False, cpl=0)
-        with pytest.raises(PageFault):
-            table.translate(5 << 12, write=False, execute=False, cpl=3)
+        core_on(table).read(5 << 12, 1)
+        with pytest.raises(PageFault, match="access=supervisor-only"):
+            core_on(table, cpl=3).read(5 << 12, 1)
 
     def test_nx_blocks_execute(self):
         table = make_table()
         table.map(5, 7, nx=True)
-        with pytest.raises(PageFault):
-            table.translate(5 << 12, write=False, execute=True, cpl=0)
+        with pytest.raises(PageFault, match="access=nx"):
+            core_on(table).fetch(5 << 12)
         table.map(6, 8, nx=False)
-        table.translate(6 << 12, write=False, execute=True, cpl=0)
+        core_on(table).fetch(6 << 12)
 
     def test_protect_updates_flags(self):
         table = make_table()
         table.map(5, 7, writable=True)
         table.protect(5, writable=False)
-        with pytest.raises(PageFault):
-            table.translate(5 << 12, write=True, execute=False, cpl=0)
+        assert not table.entry(5).writable
+        with pytest.raises(PageFault, match="access=write-protected"):
+            core_on(table).write(5 << 12, b"x")
 
     def test_protect_unmapped_raises(self):
         with pytest.raises(PageFault):
@@ -73,42 +92,39 @@ class TestLinearWindows:
     def test_window_translation(self):
         table = make_table()
         table.add_window(self.window())
-        paddr = table.translate((0x1003 << 12) + 5, write=True,
-                                execute=False, cpl=0)
-        assert paddr == (0x203 << 12) + 5
+        pte = table.entry(0x1003)
+        assert pte.ppn == 0x203
+        assert pte.writable and not pte.user and pte.nx
 
     def test_window_bounds(self):
         table = make_table()
         table.add_window(self.window())
-        with pytest.raises(PageFault):
-            table.translate(0x1010 << 12, write=False, execute=False,
-                            cpl=0)
+        assert table.entry(0x100F).ppn == 0x20F
+        assert table.entry(0x1010) is None
+        assert table.entry(0x0FFF) is None
 
     def test_explicit_entry_overrides_window(self):
         table = make_table()
         table.add_window(self.window())
         table.map(0x1003, 0x99)
-        paddr = table.translate(0x1003 << 12, write=False, execute=False,
-                                cpl=0)
-        assert paddr == 0x99 << 12
+        assert table.entry(0x1003).ppn == 0x99
 
     def test_unmap_overrides_window(self):
         table = make_table()
         table.add_window(self.window())
         table.unmap(0x1003)
-        with pytest.raises(PageFault):
-            table.translate(0x1003 << 12, write=False, execute=False,
-                            cpl=0)
+        assert table.entry(0x1003) is None
+        assert table.entry(0x1004).ppn == 0x204
 
     def test_protect_materializes_window_entry(self):
         table = make_table()
         table.add_window(self.window())
         table.protect(0x1003, writable=False)
-        with pytest.raises(PageFault):
-            table.translate(0x1003 << 12, write=True, execute=False,
-                            cpl=0)
+        core = core_on(table)
+        with pytest.raises(PageFault, match="access=write-protected"):
+            core.write(0x1003 << 12, b"x")
         # Other window pages remain writable.
-        table.translate(0x1004 << 12, write=True, execute=False, cpl=0)
+        core.write(0x1004 << 12, b"x")
 
 
 class TestClone:
@@ -120,8 +136,7 @@ class TestClone:
         clone = table.clone(0x50)
         assert clone.root_ppn == 0x50
         assert clone.entry(5).ppn == 7
-        assert clone.translate(0x1001 << 12, write=True, execute=False,
-                               cpl=0) == 0x201 << 12
+        assert clone.entry(0x1001).ppn == 0x201
 
     def test_clone_is_independent(self):
         table = make_table()

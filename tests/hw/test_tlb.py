@@ -18,9 +18,8 @@ from repro.hv import Hypervisor
 from repro.kernel.layout import direct_map_vaddr
 
 
-def machine_with_boot_core(tlb_enabled=True):
-    machine = SevSnpMachine(memory_bytes=8 * 1024 * 1024, num_cores=2,
-                            tlb_enabled=tlb_enabled)
+def machine_with_boot_core():
+    machine = SevSnpMachine(memory_bytes=8 * 1024 * 1024, num_cores=2)
     hv = Hypervisor(machine)
     vmsa = hv.launch(b"test-image")
     core = machine.core(0)
@@ -63,24 +62,6 @@ class TestCachedHits:
         assert stats.hits > 0
         assert stats.rmp_hits > 0
         assert stats.hit_rate > 0.5
-
-    def test_disabled_tlb_never_counts(self):
-        machine, core = machine_with_boot_core(tlb_enabled=False)
-        mapped_frame(machine, core)
-        core.write(0x10_000, b"cold")
-        for _ in range(8):
-            assert core.read(0x10_000, 4) == b"cold"
-        stats = core.tlb.stats
-        assert stats.hits == stats.misses == 0
-        assert stats.rmp_hits == stats.rmp_misses == 0
-
-    def test_veil_tlb_env_disables(self, monkeypatch):
-        monkeypatch.setenv("VEIL_TLB", "0")
-        machine = SevSnpMachine(memory_bytes=4 * 1024 * 1024)
-        assert machine.tlb_enabled is False
-        monkeypatch.setenv("VEIL_TLB", "1")
-        machine = SevSnpMachine(memory_bytes=4 * 1024 * 1024)
-        assert machine.tlb_enabled is True
 
 
 class TestRmpInvalidation:
@@ -308,24 +289,27 @@ class TestCrossPageAccess:
         assert machine.memory.read(page_base(frame_b),
                                    0x100) == payload[0x100:0x200]
 
-    def test_cross_page_parity_with_tlb_off(self):
-        results = {}
-        for enabled in (False, True):
-            machine, core = machine_with_boot_core(tlb_enabled=enabled)
-            table = machine.create_page_table()
-            frame_a = machine.frames.alloc()
-            _gap = machine.frames.alloc()
-            frame_b = machine.frames.alloc()
-            table.map(0x10, frame_a)
-            table.map(0x11, frame_b)
-            core.regs.cr3 = table.root_ppn
-            core.regs.cpl = 0
-            before = machine.ledger.total
-            payload = b"z" * 5000
-            core.write(0x10_800, payload)
-            data = core.read(0x10_800, 5000)
-            results[enabled] = (data, machine.ledger.total - before)
-        assert results[False] == results[True]
+    def test_cross_page_write_read_pinned(self):
+        # 2048 + 2952 bytes over two non-adjacent frames: two walks of 40
+        # and copies of 512 + 738 cycles, each way.
+        machine, core = machine_with_boot_core()
+        table = machine.create_page_table()
+        frame_a = machine.frames.alloc()
+        _gap = machine.frames.alloc()
+        frame_b = machine.frames.alloc()
+        table.map(0x10, frame_a)
+        table.map(0x11, frame_b)
+        core.regs.cr3 = table.root_ppn
+        core.regs.cpl = 0
+        payload = bytes(range(250)) * 20
+        for access in (lambda: core.write(0x10_800, payload),
+                       lambda: core.read(0x10_800, len(payload))):
+            before = machine.ledger.snapshot()
+            result = access()
+            charged = machine.ledger.since(before)
+            assert charged.by_category == {"page_table_walk": 80,
+                                           "copy": 1250}
+        assert result == payload
 
 
 #: 16 instruction bytes written 8 bytes before the seam of vpn 0x10/0x11.
@@ -334,12 +318,11 @@ FETCH_VADDR = 0x11_000 - 8
 
 
 class TestCrossPageFetch:
-    """A fetch across two executable pages: the TLB's cross-page loop
-    (on) and ``_fetch_slow`` (off) must agree."""
+    """A fetch across two pages runs the fast path's cross-page loop."""
 
     @staticmethod
-    def fetch_across(tlb_enabled, second_nx):
-        machine, core = machine_with_boot_core(tlb_enabled=tlb_enabled)
+    def fetch_across(second_nx):
+        machine, core = machine_with_boot_core()
         table = machine.create_page_table()
         table.map(0x10, machine.frames.alloc(), nx=False)
         table.map(0x11, machine.frames.alloc(), nx=second_nx)
@@ -351,17 +334,14 @@ class TestCrossPageFetch:
             outcome = core.fetch(FETCH_VADDR, len(FETCH_CODE))
         except PageFault as fault:
             outcome = (fault.vpn, fault.access)
-        charged = machine.ledger.since(before)
-        return outcome, charged.total, dict(charged.by_category)
+        return outcome, machine.ledger.since(before).total
 
     @pytest.mark.parametrize("second_nx, outcome, cycles", [
         (False, FETCH_CODE, 84),
         (True, (0x11, "nx"), 82),      # both walks, page one's copy
-    ])
-    def test_both_modes_agree(self, second_nx, outcome, cycles):
-        on = self.fetch_across(True, second_nx)
-        assert on == self.fetch_across(False, second_nx)
-        assert on[:2] == (outcome, cycles)
+    ], ids=["executable", "second-page-nx"])
+    def test_pinned_outcome(self, second_nx, outcome, cycles):
+        assert self.fetch_across(second_nx) == (outcome, cycles)
 
 
 class TestGenerationCounters:

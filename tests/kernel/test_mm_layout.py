@@ -58,16 +58,20 @@ class TestMemoryManager:
 
     def test_kernel_space_has_direct_map(self, mm):
         table = mm.new_kernel_space()
-        paddr = table.translate(layout.direct_map_vaddr(0x5000),
-                                write=True, execute=False, cpl=0)
-        assert paddr == 0x5000
+        pte = table.entry(layout.vpn(layout.direct_map_vaddr(0x5000)))
+        assert pte.ppn == 5 and pte.writable
 
     def test_direct_map_not_user_accessible(self, mm):
         from repro.hw.pagetable import PageFault
+        from repro.hw.vmsa import RegisterFile, Vmsa
         table = mm.new_kernel_space()
-        with pytest.raises(PageFault):
-            table.translate(layout.direct_map_vaddr(0x5000), write=False,
-                            execute=False, cpl=3)
+        assert not table.entry(
+            layout.vpn(layout.direct_map_vaddr(0x5000))).user
+        core = mm.machine.core(0)
+        core.hw_enter(Vmsa(vcpu_id=0, vmpl=0, ppn=1,
+                           regs=RegisterFile(cr3=table.root_ppn, cpl=3)))
+        with pytest.raises(PageFault, match="access=supervisor-only"):
+            core.read(layout.direct_map_vaddr(0x5000), 1)
 
     def test_map_region_rejects_unaligned(self, mm):
         table = mm.new_kernel_space()
@@ -76,18 +80,17 @@ class TestMemoryManager:
                           nx=True)
 
     def test_map_unmap_region_roundtrip(self, mm):
-        from repro.hw.pagetable import PageFault
         table = mm.new_kernel_space()
         ppns = mm.alloc_frames(3)
         mm.map_region(table, 0x40_0000, ppns, writable=True, user=True,
                       nx=True)
         for index in range(3):
-            assert table.translate(0x40_0000 + index * 4096, write=True,
-                                   execute=False, cpl=3) == \
-                ppns[index] * 4096
+            pte = table.entry(layout.vpn(0x40_0000) + index)
+            assert pte.ppn == ppns[index]
+            assert pte.writable and pte.user and pte.nx
         mm.unmap_region(table, 0x40_0000, 3)
-        with pytest.raises(PageFault):
-            table.translate(0x40_0000, write=False, execute=False, cpl=3)
+        for index in range(3):
+            assert table.entry(layout.vpn(0x40_0000) + index) is None
 
     def test_pvalidate_hook_injection(self, mm):
         calls = []

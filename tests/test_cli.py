@@ -62,6 +62,10 @@ class TestDegenerateSizes:
         ["boot", "--memory-mb", "-8"],
         ["micro", "--memory-mb", "0"],
         ["all", "--memory-mb", "0"],
+        ["boot", "--memory-mb", "4"],
+        ["boot", "--memory-mb", "5"],
+        ["micro", "--memory-mb", "4"],
+        ["all", "--memory-mb", "4"],
         ["trace", "switch", "--top", "-2"],
     ], ids=" ".join)
     def test_exits_2_without_traceback(self, capsys, argv):
@@ -180,6 +184,6 @@ class TestCommands:
         main(["trace", "syscalls", "--out", str(out_path)])
         out = capsys.readouterr().out
         assert "software TLB" in out
-        # The counters are summary-only: the exported Chrome trace must
-        # not embed them (it stays identical across VEIL_TLB modes).
+        # The counters are summary-only: the exported Chrome trace holds
+        # model state only, so it must not embed them.
         assert "tlb/" not in out_path.read_text()

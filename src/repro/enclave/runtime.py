@@ -20,10 +20,11 @@ from __future__ import annotations
 import typing
 
 from ..errors import SdkError, SecurityViolation
-from ..hw.ghcb import Ghcb
+from ..hw.ghcb import Ghcb, ghcb_view
 from ..hw.memory import PAGE_SIZE, page_base
 from ..hw.pagetable import PageFault
 from ..hw.rmp import VMPL_ENC, VMPL_SER, VMPL_UNT
+from ..trace import NULL_SPAN
 from .allocator import EnclaveHeap
 from .sanitizer import SyscallSanitizer
 
@@ -47,6 +48,11 @@ class EnclaveRuntime:
         record = system.enc.enclaves[setup.enclave_id]
         self.vcpu_id = vcpu_id if vcpu_id is not None else record.vcpu_id
         self.core: "VirtualCpu" = system.machine.cores[self.vcpu_id]
+        # vcpu_id -> (Vmsa, ghcb_ppn); VeilS-ENC adds threads in place.
+        self._threads: dict = record.threads
+        # The hypervisor's (vcpu, VMPL) -> scheduled-VMSA table.
+        self._vmsas: dict = system.hv.vmsas
+        self._taint_tag = f"enclave-{setup.enclave_id}"
         self.proc = setup.proc
         self.sanitizer = SyscallSanitizer(self)
         self.inside = False
@@ -71,20 +77,19 @@ class EnclaveRuntime:
     @property
     def thread_ghcb_ppn(self) -> int:
         """This thread's per-VCPU user-mapped GHCB (section 6.2)."""
-        record = self.system.enc.enclaves[self.setup.enclave_id]
-        thread = record.threads.get(self.vcpu_id)
+        thread = self._threads.get(self.vcpu_id)
         if thread is None:
             return self.setup.ghcb_ppn
         return thread[1]
 
     def _user_ghcb(self) -> Ghcb:
-        return Ghcb(self.thread_ghcb_ppn)
+        return ghcb_view(self.thread_ghcb_ppn)
 
-    def _arm_ghcb(self) -> None:
+    def _arm_ghcb(self, ghcb_ppn: int) -> None:
         """OS-side step: point the live GHCB MSR at the user GHCB before
         resuming the enclave (the kernel does this at schedule time)."""
         with self.kernel.kernel_context(self.core) as core:
-            core.wrmsr_ghcb(page_base(self.thread_ghcb_ppn))
+            core.wrmsr_ghcb(page_base(ghcb_ppn))
 
     def enter(self) -> None:
         """Transition DomUNT -> DomENC."""
@@ -92,30 +97,30 @@ class EnclaveRuntime:
             raise SdkError("enclave was killed")
         if self.inside:
             raise SdkError("already inside the enclave")
-        with self.tracer.span("enclave", "enter", vcpu=self.vcpu_id,
-                              vmpl=VMPL_UNT, pid=self.proc.pid,
-                              args={"enclave_id": self.setup.enclave_id}):
+        tracer = self.tracer
+        span = tracer.span("enclave", "enter", vcpu=self.vcpu_id,
+                           vmpl=VMPL_UNT, pid=self.proc.pid,
+                           args={"enclave_id": self.setup.enclave_id}) \
+            if tracer.enabled else NULL_SPAN
+        with span:
             # The OS scheduler re-registers the thread's VMSA whenever a
             # different DomENC instance last ran on this core (several
             # enclaves multiplex one core's VMPL-2 slot).
-            record = self.system.enc.enclaves[self.setup.enclave_id]
-            my_vmsa = record.threads[self.vcpu_id][0]
-            scheduled = self.system.hv.vmsas.get((self.vcpu_id, VMPL_ENC))
-            if scheduled is not my_vmsa:
+            my_vmsa, ghcb_ppn = self._threads[self.vcpu_id]
+            if self._vmsas.get((self.vcpu_id, VMPL_ENC)) is not my_vmsa:
                 self.system.integration.schedule_enclave(
                     self.core, self.setup.enclave_id,
-                    vcpu_id=self.vcpu_id, ghcb_ppn=self.thread_ghcb_ppn)
+                    vcpu_id=self.vcpu_id, ghcb_ppn=ghcb_ppn)
             else:
-                self._arm_ghcb()
-            ghcb = self._user_ghcb()
-            ghcb.write_switch(self.machine.memory, VMPL_ENC)
+                self._arm_ghcb(ghcb_ppn)
+            ghcb_view(ghcb_ppn).write_switch(self.machine.memory, VMPL_ENC)
             self.core.vmgexit()
         self.inside = True
         self.setup.active_runtime = self
         self.enclave_exits += 1
         # Enclave execution leaves a per-core microarchitectural
         # footprint an attacker could probe after exit (section 10).
-        self.core.taint_microarch(f"enclave-{self.setup.enclave_id}")
+        self.core.taint_microarch(self._taint_tag)
         if self.setup.heap is None:
             self._init_heap()
 
@@ -123,9 +128,12 @@ class EnclaveRuntime:
         """Transition DomENC -> DomUNT (the costly enclave exit)."""
         if not self.inside:
             return
-        with self.tracer.span("enclave", "exit", vcpu=self.vcpu_id,
-                              vmpl=VMPL_ENC, pid=self.proc.pid,
-                              args={"enclave_id": self.setup.enclave_id}):
+        tracer = self.tracer
+        span = tracer.span("enclave", "exit", vcpu=self.vcpu_id,
+                           vmpl=VMPL_ENC, pid=self.proc.pid,
+                           args={"enclave_id": self.setup.enclave_id}) \
+            if tracer.enabled else NULL_SPAN
+        with span:
             if self.flush_on_exit and not self._flushing:
                 # Route through VeilS-ENC so privileged WBINVD scrubs
                 # this core's cache/TLB footprint before untrusted code
@@ -137,8 +145,7 @@ class EnclaveRuntime:
                         "enclave_id": self.setup.enclave_id})
                 finally:
                     self._flushing = False
-            ghcb = self._user_ghcb()
-            ghcb.write_switch(self.machine.memory, VMPL_UNT)
+            self._user_ghcb().write_switch(self.machine.memory, VMPL_UNT)
             self.core.vmgexit()
         self.inside = False
 
@@ -198,11 +205,12 @@ class EnclaveRuntime:
         self.enter()
         self.fault_swapins += 1
 
-    def address_in_enclave(self, addr: int) -> bool:
-        """Whether an address falls in the enclave window (IAGO check)."""
-        end = (self.setup.base_vaddr +
-               self.setup.binary.total_pages * PAGE_SIZE)
-        return self.setup.base_vaddr <= addr < end
+    def address_in_enclave(self, addr: int, length: int = 1) -> bool:
+        """Whether ``[addr, addr + length)`` overlaps the enclave window
+        (IAGO check)."""
+        base = self.setup.base_vaddr
+        end = base + self.setup.binary.total_pages * PAGE_SIZE
+        return addr < end and base < addr + length
 
     # ------------------------------------------------------------------
     # Shared staging region (ocall buffers)
@@ -280,19 +288,22 @@ class EnclaveRuntime:
 
     def syscall(self, name: str, *args):
         """Redirect a syscall to the untrusted application."""
-        self._require_inside()
+        if not self.inside:
+            raise SdkError("enclave memory access from outside")
         if self.killed:
             raise SdkError("enclave was killed")
-        self.staging_reset()
-        with self.tracer.span("enclave", f"redirect:{name}",
-                              vcpu=self.vcpu_id, vmpl=VMPL_ENC,
-                              pid=self.proc.pid):
+        self._staging_cursor = 0
+        tracer = self.tracer
+        span = tracer.span("enclave", f"redirect:{name}",
+                           vcpu=self.vcpu_id, vmpl=VMPL_ENC,
+                           pid=self.proc.pid) \
+            if tracer.enabled else NULL_SPAN
+        with span:
             try:
                 marshalled = self.sanitizer.marshal(name, args)
             except SdkError:
                 self._kill()
                 raise
-            before_exits = self.core.exit_count
             self.exit_to_untrusted()
             try:
                 result = self.kernel.syscall(self.core, self.proc, name,
@@ -337,10 +348,13 @@ class EnclaveRuntime:
         if not queued:
             return []
         self._require_inside()
-        with self.tracer.span("enclave", "batch_flush",
-                              vcpu=self.vcpu_id, vmpl=VMPL_ENC,
-                              pid=self.proc.pid,
-                              args={"calls": len(queued)}):
+        tracer = self.tracer
+        span = tracer.span("enclave", "batch_flush",
+                           vcpu=self.vcpu_id, vmpl=VMPL_ENC,
+                           pid=self.proc.pid,
+                           args={"calls": len(queued)}) \
+            if tracer.enabled else NULL_SPAN
+        with span:
             self.exit_to_untrusted()
             results = []
             try:
@@ -390,13 +404,15 @@ class EnclaveRuntime:
         assert record.idcb is not None
         request = dict(request)
         request["_reply_to"] = VMPL_ENC
-        with self.tracer.span("enclave", f"service:{request.get('op')}",
-                              vcpu=self.vcpu_id, vmpl=VMPL_ENC,
-                              pid=self.proc.pid,
-                              args={"enclave_id": self.setup.enclave_id}):
+        tracer = self.tracer
+        span = tracer.span("enclave", f"service:{request.get('op')}",
+                           vcpu=self.vcpu_id, vmpl=VMPL_ENC,
+                           pid=self.proc.pid,
+                           args={"enclave_id": self.setup.enclave_id}) \
+            if tracer.enabled else NULL_SPAN
+        with span:
             record.idcb.write_request(self.machine.memory, request)
-            ghcb = self._user_ghcb()
-            ghcb.write_switch(self.machine.memory, VMPL_SER)
+            self._user_ghcb().write_switch(self.machine.memory, VMPL_SER)
             self.core.vmgexit()
             # Core now runs DomSER: the service body handles the request
             # and switches back to DomENC.

@@ -7,14 +7,18 @@ For each redirected syscall the sanitizer:
 2. rewrites pointer arguments to point at the staging copies;
 3. after the untrusted side returns, copies inbound buffers back into
    enclave memory;
-4. IAGO-checks any pointer the OS returned: it must not alias enclave
-   memory (the paper's "basic protection against IAGO attacks").
+4. IAGO-checks any pointer the OS returned: the region it names must
+   not overlap enclave memory (the paper's "basic protection against
+   IAGO attacks").
+
+A buffer length the enclave passes must be a non-negative ``int``;
+anything else is a malformed call, which kills the enclave like an
+unsupported one.
 """
 
 from __future__ import annotations
 
 import typing
-from dataclasses import dataclass, field
 
 from ..errors import SdkError, SecurityViolation
 from .specs import ArgKind, CallSpec, SYSCALL_SPECS
@@ -26,19 +30,32 @@ if typing.TYPE_CHECKING:
     from .runtime import EnclaveRuntime
 
 
-@dataclass
 class MarshalledCall:
     """Result of marshalling one syscall's arguments."""
 
-    proxy_args: list
-    #: (staging_vaddr, enclave_vaddr, length) copies to perform on return.
-    copy_back: list = field(default_factory=list)
-    bytes_out: int = 0
-    bytes_in: int = 0
+    __slots__ = ("proxy_args", "copy_back", "bytes_out", "bytes_in")
+
+    def __init__(self, proxy_args: list):
+        self.proxy_args = proxy_args
+        #: (staging_vaddr, enclave_vaddr, length) copies to perform on
+        #: return.
+        self.copy_back: list = []
+        self.bytes_out = 0
+        self.bytes_in = 0
 
     @property
     def bytes_total(self) -> int:
+        """Bytes staged out plus bytes to copy back."""
         return self.bytes_out + self.bytes_in
+
+
+def _checked_length(call: str, arg: str, value) -> int:
+    """``value`` if it is a valid buffer length, else an :class:`SdkError`
+    naming the call and the argument."""
+    if type(value) is not int or value < 0:
+        raise SdkError(f"{call}: argument {arg!r} is not a valid buffer "
+                       f"length ({value!r}); killing enclave")
+    return value
 
 
 class SyscallSanitizer:
@@ -64,7 +81,9 @@ class SyscallSanitizer:
                        args: tuple) -> int:
         arg_spec = spec.args[arg_index]
         if arg_spec.len_from is not None:
-            return int(args[arg_spec.len_from])
+            return _checked_length(spec.name,
+                                   spec.args[arg_spec.len_from].name,
+                                   args[arg_spec.len_from])
         if arg_spec.const_len is not None:
             return arg_spec.const_len
         raise SdkError(f"{spec.name}: no length rule for "
@@ -103,6 +122,7 @@ class SyscallSanitizer:
             elif arg_spec.kind == ArgKind.IOVEC_IN:
                 new_iov = []
                 for vaddr, length in value:
+                    _checked_length(name, arg_spec.name, length)
                     staging = runtime.staging_alloc(length)
                     if length:
                         runtime.stage_out(int(vaddr), staging, length)
@@ -112,6 +132,7 @@ class SyscallSanitizer:
             elif arg_spec.kind == ArgKind.IOVEC_OUT:
                 new_iov = []
                 for vaddr, length in value:
+                    _checked_length(name, arg_spec.name, length)
                     staging = runtime.staging_alloc(length)
                     new_iov.append((staging, length))
                     out.copy_back.append((staging, int(vaddr), length))
@@ -135,8 +156,15 @@ class SyscallSanitizer:
             if take:
                 runtime.stage_in(staging, enclave_vaddr, take)
         if spec.returns_pointer and isinstance(result, int):
-            if runtime.address_in_enclave(result):
+            # The returned region is [result, result + length) when the
+            # spec names a length argument (mmap), else the point.
+            length = 1
+            if spec.returns_len_from is not None:
+                length = marshalled.proxy_args[spec.returns_len_from]
+                if type(length) is not int or length < 1:
+                    length = 1
+            if runtime.address_in_enclave(result, length):
                 self.iago_rejections += 1
                 raise SecurityViolation(
-                    f"IAGO attack: OS returned pointer {result:#x} inside "
-                    "enclave memory")
+                    f"IAGO attack: OS returned region {result:#x}+"
+                    f"{length:#x} overlapping enclave memory")

@@ -47,6 +47,9 @@ class CallSpec:
     args: tuple = ()
     #: The OS's return value is a pointer that must be IAGO-checked.
     returns_pointer: bool = False
+    #: Index of the argument holding the returned region's byte length;
+    #: ``None`` checks the returned pointer alone.
+    returns_len_from: int | None = None
     #: Unsupported calls kill the enclave on execution (fail-stop SDK).
     supported: bool = True
     #: LTP semantic cases known to be unimplemented (subset of flags or
@@ -55,10 +58,11 @@ class CallSpec:
 
 
 def _spec(name: str, *args: ArgSpec, returns_pointer: bool = False,
-          supported: bool = True,
+          returns_len_from: int | None = None, supported: bool = True,
           unimplemented_cases: tuple = ()) -> CallSpec:
     return CallSpec(name=name, args=tuple(args),
-                    returns_pointer=returns_pointer, supported=supported,
+                    returns_pointer=returns_pointer,
+                    returns_len_from=returns_len_from, supported=supported,
                     unimplemented_cases=unimplemented_cases)
 
 
@@ -127,7 +131,8 @@ _register(_spec("pipe2", S("flags"), unimplemented_cases=("O_DIRECT",)))
 
 # ---- memory ------------------------------------------------------------------------
 _register(_spec("mmap", S("addr"), S("length"), S("prot"), S("flags"),
-                S("fd"), S("offset"), returns_pointer=True))
+                S("fd"), S("offset"), returns_pointer=True,
+                returns_len_from=1))
 _register(_spec("munmap", S("addr"), S("length")))
 _register(_spec("mprotect", S("addr"), S("length"), S("prot")))
 _register(_spec("brk", S("addr"), returns_pointer=True))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from ..errors import NestedPageFault, SecurityViolation, \
     SimulationError
-from ..hw.ghcb import Ghcb
+from ..hw.ghcb import Ghcb, ghcb_view
 from ..hw.memory import page_base
 from ..hw.pagetable import PageFault
 from ..hw.rmp import NUM_VMPLS, VMPL_ENC, VMPL_MON, VMPL_UNT, vmpl_name
@@ -197,7 +197,7 @@ class Hypervisor:
         ghcb_gpa = exited.regs.ghcb_msr
         if ghcb_gpa == 0:
             self.machine.halt("VMGEXIT with no GHCB published")
-        ghcb = Ghcb(ghcb_gpa >> 12)
+        ghcb = ghcb_view(ghcb_gpa >> 12)
         # The GHCB is a shared page: anything may be in it.  Bytes that
         # do not decode to a JSON object, or an op whose fields do not
         # parse, are errant hypercalls and crash the CVM (section 6.2).

@@ -31,6 +31,7 @@ the same as for the encoder path.
 
 from __future__ import annotations
 
+import functools
 import json
 
 from ..errors import SimulationError
@@ -192,3 +193,14 @@ class Ghcb:
     def clear(self, mem: PhysicalMemory) -> None:
         """Invalidate the current message."""
         mem.write(self.gpa, b"\x00" * FRAME_HEADER)
+
+
+@functools.lru_cache(maxsize=1024)
+def ghcb_view(ppn: int) -> Ghcb:
+    """The shared :class:`Ghcb` view of page ``ppn``.
+
+    A view holds only the page's number and address, so one per page
+    serves every caller; each enclave entry and exit and each VMGEXIT
+    reuses it rather than building its own.
+    """
+    return Ghcb(ppn)

@@ -17,7 +17,6 @@ kernel-privilege primitives (see :mod:`repro.kernel.vulnerable`).
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import typing
 
@@ -43,6 +42,35 @@ if typing.TYPE_CHECKING:
 INTERRUPT_HANDLER_CYCLES = 2000
 #: Console buffer size before an I/O exit flushes it to the hypervisor.
 CONSOLE_FLUSH_BYTES = 4096
+
+
+class KernelContext:
+    """``with kernel.kernel_context(core) as core:`` -- kernel cr3 and
+    CPL-0 on ``core`` inside the block, the previous pair restored after.
+
+    A slotted class rather than a generator context manager: every
+    enclave entry arms its GHCB inside one.
+    """
+
+    __slots__ = ("core", "root_ppn", "prev")
+
+    def __init__(self, core: "VirtualCpu", root_ppn: int):
+        self.core = core
+        self.root_ppn = root_ppn
+
+    def __enter__(self) -> "VirtualCpu":
+        core = self.core
+        regs = core.regs
+        self.prev = regs.cr3, regs.cpl
+        regs.cr3 = self.root_ppn
+        regs.cpl = 0
+        return core
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        # Re-read the register file: the block may have switched the
+        # core to another instance.
+        regs = self.core.regs
+        regs.cr3, regs.cpl = self.prev
 
 
 class Kernel:
@@ -147,17 +175,10 @@ class Kernel:
     # Kernel execution context
     # ------------------------------------------------------------------
 
-    @contextlib.contextmanager
-    def kernel_context(self, core: "VirtualCpu"):
+    def kernel_context(self, core: "VirtualCpu") -> "KernelContext":
         """Run with kernel cr3/CPL-0 on ``core`` (for non-syscall paths)."""
         assert self.kernel_table is not None
-        prev_cr3, prev_cpl = core.regs.cr3, core.regs.cpl
-        core.regs.cr3 = self.kernel_table.root_ppn
-        core.regs.cpl = 0
-        try:
-            yield core
-        finally:
-            core.regs.cr3, core.regs.cpl = prev_cr3, prev_cpl
+        return KernelContext(core, self.kernel_table.root_ppn)
 
     def charge_compute(self, cycles: int, category: str = "compute") -> None:
         """Charge kernel-side cycles to the ledger."""

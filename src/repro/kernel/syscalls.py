@@ -116,9 +116,12 @@ class SyscallTable:
             machine.ledger.charge("syscall", BASE_COSTS.get(name, 1000))
             # Execute-ahead auditing (section 6.3): the record is produced
             # and protected *before* the audited event runs, so it survives
-            # even if the event is the compromise itself.
-            self.kernel.audit.log_syscall(core, proc.pid, name,
-                                          self._summarize(args), "ahead")
+            # even if the event is the compromise itself.  Only a name
+            # in the ruleset is logged, so only it needs a summary.
+            audit = self.kernel.audit
+            if name in audit.ruleset:
+                audit.log_syscall(core, proc.pid, name,
+                                  self._summarize(args), "ahead")
             prev_cpl = core.regs.cpl
             prev_cr3 = core.regs.cr3
             core.regs.cr3 = proc.page_table.root_ppn

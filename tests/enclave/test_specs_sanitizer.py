@@ -174,21 +174,69 @@ class TestSanitizerThroughEnclave:
         assert host.run(body) == (11, b"hello world")
 
     def test_iago_pointer_rejected(self, host, veil):
-        """If the OS returns an mmap pointer aliasing enclave memory, the
-        sanitizer kills the enclave."""
+        """If the OS answers mmap with a region that overlaps enclave
+        memory -- inside it, or straddling either edge -- the sanitizer
+        kills the enclave.  A region that ends where the enclave starts
+        is accepted."""
+        from repro.enclave import EnclaveHost, build_test_binary
         from repro.errors import SecurityViolation
+        from repro.hw.memory import PAGE_SIZE
         from repro.kernel import layout
+        base = layout.ENCLAVE_BASE
+        end = base + host.binary.total_pages * PAGE_SIZE
+        cases = (   # (mmap length, pointer the OS returns, rejected?)
+            (4096, base + 4096, True),      # inside the enclave
+            (8192, base - 4096, True),      # straddles its start
+            (8192, end - 4096, True),       # straddles its end
+            (8192, base - 8192, False),     # ends exactly at its start
+        )
         original = veil.kernel.syscalls.sys_mmap
+        for index, (length, pointer, rejected) in enumerate(cases):
+            target = host if index == 0 else EnclaveHost(
+                veil, build_test_binary("sanit", heap_pages=8))
 
-        def evil_mmap(core, proc, *args, **kwargs):
-            original(core, proc, *args, **kwargs)
-            return layout.ENCLAVE_BASE + 4096     # inside the enclave!
+            def evil_mmap(core, proc, *args, pointer=pointer, **kwargs):
+                original(core, proc, *args, **kwargs)
+                return pointer
 
-        veil.kernel.syscalls.sys_mmap = evil_mmap
-        try:
-            with pytest.raises(SecurityViolation):
-                host.run(lambda libc: libc.mmap(4096))
-        finally:
-            veil.kernel.syscalls.sys_mmap = original
-        assert host.runtime.sanitizer.iago_rejections == 1
+            def body(libc, length=length):
+                return libc.mmap(length)
+
+            veil.kernel.syscalls.sys_mmap = evil_mmap
+            try:
+                if rejected:
+                    with pytest.raises(SecurityViolation):
+                        target.run(body)
+                else:
+                    assert target.run(body) == pointer
+            finally:
+                veil.kernel.syscalls.sys_mmap = original
+            assert target.runtime.sanitizer.iago_rejections == rejected
+            assert target.runtime.killed == rejected
+
+    @pytest.mark.parametrize("call, bad_arg, args", [
+        ("write", "count", lambda fd, buf: (fd, buf, -1)),
+        ("pwrite", "count", lambda fd, buf: (fd, buf, -1, 0)),
+        ("read", "count", lambda fd, buf: (fd, buf, -1)),
+        ("pread", "count", lambda fd, buf: (fd, buf, -1, 0)),
+        ("write", "count", lambda fd, buf: (fd, buf, 2.0)),
+        ("readv", "iov", lambda fd, buf: (fd, [(buf, 4), (buf, -1)])),
+        ("writev", "iov", lambda fd, buf: (fd, [(buf, -1)])),
+    ], ids=["write", "pwrite", "read", "pread", "write-float", "readv",
+            "writev"])
+    def test_bad_buffer_length_kills_enclave(self, host, call, bad_arg,
+                                             args):
+        """A negative or non-integer buffer length is a malformed call:
+        the sanitizer names it and the enclave is killed."""
+        from repro.errors import SdkError
+        from repro.kernel.fs import O_CREAT, O_RDWR
+
+        def body(libc):
+            fd = libc.open("/tmp/bad-length", O_CREAT | O_RDWR)
+            libc.write(fd, b"0123456789")
+            libc.lseek(fd, 0, 0)
+            return libc.rt.syscall(call, *args(fd, libc.malloc(16)))
+
+        with pytest.raises(SdkError, match=f"{call}: argument '{bad_arg}'"):
+            host.run(body)
         assert host.runtime.killed

@@ -3,8 +3,9 @@
 Each command below runs in a fresh process, and the full sha256 of its
 output must equal the digest recorded here.  The outputs cover the
 fleet's serving path (surge, chaos, cluster and scope), a single CVM's
-syscall trace and the attack suite, so a change that alters a charged
-cycle, a written byte or a recorded event shows up as a digest change.
+syscall trace, the attack suite and the untraced enclave redirect path
+(the paper's Figs. 4 and 5), so a change that alters a charged cycle, a
+written byte or a recorded event shows up as a digest change.
 A change that alters the model on purpose updates the digest and
 explains the diff.
 """
@@ -51,6 +52,14 @@ GOLDEN = {
         ["attacks"],
         {"-": "9f15f7db78d330af757433516819afa8"
               "d8cbd05d92ecec39b29e000b59bf3b82"}),
+    "fig4": (
+        ["fig4"],
+        {"-": "071d96a76db57756dbd019613f6a8df0"
+              "4bc5fca8774a4e932d533328bdd6a8a1"}),
+    "fig5": (
+        ["fig5"],
+        {"-": "6a0c6e9234d7653a960013e0137de2cf"
+              "96cf62f87c9c9b0bf72878d0ca5c0099"}),
 }
 
 

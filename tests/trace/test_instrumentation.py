@@ -147,6 +147,36 @@ class TestTracingOff:
                 request_payload("memcached", index))
             assert reply["status"] == "ok"
 
+    def test_enclave_redirect_path_builds_no_span_or_metric(self):
+        """Redirected syscalls, a batch flush and a VeilS-ENC service
+        request from a launched enclave record nothing."""
+        from repro.enclave import EnclaveHost, build_test_binary
+        system = boot_veil_system(VeilConfig(
+            memory_bytes=32 * 1024 * 1024, num_cores=2,
+            log_storage_pages=64))
+        host = EnclaveHost(system, build_test_binary("quiet",
+                                                     heap_pages=8))
+        runtime = host.launch()
+        system.machine.tracer = runtime.tracer = RefusingTracer()
+        stack_vaddr = system.integration.enclaves[
+            host.enclave_id].layout["stack"][0]
+
+        def body(libc):
+            fd = libc.open("/tmp/quiet", O_CREAT | O_RDWR)
+            assert libc.write(fd, b"hello") == 5
+            libc.lseek(fd, 0, 0)
+            assert libc.read(fd, 5) == b"hello"
+            region = libc.mmap(4096)
+            libc.munmap(region, 4096)
+            with libc.batch() as batch:
+                batch.write(fd, b"!")
+            libc.close(fd)
+            return libc.mprotect_enclave(stack_vaddr, 1, writable=False,
+                                         executable=False)
+
+        assert host.run(body) == {"status": "ok"}
+        assert runtime.syscall_count == 8
+
 
 class TestExitLog:
     def test_bounded_with_compat_queries(self):

@@ -39,7 +39,7 @@ from .rules import Rule
 #: (this tool) and the top-level CLI are exempt.
 DETERMINISM_LAYERS = frozenset({
     "hw", "hv", "kernel", "enclave", "core", "cluster", "chaos",
-    "trace", "scope", "crypto", "workloads",
+    "trace", "scope", "crypto", "codec", "workloads",
 })
 
 #: Modules whose import alone is a determinism smell in scope layers.

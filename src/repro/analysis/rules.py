@@ -43,30 +43,35 @@ class Rule:
 #: Allowed intra-package runtime imports per subpackage.  Subpackages not
 #: listed here (attacks, bench, workloads, the CLI and package roots) sit
 #: above the trust boundary and may import anything.  ``errors`` and
-#: ``crypto`` are leaf utility layers usable from everywhere.
+#: ``codec`` are leaf utility layers; ``crypto`` sits just above them.
 LAYER_ALLOWED: dict[str, frozenset[str]] = {
     "errors": frozenset(),
+    # ``codec`` is the one wire codec (JSON frames through the GHCB,
+    # the IDCBs, the secure channels and the fleet fabric): a leaf
+    # utility below every layer that reads or writes a frame.
+    "codec": frozenset({"errors"}),
     # ``trace`` is a leaf observability layer: any layer may emit into
     # it, but it must never reach back into the stack it observes.
     "trace": frozenset({"errors"}),
     # ``scope`` (veil-scope) is the fleet-wide observability leaf: it
     # aggregates what the layers above push into it, and like ``trace``
     # it must never reach back into the stack it observes.
-    "scope": frozenset({"trace", "errors"}),
-    "hw": frozenset({"trace", "errors"}),
-    "crypto": frozenset({"errors"}),
-    "hv": frozenset({"hw", "trace", "crypto", "errors"}),
-    "kernel": frozenset({"hw", "trace", "crypto", "errors"}),
-    "enclave": frozenset({"hw", "kernel", "trace", "crypto", "errors"}),
+    "scope": frozenset({"trace", "codec", "errors"}),
+    "hw": frozenset({"trace", "codec", "errors"}),
+    "crypto": frozenset({"codec", "errors"}),
+    "hv": frozenset({"hw", "trace", "crypto", "codec", "errors"}),
+    "kernel": frozenset({"hw", "trace", "crypto", "codec", "errors"}),
+    "enclave": frozenset({"hw", "kernel", "trace", "crypto", "codec",
+                          "errors"}),
     "core": frozenset({"hw", "hv", "kernel", "enclave", "trace",
-                       "crypto", "errors"}),
+                       "crypto", "codec", "errors"}),
     # ``cluster`` composes whole machines: it sits above every
     # single-machine layer (it may orchestrate all of them, plus the
     # workload models it deploys), but nothing below may reach back up
     # into fleet code -- a replica CVM must not know it is in a fleet.
     "cluster": frozenset({"hw", "hv", "kernel", "enclave", "core",
                           "workloads", "trace", "scope", "crypto",
-                          "errors"}),
+                          "codec", "errors"}),
     # ``chaos`` is the fault-injection harness: it drives the fleet (and
     # reaches byzantine knobs in ``hv``) from above, so it may import
     # every layer -- but nothing imports chaos: injection is strictly an
@@ -74,7 +79,7 @@ LAYER_ALLOWED: dict[str, frozenset[str]] = {
     # being tortured.
     "chaos": frozenset({"cluster", "hw", "hv", "kernel", "enclave",
                         "core", "workloads", "trace", "scope", "crypto",
-                        "errors"}),
+                        "codec", "errors"}),
     # The analyzer itself must not depend on the tree it judges.
     "analysis": frozenset(),
 }

@@ -19,7 +19,7 @@ from .fleet import (ClusterConfig, ClusterFleet, ClusterResult, FleetClock,
 from .frontend import (POLICIES, ConsistentHash, FrontEnd, LeastOutstanding,
                        RoundRobin, RoutingPolicy, make_policy)
 from .net import HostEndpoint, InterHostNetwork, NetCostModel, \
-    decode_message, encode_message, try_decode
+    encode_message, try_decode
 from .replica import (BackdoorService, ClusterReplica,
                       expected_fleet_measurement)
 
@@ -31,6 +31,6 @@ __all__ = [
     "POLICIES", "ConsistentHash", "FrontEnd", "LeastOutstanding",
     "RoundRobin", "RoutingPolicy", "make_policy",
     "HostEndpoint", "InterHostNetwork", "NetCostModel",
-    "decode_message", "encode_message", "try_decode",
+    "encode_message", "try_decode",
     "BackdoorService", "ClusterReplica", "expected_fleet_measurement",
 ]

@@ -18,12 +18,12 @@ the fleet's workloads are closed-loop, matching the intra-CVM stack.
 
 from __future__ import annotations
 
-import json
 import typing
 from collections import deque
 from dataclasses import dataclass
 
-from ..errors import SimulationError
+from ..codec import decode, encode_compact
+from ..errors import CodecError, SimulationError
 from ..scope.collector import NULL_SCOPE
 from ..trace.tracer import NULL_TRACER
 
@@ -32,33 +32,28 @@ if typing.TYPE_CHECKING:
     from ..scope.context import TraceContext
 
 
-#: Shared encoder: identical bytes to ``json.dumps`` with
-#: the same options, without constructing an encoder per message.
-_WIRE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
 def encode_message(payload: dict) -> bytes:
-    """Serialize a fleet control/data message deterministically."""
-    return _WIRE_ENCODER.encode(payload).encode("utf-8")
+    """Serialize a fleet control/data message deterministically.
 
-
-def decode_message(wire: bytes) -> dict:
-    """Inverse of :func:`encode_message`."""
-    return json.loads(wire.decode("utf-8"))
+    The fabric's one encoding entry point, over
+    :func:`repro.codec.encode_compact`: veil-lint's ``trace-context``
+    rule and veil-flow's fabric sink match calls by this name.
+    """
+    return encode_compact(payload)
 
 
 def try_decode(wire: bytes) -> dict | None:
     """Decode a fabric message, or ``None`` if it is not well-formed.
 
     The fabric is untrusted: under fault injection (or a real bit-flip)
-    a message may arrive as arbitrary bytes, nested deeper than the
-    parser recurses.  Endpoints use this instead of
-    :func:`decode_message` on any receive path that must survive
-    garbage rather than crash the simulation.
+    a message may arrive as arbitrary bytes.  Anything the codec
+    refuses (bad UTF-8, bad JSON, deep nesting) or that is not a JSON
+    object yields ``None``, so a receive path survives garbage rather
+    than crashing the simulation.
     """
     try:
-        message = json.loads(wire.decode("utf-8"))
-    except (ValueError, RecursionError):
+        message = decode(wire)
+    except CodecError:
         return None
     return message if isinstance(message, dict) else None
 

@@ -29,18 +29,13 @@ Sequence numbers are bounded by the nonce space
 
 from __future__ import annotations
 
-import json
-
+from ..codec import decode, encode
 from ..errors import SecurityViolation
 from . import cipher
 
 #: Highest usable per-direction sequence number: the nonce is the
 #: little-endian counter, so the sequence space IS the nonce space.
 MAX_SEQUENCE = cipher.MAX_NONCE_COUNTER
-
-#: Byte-identical to ``json.dumps(payload, sort_keys=True)``, which builds
-#: a fresh encoder per call.
-_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 class SecureChannel:
@@ -78,7 +73,7 @@ class SecureChannel:
         if self._send_seq > MAX_SEQUENCE:
             raise SecurityViolation(
                 "channel send sequence space exhausted")
-        blob = _ENCODER.encode(payload).encode("utf-8")
+        blob = encode(payload)
         nonce = cipher.nonce_from_counter(self._send_seq)
         aad = self._direction(sending=True) + nonce
         record = self._cipher.seal(nonce, blob, aad=aad)
@@ -91,7 +86,9 @@ class SecureChannel:
         Strict channels reject any out-of-order record; windowed
         channels reject replays (counters already seen) and stale
         records that fell behind the window.  Tampered records fail the
-        MAC.  All of these raise :class:`SecurityViolation`.
+        MAC.  All of these raise :class:`SecurityViolation`.  An
+        authenticated payload the codec refuses raises
+        :class:`~repro.errors.CodecError`.
         """
         if len(wire) < cipher.NONCE_BYTES + cipher.TAG_BYTES:
             raise SecurityViolation("short channel record")
@@ -103,7 +100,7 @@ class SecureChannel:
             raise SecurityViolation("channel sequence violation (replay?)")
         blob = self._open(nonce, record)
         self._recv_seq += 1
-        return json.loads(blob.decode("utf-8"))
+        return decode(blob)
 
     def _open(self, nonce: bytes, record: bytes) -> bytes:
         """Authenticate and decrypt one record body."""
@@ -129,13 +126,19 @@ class SecureChannel:
                     "channel replay detected (counter already seen)")
         blob = self._open(nonce, record)
         if counter > self._recv_max:
-            self._recv_seen = (self._recv_seen <<
-                               (counter - self._recv_max) | 1)
-            self._recv_seen &= (1 << self.window) - 1
+            ahead = counter - self._recv_max
+            if ahead >= self.window:
+                # Every counter seen so far falls behind the window; an
+                # authenticated counter far ahead must not become a
+                # shift of that many bits.
+                self._recv_seen = 1
+            else:
+                self._recv_seen = ((self._recv_seen << ahead | 1) &
+                                   ((1 << self.window) - 1))
             self._recv_max = counter
         else:
             self._recv_seen |= 1 << (self._recv_max - counter)
-        return json.loads(blob.decode("utf-8"))
+        return decode(blob)
 
 
 def channel_pair(key: bytes, *,

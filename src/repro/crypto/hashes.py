@@ -31,14 +31,12 @@ class MeasurementChain:
 
     def __init__(self):
         self._digest = b"\x00" * 32
-        self._events: list[tuple[str, bytes]] = []
 
     def extend(self, label: str, data: bytes) -> None:
         """Fold a labeled record into the running digest."""
         record = (self._digest + label.encode("utf-8") +
                   len(data).to_bytes(8, "little") + data)
         self._digest = sha256(record)
-        self._events.append((label, sha256(data)))
 
     @property
     def digest(self) -> bytes:
@@ -47,10 +45,6 @@ class MeasurementChain:
     @property
     def hexdigest(self) -> str:
         return self._digest.hex()
-
-    def event_log(self) -> list[tuple[str, str]]:
-        """(label, per-event hash) pairs for audit/debug."""
-        return [(label, h.hex()) for label, h in self._events]
 
 
 def page_measurement(content: bytes, *, vpn: int, writable: bool,

@@ -97,3 +97,8 @@ class KernelError(ReproError):
     def __init__(self, errno: int, message: str = ""):
         super().__init__(message or f"errno {errno}")
         self.errno = errno
+
+
+class CodecError(ReproError, ValueError):
+    """Bytes that are not a wire frame: bad UTF-8, bad JSON, or nesting
+    deeper than :data:`repro.codec.MAX_DEPTH` (see :mod:`repro.codec`)."""

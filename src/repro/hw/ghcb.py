@@ -1,4 +1,4 @@
-"""Guest–Hypervisor Communication Block (GHCB) and the frame codec.
+"""Guest–Hypervisor Communication Block (GHCB) and the frame format.
 
 A GHCB is one *shared* (unencrypted) physical page through which a VCPU
 passes explicit state to the hypervisor on non-automatic exits.  The guest
@@ -11,29 +11,32 @@ its copy costs) rather than through Python object references.
 
 This module owns the one frame format both the GHCB and the IDCBs
 (:mod:`repro.core.idcb`) use: a 4-byte little-endian payload length,
-then the sorted-key JSON of the message.  :func:`encode_frame`,
-:func:`frame_length` and :func:`decode_payload` are the whole codec;
-callers move the bytes through :meth:`PhysicalMemory.read` / ``write``
-so every frame byte is charged as a copy.
+then the message as :func:`repro.codec.encode` writes it.
+:func:`encode_frame`, :func:`frame_length` and :func:`decode_payload`
+frame and unframe it; callers move the bytes through
+:meth:`PhysicalMemory.read` / ``write`` so every frame byte is charged
+as a copy.  The less-privileged side writes these pages, so a payload
+is decoded with :func:`repro.codec.decode`, which refuses garbage and
+deep nesting the same way from any caller.
 
 Three kinds of frame dominate the traffic.  Two are encoded once at
 import: the four ``{"op": "domain_switch", "target_vmpl": v}`` requests
 (:data:`SWITCH_FRAMES`, written by :meth:`Ghcb.write_switch`) and the
 ``{"status": "ok"}`` reply (:data:`OK_FRAME`).  Decoding looks their
-payload bytes up before falling back to ``json.loads``.  The third is
-the VeilS-LOG append every audited syscall sends to DomSER,
+payload bytes up before falling back to the codec.  The third is the
+VeilS-LOG append every audited syscall sends to DomSER,
 ``{"_reply_to": r, "op": "log_append", "record_hex": h}``: it is
 encoded from a template, and decoding recognizes exactly that byte form
 (a decimal ``r`` without a leading zero, an ASCII-alphanumeric ``h``)
 before falling back.  The bytes in memory and the copy costs charged are
-the same as for the encoder path.
+the same as for the codec path.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 
+from ..codec import decode, encode
 from ..errors import SimulationError
 from .memory import PAGE_SIZE, PhysicalMemory, page_base
 from .rmp import NUM_VMPLS
@@ -41,15 +44,11 @@ from .rmp import NUM_VMPLS
 #: Byte length of a frame's little-endian payload-length header.
 FRAME_HEADER = 4
 
-#: Shared encoder: ``json.dumps(message, sort_keys=True)`` constructs a
-#: fresh encoder per call; reusing one gives byte-identical output.
-_ENCODER = json.JSONEncoder(sort_keys=True)
-
 _OK_MESSAGE = {"status": "ok"}
 
 
 def _encode(message) -> bytes:
-    blob = _ENCODER.encode(message).encode("utf-8")
+    blob = encode(message)
     return len(blob).to_bytes(FRAME_HEADER, "little") + blob
 
 
@@ -62,7 +61,7 @@ SWITCH_FRAMES = {
     for vmpl in range(NUM_VMPLS)}
 
 #: ``payload bytes -> message`` for every pre-encoded frame.
-_DECODED = {frame[FRAME_HEADER:]: json.loads(frame[FRAME_HEADER:])
+_DECODED = {frame[FRAME_HEADER:]: decode(frame[FRAME_HEADER:])
             for frame in (OK_FRAME, *SWITCH_FRAMES.values())}
 
 #: The log-append payload around its two fields (sorted keys, the
@@ -71,7 +70,7 @@ _APPEND_HEAD = b'{"_reply_to": '
 _APPEND_MID = b', "op": "log_append", "record_hex": "'
 _APPEND_TAIL = b'"}'
 _APPEND_FORM = _APPEND_HEAD + b"%d" + _APPEND_MID + b"%s" + _APPEND_TAIL
-#: Longer ``_reply_to`` digit strings go to ``json.loads`` (which also
+#: Longer ``_reply_to`` digit strings go to the codec (whose parser also
 #: enforces the interpreter's integer-string limit).
 _APPEND_MAX_DIGITS = 18
 
@@ -94,8 +93,8 @@ def _decode_append(payload: bytes) -> "dict | None":
 
     ``payload`` starts with :data:`_APPEND_HEAD`.  Matches only the
     exact bytes :func:`_append_payload` writes; any other form
-    (whitespace, escapes, a leading zero, more keys) is left to
-    ``json.loads``.
+    (whitespace, escapes, a leading zero, more keys) is left to the
+    codec.
     """
     mid = payload.find(_APPEND_MID, len(_APPEND_HEAD))
     if mid < 0 or not payload.endswith(_APPEND_TAIL):
@@ -130,8 +129,9 @@ def frame_length(header: bytes) -> int:
 def decode_payload(payload: bytes):
     """Decode a frame's payload bytes into a fresh object.
 
-    Raises :class:`ValueError` when the bytes are not UTF-8 JSON, or
-    nest too deeply for the parser; the decoded value need not be an
+    Raises :class:`~repro.errors.CodecError` (a ``ValueError``) when
+    the bytes are not UTF-8 JSON or nest deeper than
+    :data:`~repro.codec.MAX_DEPTH`; the decoded value need not be an
     object.
     """
     if payload.startswith(_APPEND_HEAD):
@@ -142,10 +142,7 @@ def decode_payload(payload: bytes):
         known = _DECODED.get(payload)
         if known is not None:
             return dict(known)
-    try:
-        return json.loads(payload.decode("utf-8"))
-    except RecursionError:
-        raise ValueError("frame payload nests too deeply") from None
+    return decode(payload)
 
 
 class Ghcb:
@@ -170,7 +167,9 @@ class Ghcb:
 
     def write_switch(self, mem: PhysicalMemory, vmpl: int) -> None:
         """Ask the hypervisor to switch this core to ``vmpl``."""
-        frame = SWITCH_FRAMES.get(vmpl)
+        # ``True == 1`` and ``1.0 == 1``: only an exact int takes a
+        # pre-encoded frame.
+        frame = SWITCH_FRAMES.get(vmpl) if type(vmpl) is int else None
         if frame is None:
             # Not a VMPL: the hypervisor halts the CVM on this request.
             self.write_message(mem, {"op": "domain_switch",
@@ -181,9 +180,9 @@ class Ghcb:
     def read_message(self, mem: PhysicalMemory) -> dict:
         """Deserialize the current message from the GHCB page.
 
-        Raises :class:`ValueError` (``UnicodeDecodeError`` or
-        ``json.JSONDecodeError``) when the page holds bytes that are not
-        UTF-8 JSON; the decoded value need not be an object.
+        Raises :class:`~repro.errors.CodecError` (a ``ValueError``) when
+        the page holds bytes :func:`decode_payload` refuses; the decoded
+        value need not be an object.
         """
         length = frame_length(mem.read(self.gpa, FRAME_HEADER))
         if length == 0 or length > PAGE_SIZE - FRAME_HEADER:

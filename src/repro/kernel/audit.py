@@ -18,9 +18,10 @@ sink's buffer; that is the attack VeilS-LOG defeats.
 
 from __future__ import annotations
 
-import json
 import typing
 from dataclasses import dataclass
+
+from ..codec import encode
 
 if typing.TYPE_CHECKING:
     from ..hw.vcpu import VirtualCpu
@@ -36,9 +37,11 @@ DEFAULT_AUDIT_RULESET = frozenset({
     "socketpair", "splice",
 })
 
-#: Byte-identical to ``json.dumps(record, sort_keys=True)``, which builds
-#: a fresh encoder per call.
-_ENCODER = json.JSONEncoder(sort_keys=True)
+#: A record with exact-int ``cycles``, ``pid`` and ``seq``, as
+#: :func:`~repro.codec.encode` writes it (sorted keys, default
+#: separators) around the encoded ``detail`` and ``kind``.
+_ENTRY_FORM = (b'{"cycles": %d, "detail": %s, "kind": %s, '
+               b'"pid": %d, "seq": %d}')
 
 
 @dataclass(frozen=True)
@@ -58,14 +61,10 @@ class AuditEntry:
             # The outer keys are fixed, so only ``kind`` and ``detail``
             # need the encoder; an exact int prints as the encoder does
             # (a bool would print as ``true``, hence ``type(x) is int``).
-            return (f'{{"cycles": {cycles}, '
-                    f'"detail": {_ENCODER.encode(self.detail)}, '
-                    f'"kind": {_ENCODER.encode(self.kind)}, '
-                    f'"pid": {pid}, "seq": {seq}}}').encode("utf-8")
-        return _ENCODER.encode({
-            "seq": seq, "cycles": cycles, "pid": pid,
-            "kind": self.kind, "detail": self.detail,
-        }).encode("utf-8")
+            return _ENTRY_FORM % (cycles, encode(self.detail),
+                                  encode(self.kind), pid, seq)
+        return encode({"seq": seq, "cycles": cycles, "pid": pid,
+                       "kind": self.kind, "detail": self.detail})
 
 
 class AuditSink:

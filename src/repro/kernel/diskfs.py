@@ -15,10 +15,10 @@ secrets in memory or seal them).
 
 from __future__ import annotations
 
-import json
 import typing
 
-from ..errors import KernelError
+from ..codec import decode, encode
+from ..errors import CodecError, KernelError
 from ..hw.memory import PAGE_SIZE, page_base
 from .fs import EIO, FileSystem, Inode, InodeType
 
@@ -196,8 +196,7 @@ class DiskSync:
 
     def sync(self, core: "VirtualCpu") -> int:
         """Persist the filesystem; returns sectors written."""
-        snapshot = json.dumps(_serialize_tree(self.kernel.fs),
-                              sort_keys=True).encode("utf-8")
+        snapshot = encode(_serialize_tree(self.kernel.fs))
         framed = len(snapshot).to_bytes(8, "little") + snapshot
         with self.kernel.kernel_context(core):
             return self._write_sectors(core, framed)
@@ -217,10 +216,8 @@ class DiskSync:
             total_sectors = (8 + length + SECTOR - 1) // SECTOR
             blob = self._read_sectors(core, total_sectors)
         try:
-            snapshot = json.loads(blob[8:8 + length].decode("utf-8"))
-        except (ValueError, RecursionError):
-            # Bad UTF-8 and bad JSON are both ValueErrors; absurd
-            # nesting exhausts the parser's recursion.
+            snapshot = decode(blob[8:8 + length])
+        except CodecError:
             raise KernelError(EIO, "filesystem snapshot is not "
                               "valid JSON") from None
         if not isinstance(snapshot, dict) or \

@@ -12,13 +12,17 @@ fabric hops, and replica serve spans end to end.
 The wire form is deliberately boring (three integers in a dict) and is
 attached *unconditionally*: envelope bytes are charged by the network
 cost model, so the field must cost the same whether or not a collector
-is watching.
+is watching.  :func:`peek_context` reads raw fabric bytes with the wire
+codec every endpoint uses (:mod:`repro.codec`), so a frame the receiver
+would refuse carries no context for the observer either.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+
+from ..codec import decode
+from ..errors import CodecError
 
 #: Envelope field carrying the wire form of a :class:`TraceContext`.
 TRACE_KEY = "trace"
@@ -87,15 +91,13 @@ def extract_context(message) -> "TraceContext | None":
 def peek_context(wire: bytes) -> "TraceContext | None":
     """Best-effort context peek at raw fabric bytes.
 
-    The scope layer sits *below* ``cluster`` and must not import its
-    codec, so it carries its own (identical, trivial) JSON peek.
-    Garbage — corrupted frames, sealed blobs, nesting deeper than the
-    parser recurses — yields ``None``.
+    The fabric's bytes go through the same :func:`repro.codec.decode`
+    the receiving endpoint uses.  Garbage the codec refuses (corrupted
+    frames, sealed blobs, deep nesting) and any value that is not an
+    object carrying a well-formed context yield ``None``.
     """
     try:
-        message = json.loads(wire.decode("utf-8"))
-    except (ValueError, RecursionError):
-        return None
-    if not isinstance(message, dict):
+        message = decode(wire)
+    except CodecError:
         return None
     return extract_context(message)

@@ -8,8 +8,8 @@ and fabric garbage never crashes an endpoint.
 
 import pytest
 
-from repro.cluster import (ClusterConfig, ClusterFleet, decode_message,
-                           encode_message)
+from repro.cluster import ClusterConfig, ClusterFleet, encode_message
+from repro.codec import decode
 from repro.errors import SimulationError
 
 
@@ -63,7 +63,7 @@ class TestRefusedRequestIsRetryable:
              "trace": {"trace_id": 7, "span_id": 1, "parent_id": 0}}))
         assert fleet.replicas["replica0"].pump() == 1
         _src, wire = net.recv(frontend.name)
-        assert decode_message(wire) == {
+        assert decode(wire) == {
             "status": "error", "reason": "malformed record",
             "request_id": 7,
             "trace": {"trace_id": 7, "span_id": 1, "parent_id": 0}}

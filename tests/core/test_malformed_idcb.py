@@ -18,7 +18,7 @@ PAYLOADS = {
     "non-object": b'["op", "ping"]',
     "bad-reply-to": b'{"_reply_to": "x", "op": "ping"}',
     "infinite-reply-to": b'{"_reply_to": Infinity, "op": "ping"}',
-    # Nested past the JSON parser's recursion limit.
+    # Nested past the codec's MAX_DEPTH.
     "deep-nesting": b"[" * 3000 + b"]" * 3000,
 }
 

@@ -229,8 +229,8 @@ class TestMalformedGhcbMessage:
         b"]" * 1500 + b"}",
     ], ids=["nested-list", "nested-field"])
     def test_deeply_nested_message_halts(self, payload):
-        # Nesting past the JSON parser's recursion limit is one more
-        # malformed message, not a RecursionError out of the exit path.
+        # Nesting past the codec's MAX_DEPTH is one more malformed
+        # message, refused before the parser recurses.
         machine, core, ghcb = switch_ready()
         machine.memory.write(ghcb.gpa, raw_frame(payload))
         with pytest.raises(CvmHalted):

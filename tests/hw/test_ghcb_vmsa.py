@@ -1,16 +1,20 @@
 """Unit tests: GHCB message passing and VMSA save/restore."""
 
-import json
-
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.codec import encode
 from repro.errors import SimulationError
 from repro.hw.cycles import CycleLedger, free_cost_model
-from repro.hw.ghcb import (_ENCODER, OK_FRAME, SWITCH_FRAMES, Ghcb,
-                           decode_payload, encode_frame, frame_length)
+from repro.hw.ghcb import (OK_FRAME, SWITCH_FRAMES, Ghcb, decode_payload,
+                           encode_frame, frame_length)
 from repro.hw.memory import PAGE_SIZE, PhysicalMemory
 from repro.hw.vmsa import GPR_NAMES, RegisterFile, Vmsa
+
+from tests.wire_templates import (APPEND, CONSTANT_PAYLOADS,
+                                  ESCAPED_RECORDS, NEAR_CONSTANTS,
+                                  NEAR_MISSES, append_message,
+                                  check_template, framed, switch_message)
 
 
 @pytest.fixture
@@ -60,26 +64,21 @@ class TestGhcb:
         assert ghcb.read_message(mem) == payload
 
 
-def encoder_frame(message):
-    """The length-prefixed bytes the generic encoder path writes."""
-    blob = _ENCODER.encode(message).encode("utf-8")
-    return len(blob).to_bytes(4, "little") + blob
-
-
 class TestSwitchFrames:
+    """The pinned domain-switch cases of the template property
+    (:mod:`tests.wire_templates`)."""
+
     def test_four_frames_byte_equal_encoder_output(self):
         assert sorted(SWITCH_FRAMES) == [0, 1, 2, 3]
-        for vmpl, frame in SWITCH_FRAMES.items():
-            assert frame == encoder_frame(
-                {"op": "domain_switch", "target_vmpl": vmpl})
+        for vmpl in SWITCH_FRAMES:
+            check_template("switch-frame", vmpl)
 
     @pytest.mark.parametrize("vmpl", range(4))
     def test_page_bytes_and_charges_match_encoder_path(self, vmpl):
-        message = {"op": "domain_switch", "target_vmpl": vmpl}
         fast = PhysicalMemory(8 * PAGE_SIZE, ledger=CycleLedger())
         Ghcb(3).write_switch(fast, vmpl)
         slow = PhysicalMemory(8 * PAGE_SIZE, ledger=CycleLedger())
-        slow.write(3 * PAGE_SIZE, encoder_frame(message))
+        slow.write(3 * PAGE_SIZE, framed(encode(switch_message(vmpl))))
         assert fast.ledger.total == slow.ledger.total > 0
         assert fast.read(3 * PAGE_SIZE, 64) == slow.read(3 * PAGE_SIZE, 64)
 
@@ -91,45 +90,30 @@ class TestSwitchFrames:
         assert ghcb.read_message(mem) == {"op": "domain_switch",
                                           "target_vmpl": 1}
 
-    @pytest.mark.parametrize("message", [
-        {"op": "domain_switch", "target_vmpl": True},
-        {"op": "domain_switch", "target_vmpl": 7},
-        {"op": "domain_switch", "target_vmpl": 1, "extra": 0},
-    ])
+    @pytest.mark.parametrize("message", NEAR_CONSTANTS[:3])
     def test_other_shapes_take_the_encoder_path(self, mem, message):
-        ghcb = Ghcb(3)
-        ghcb.write_message(mem, message)
-        frame = encoder_frame(message)
-        assert mem.read(3 * PAGE_SIZE, len(frame)) == frame
-        assert ghcb.read_message(mem) == message
+        check_template("ghcb-frame", message)
+        Ghcb(3).write_message(mem, message)
+        assert Ghcb(3).read_message(mem) == message
 
     @pytest.mark.parametrize("vmpl", [4, -1, 2 ** 70])
     def test_write_switch_to_a_non_vmpl_encodes_the_request(self, mem,
                                                             vmpl):
-        ghcb = Ghcb(3)
-        ghcb.write_switch(mem, vmpl)
-        message = {"op": "domain_switch", "target_vmpl": vmpl}
-        frame = encoder_frame(message)
-        assert mem.read(3 * PAGE_SIZE, len(frame)) == frame
-        assert ghcb.read_message(mem) == message
+        check_template("switch-frame", vmpl)
 
 
 class TestFrameCodec:
     def test_ok_frame_is_the_encoder_output(self):
-        assert OK_FRAME == encoder_frame({"status": "ok"})
+        assert OK_FRAME == framed(encode({"status": "ok"}))
         assert encode_frame({"status": "ok"}) is OK_FRAME
 
-    @pytest.mark.parametrize("message", [
-        {"status": "ok", "extra": 1}, {"status": "OK"}, {"state": "ok"}])
+    @pytest.mark.parametrize("message", NEAR_CONSTANTS[3:6])
     def test_other_replies_take_the_encoder_path(self, message):
-        assert encode_frame(message) == encoder_frame(message)
+        check_template("ghcb-frame", message)
 
-    @pytest.mark.parametrize("payload", [
-        b'{"status": "ok"}', b'{"status":"ok"}',
-        b'{"op": "domain_switch", "target_vmpl": 2}',
-        b'{"target_vmpl": 2, "op": "domain_switch"}', b"[1, 2]", b"7"])
+    @pytest.mark.parametrize("payload", CONSTANT_PAYLOADS)
     def test_decode_matches_json_loads(self, payload):
-        assert decode_payload(payload) == json.loads(payload)
+        check_template("frame-recognizer", payload)
 
     def test_decoded_constants_are_fresh(self):
         payload = OK_FRAME[4:]
@@ -141,95 +125,51 @@ class TestFrameCodec:
         assert frame_length(OK_FRAME[:4]) == len(OK_FRAME) - 4
 
     def test_deep_nesting_is_a_value_error(self):
-        # The parser recurses per level; the codec's callers catch only
-        # ValueError, so exhausting the recursion must not escape.
+        # The codec refuses nesting past MAX_DEPTH before the parser
+        # recurses, with an error the callers' ValueError clauses catch.
         for payload in (b"[" * 3000 + b"]" * 3000, b'{"a":' * 3000):
             with pytest.raises(ValueError):
                 decode_payload(payload)
 
 
-def append_message(reply_to, record_hex):
-    """The dict ``MonitorGateway.call_service`` writes for a log append."""
-    return {"op": "log_append", "record_hex": record_hex,
-            "_reply_to": reply_to}
-
-
-def json_or_error(payload):
-    """``json.loads`` of a payload, or the ValueError type it raised."""
-    try:
-        return json.loads(payload.decode("utf-8"))
-    except ValueError:
-        return ValueError
-
-
-def codec_or_error(payload):
-    try:
-        return decode_payload(payload)
-    except ValueError:
-        return ValueError
-
-
-APPEND = encoder_frame(append_message(3, "00ff"))[4:]
-
-
 class TestLogAppendFrame:
-    """The VeilS-LOG append frame is written from a template and read by
-    a recognizer; both must agree with the generic codec byte for byte."""
+    """The pinned VeilS-LOG append cases of the template property: the
+    frame is written from a template and read by a recognizer, and both
+    must agree with the codec byte for byte."""
 
-    @given(st.one_of(st.integers(), st.booleans(), st.none()),
-           st.one_of(st.text(), st.text(alphabet="0123456789abcdefABCDEF"),
-                     st.text(st.characters(max_codepoint=127)),
-                     st.binary().map(bytes.hex), st.integers()))
-    def test_encode_equals_the_encoder(self, reply_to, record_hex):
-        message = append_message(reply_to, record_hex)
-        assert encode_frame(message) == encoder_frame(message)
+    def test_encode_equals_the_encoder(self):
+        for reply_to in (3, 0, -7, 10 ** 20, True, None):
+            for record_hex in ("00ff", "", "00FF", "xyz", 7):
+                check_template("ghcb-frame",
+                               append_message(reply_to, record_hex))
 
-    @pytest.mark.parametrize("record_hex", [
-        'a"b', "a\\b", "a b", "a\x7f", "a\x00", "é", ""])
+    @pytest.mark.parametrize("record_hex", ESCAPED_RECORDS)
     def test_records_needing_escapes_take_the_encoder(self, record_hex):
-        message = append_message(3, record_hex)
-        assert encode_frame(message) == encoder_frame(message)
+        check_template("ghcb-frame", append_message(3, record_hex))
 
-    @given(st.integers(min_value=-10**6, max_value=10**20),
-           st.binary(max_size=600).map(bytes.hex))
-    def test_decode_equals_json_loads(self, reply_to, record_hex):
-        payload = encoder_frame(append_message(reply_to, record_hex))[4:]
-        decoded = decode_payload(payload)
-        assert decoded == json.loads(payload)
-        assert list(decoded) == ["_reply_to", "op", "record_hex"]
+    def test_decode_equals_json_loads(self):
+        for reply_to, record in ((0, b""), (-10 ** 6, b"\x00"),
+                                 (10 ** 20, bytes(range(256)))):
+            payload = encode(append_message(reply_to, record.hex()))
+            check_template("frame-recognizer", payload)
+            assert list(decode_payload(payload)) == [
+                "_reply_to", "op", "record_hex"]
 
-    @given(st.binary(max_size=80), st.binary(max_size=8))
-    def test_any_bytes_after_the_head_match_json_loads(self, body, tail):
+    def test_any_bytes_after_the_head_match_json_loads(self):
         head = b'{"_reply_to": '
-        for payload in (head + body, head + body + b'"}',
-                        APPEND[:20] + body + APPEND[20:] + tail):
-            assert codec_or_error(payload) == json_or_error(payload)
+        for body, tail in ((b"", b""), (b'3, "op": "log_append"', b"}"),
+                           (b"\xff", b'"}'), (b"12", b"\x00")):
+            for payload in (head + body, head + body + b'"}',
+                            APPEND[:20] + body + APPEND[20:] + tail):
+                check_template("frame-recognizer", payload)
 
     def test_extra_key_takes_the_encoder_path(self):
-        message = dict(append_message(3, "00"), extra=1)
-        assert encode_frame(message) == encoder_frame(message)
+        check_template("ghcb-frame",
+                       dict(append_message(3, "00"), extra=1))
 
-    @pytest.mark.parametrize("payload", [
-        APPEND,
-        APPEND.replace(b": 3,", b": 03,"),           # leading zero
-        APPEND.replace(b": 3,", b": 0,"),
-        APPEND.replace(b": 3,", b": -3,"),
-        APPEND.replace(b": 3,", b": 3.0,"),
-        APPEND.replace(b": 3,", b": 1" + b"9" * 30 + b","),
-        APPEND.replace(b"00ff", b"\\u0061ff"),     # JSON escape
-        APPEND.replace(b"00ff", b"00FF"),            # uppercase hex
-        APPEND.replace(b"00ff", b""),                # empty record
-        APPEND.replace(b"00ff", b"00 ff"),
-        APPEND.replace(b"00ff", "00\u00e9".encode()),  # non-ASCII
-        APPEND + b"x",                               # trailing bytes
-        APPEND + b" ",
-        APPEND[:-1],
-        APPEND.replace(b'"_reply_to": 3, ', b""),    # no _reply_to
-        APPEND.replace(b"log_append", b"log_appenD"),
-        APPEND.replace(b", ", b","),
-    ])
+    @pytest.mark.parametrize("payload", NEAR_MISSES)
     def test_near_misses_match_json_loads(self, payload):
-        assert codec_or_error(payload) == json_or_error(payload)
+        check_template("frame-recognizer", payload)
 
     def test_recognized_frames_are_fresh(self):
         first = decode_payload(APPEND)

@@ -3,7 +3,6 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.core import module_signing_key
 from repro.errors import KernelError, SecurityViolation
@@ -12,14 +11,9 @@ from repro.kernel.audit import (AuditEntry, DEFAULT_AUDIT_RULESET,
 from repro.kernel.fs import O_CREAT, O_RDWR
 from repro.kernel.modules import Relocation, build_module
 
-KEY = module_signing_key()
+from tests.wire_templates import check_template
 
-#: JSON-encodable values an audit record's ``detail`` may hold.
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text(max_size=8),
-    lambda inner: st.lists(inner, max_size=3) |
-    st.dictionaries(st.text(max_size=4), inner, max_size=3),
-    max_leaves=8)
+KEY = module_signing_key()
 
 
 class TestModuleImages:
@@ -157,21 +151,18 @@ class TestKaudit:
         assert decoded["kind"] == "syscall"
         assert decoded["detail"]["syscall"] == "open"
 
-    @given(st.one_of(st.integers(), st.booleans(), st.floats()),
-           st.one_of(st.integers(min_value=0), st.booleans()),
-           st.one_of(st.integers(), st.booleans()),
-           st.text(max_size=12),
-           st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=4))
-    def test_serialize_equals_the_encoder(self, seq, cycles, pid, kind,
-                                          detail):
-        """The fixed-key template writes exactly the generic encoder's
-        bytes (a bool or float field takes the encoder path)."""
-        entry = AuditEntry(seq=seq, cycles=cycles, pid=pid, kind=kind,
-                           detail=detail)
-        expected = json.dumps(
-            {"seq": seq, "cycles": cycles, "pid": pid, "kind": kind,
-             "detail": detail}, sort_keys=True).encode("utf-8")
-        assert entry.serialize() == expected
+    def test_serialize_equals_the_encoder(self):
+        """Pinned cases of the template property: the fixed-key template
+        writes exactly the codec's bytes (a bool or float field takes the
+        encoder path)."""
+        detail = {"args": [1, None, {"fd": True}], "syscall": "é"}
+        for seq, cycles, pid in ((1, 5, 2), (True, 5, 2), (1.5, 5, 2),
+                                 (float("nan"), 0, -1), (1, False, 2),
+                                 (1, 5, True), (2 ** 70, 10 ** 30, -7)):
+            for kind in ("syscall", 'a"b', ""):
+                check_template("audit-entry", AuditEntry(
+                    seq=seq, cycles=cycles, pid=pid, kind=kind,
+                    detail=detail))
 
     def test_kaudit_charges_per_entry_cost(self, native_proc):
         system, core, proc = native_proc

@@ -93,6 +93,6 @@ class TestPeek:
         assert peek_context(garbage) is None
 
     def test_peek_survives_deep_nesting(self):
-        # Nested past the JSON parser's recursion limit.
+        # Nested past the codec's MAX_DEPTH.
         assert peek_context(b"[" * 3000 + b"]" * 3000) is None
         assert peek_context(b'{"trace":' * 3000) is None

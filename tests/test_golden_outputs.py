@@ -2,7 +2,8 @@
 
 Each command below runs in a fresh process, and the full sha256 of its
 output must equal the digest recorded here.  The outputs cover the
-fleet's serving path (surge, chaos, cluster and scope), a single CVM's
+fleet's serving path (surge, chaos, cluster and scope), the corrupted
+fabric bytes of two fault-injecting chaos schedules, a single CVM's
 syscall trace, the attack suite and the untraced enclave redirect path
 (the paper's Figs. 4 and 5), so a change that alters a charged cycle, a
 written byte or a recorded event shows up as a digest change.
@@ -32,6 +33,18 @@ GOLDEN = {
          "--requests", "300"],
         {"-": "de2af061327619018eb39a8e70b38162"
               "ab8c07cb121bd442adf7195ec966b4b6"}),
+    # The two fault-injecting schedules push corrupted fabric bytes
+    # through the fleet's untrusted-message decoder.
+    "chaos-mayhem": (
+        ["chaos", "--seed", "3", "--schedule", "mayhem",
+         "--requests", "36"],
+        {"-": "558f0b2103bc66150d7e0df2f9c1a13e"
+              "8168d382a70c48407d2ae9b0f47f3d66"}),
+    "chaos-byzantine": (
+        ["chaos", "--seed", "11", "--schedule", "byzantine",
+         "--requests", "24"],
+        {"-": "5b808120d5b2b1af47e50ec8f229f6a7"
+              "6418ff55d9f8f7c6a1679354ed36da78"}),
     "cluster-trace": (
         ["cluster", "--replicas", "2", "--requests", "200",
          "--out", "{out}/cluster.json"],

@@ -630,15 +630,25 @@ def main(argv=None) -> None:
     A run the simulator refuses to start (zero replicas, zero
     iterations, an output path it cannot write, ...) raises
     :class:`SimulationError`; it exits with argparse's usage-error
-    status 2 and a one-line message.
+    status 2 and a one-line message.  A reader that closes the pipe
+    early (``repro attacks | head -1``) ends the run with status 1 and
+    nothing on stderr.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         _check_output_paths(args)
         args.fn(args)
+        sys.stdout.flush()
     except SimulationError as refused:
         parser.exit(2, f"{parser.prog}: error: {refused}\n")
+    except BrokenPipeError:
+        # The recipe of the ``signal`` module docs: point stdout at
+        # devnull so the interpreter's flush at exit cannot raise again,
+        # and exit 1 as Python does on EPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from __future__ import annotations
 from ..errors import SimulationError
 from ..hw.ghcb import FRAME_HEADER, decode_payload, encode_frame, \
     frame_length
-from ..hw.memory import PAGE_SIZE, PhysicalMemory, page_base
+from ..hw.memory import PAGE_SHIFT, PAGE_SIZE, PhysicalMemory
 
 #: Default IDCB size in pages (32 KiB: large enough for page-list
 #: arguments like KCI activation and enclave layouts).
@@ -51,7 +51,7 @@ class Idcb:
         while pos < len(data):
             page_index, in_page = divmod(offset + pos, PAGE_SIZE)
             chunk = min(len(data) - pos, PAGE_SIZE - in_page)
-            mem.write(page_base(self.ppns[page_index]) + in_page,
+            mem.write((self.ppns[page_index] << PAGE_SHIFT) + in_page,
                       data[pos:pos + chunk])
             pos += chunk
 
@@ -62,8 +62,8 @@ class Idcb:
         while pos < length:
             page_index, in_page = divmod(offset + pos, PAGE_SIZE)
             chunk = min(length - pos, PAGE_SIZE - in_page)
-            out.extend(mem.read(page_base(self.ppns[page_index]) + in_page,
-                                chunk))
+            out.extend(mem.read(
+                (self.ppns[page_index] << PAGE_SHIFT) + in_page, chunk))
             pos += chunk
         return bytes(out)
 
@@ -77,7 +77,7 @@ class Idcb:
                 f"the {self.slot_size}B slot")
         page_index, in_page = divmod(offset, PAGE_SIZE)
         if in_page + len(frame) <= PAGE_SIZE:
-            mem.write(page_base(self.ppns[page_index]) + in_page, frame)
+            mem.write((self.ppns[page_index] << PAGE_SHIFT) + in_page, frame)
         else:
             self._write_bytes(mem, offset, frame)
 
@@ -91,7 +91,7 @@ class Idcb:
         # Slots start at a multiple of half a page, so the header never
         # crosses a backing page.
         page_index, in_page = divmod(offset, PAGE_SIZE)
-        addr = page_base(self.ppns[page_index]) + in_page
+        addr = (self.ppns[page_index] << PAGE_SHIFT) + in_page
         length = frame_length(mem.read(addr, FRAME_HEADER))
         if length == 0 or length > self.slot_size - FRAME_HEADER:
             raise SimulationError("IDCB slot holds no valid message")

@@ -14,7 +14,7 @@ import typing
 
 from ...crypto.hashes import MeasurementChain
 from ...errors import SecurityViolation
-from ...hw.memory import PAGE_SIZE, page_base
+from ...hw.memory import PAGE_SHIFT, PAGE_SIZE
 from ...kernel.audit import AuditEntry, AuditSink
 from .base import ProtectedService, traced
 
@@ -63,21 +63,23 @@ class VeilSLog(ProtectedService):
     # ------------------------------------------------------------------
 
     def _storage_location(self, offset: int) -> tuple[int, int]:
+        """Physical address of storage byte ``offset``, and its offset
+        within its page."""
         page_index, in_page = divmod(offset, PAGE_SIZE)
-        return self.storage_ppns[page_index], in_page
+        addr = (self.storage_ppns[page_index] << PAGE_SHIFT) + in_page
+        return addr, in_page
 
     def _write_storage(self, core: "VirtualCpu", offset: int,
                        blob: bytes) -> None:
-        ppn, in_page = self._storage_location(offset)
+        addr, in_page = self._storage_location(offset)
         if in_page + len(blob) <= PAGE_SIZE:
-            core.write_phys(page_base(ppn) + in_page, blob)
+            core.write_phys(addr, blob)
             return
         pos = 0
         while pos < len(blob):
-            ppn, in_page = self._storage_location(offset + pos)
+            addr, in_page = self._storage_location(offset + pos)
             chunk = min(len(blob) - pos, PAGE_SIZE - in_page)
-            core.write_phys(page_base(ppn) + in_page,
-                            blob[pos:pos + chunk])
+            core.write_phys(addr, blob[pos:pos + chunk])
             pos += chunk
 
     def _read_storage(self, core: "VirtualCpu", offset: int,
@@ -85,9 +87,9 @@ class VeilSLog(ProtectedService):
         out = bytearray()
         pos = 0
         while pos < length:
-            ppn, in_page = self._storage_location(offset + pos)
+            addr, in_page = self._storage_location(offset + pos)
             chunk = min(length - pos, PAGE_SIZE - in_page)
-            out.extend(core.read_phys(page_base(ppn) + in_page, chunk))
+            out.extend(core.read_phys(addr, chunk))
             pos += chunk
         return bytes(out)
 

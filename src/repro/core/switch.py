@@ -16,7 +16,7 @@ from __future__ import annotations
 import typing
 
 from ..errors import SecurityViolation
-from ..hw.ghcb import Ghcb
+from ..hw.ghcb import ghcb_view
 from .domains import VMPL_MON, VMPL_SER, VMPL_UNT
 from .veilmon import VeilMon
 
@@ -33,15 +33,12 @@ class MonitorGateway:
         self.veilmon = veilmon
         self.switch_count = 0
 
-    def _kernel_ghcb(self, core: "VirtualCpu") -> Ghcb:
-        return Ghcb(self.kernel.ghcb_ppns[core.cpu_index])
-
     def _switch(self, core: "VirtualCpu", target_vmpl: int) -> None:
         # Enter kernel mode for the privileged MSR write, then exit.  No
         # state is restored afterwards: the VMGEXIT seals this (kernel)
         # context into the DomUNT VMSA, and control returns here only once
         # the trusted domain has switched back to that same instance.
-        ghcb = self._kernel_ghcb(core)
+        ghcb = ghcb_view(self.kernel.ghcb_ppns[core.cpu_index])
         assert self.kernel.kernel_table is not None
         core.regs.cr3 = self.kernel.kernel_table.root_ppn
         core.regs.cpl = 0

@@ -19,7 +19,7 @@ import typing
 
 from ..crypto import DhKeyPair, SecureChannel, sha256
 from ..errors import SecurityViolation, SimulationError
-from ..hw.ghcb import Ghcb
+from ..hw.ghcb import Ghcb, ghcb_view
 from ..hw.memory import PAGE_SIZE, page_base
 from ..hw.pagetable import GuestPageTable, LinearWindow
 from ..hw.rmp import Access
@@ -324,7 +324,7 @@ class VeilMon:
     # ------------------------------------------------------------------
 
     def _mon_ghcb(self, core: "VirtualCpu") -> Ghcb:
-        return Ghcb(self.mon_ghcb_ppns[core.cpu_index])
+        return ghcb_view(self.mon_ghcb_ppns[core.cpu_index])
 
     def switch_from_mon(self, core: "VirtualCpu", target_vmpl: int) -> None:
         """Request the hypervisor switch this core out of DomMON."""
@@ -404,12 +404,9 @@ class VeilMon:
 
     # -- DomSER dispatch (protected services) ------------------------------
 
-    def _ser_ghcb(self, core: "VirtualCpu") -> Ghcb:
-        return Ghcb(self.ser_ghcb_ppns[core.cpu_index])
-
     def switch_from_ser(self, core: "VirtualCpu", target_vmpl: int) -> None:
         """Request the hypervisor switch this core out of DomSER."""
-        ghcb = self._ser_ghcb(core)
+        ghcb = ghcb_view(self.ser_ghcb_ppns[core.cpu_index])
         core.wrmsr_ghcb(ghcb.gpa)
         ghcb.write_switch(self.machine.memory, target_vmpl)
         core.vmgexit()

@@ -17,8 +17,9 @@ the paper's stacked breakdowns (e.g. Fig. 5 splits enclave overhead into
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
+
+from ..trace.metrics import Tally
 
 
 #: Nominal clock used only to render cycles as human-readable seconds.
@@ -108,12 +109,12 @@ class ChargeHandle:
     """Pre-resolved charge target for one ledger category.
 
     The VCPU access path charges the same two categories
-    (``page_table_walk``, ``copy``) on every guest memory access; going
-    through :meth:`CycleLedger.charge` costs a string-keyed dict probe and
-    a sign check per call.  A handle binds the ledger and its category
-    bucket once so the per-access cost is two integer adds.  Handles
-    survive :meth:`CycleLedger.reset` because the ledger clears its
-    category counter in place rather than replacing it.
+    (``page_table_walk``, ``copy``) on every guest memory access.  A
+    handle binds the ledger, its category tally and the category name
+    once, so a charge is one add to the ledger's total and one
+    ``+=`` into the tally, with no sign check and no category argument
+    to pass.  Handles survive :meth:`CycleLedger.reset` because the
+    ledger clears its tally in place rather than replacing it.
 
     Callers own the non-negativity of their costs: handles skip the
     negative-charge guard, so they are only handed to trusted simulator
@@ -143,7 +144,9 @@ class CycleLedger:
     """
 
     total: int = 0
-    by_category: dict[str, int] = field(default_factory=Counter)
+    #: Cycles per category.  A missing category reads 0 without being
+    #: inserted; a charge, even of zero cycles, inserts its category.
+    by_category: dict[str, int] = field(default_factory=Tally)
 
     def charge(self, category: str, cycles: int) -> None:
         """Add ``cycles`` under ``category``."""
@@ -176,7 +179,7 @@ class CycleLedger:
     def reset(self) -> None:
         """Zero every counter.
 
-        Clears the category counter in place (never replaces it) so
+        Clears the category tally in place (never replaces it) so
         outstanding :class:`ChargeHandle` objects stay valid.
         """
         self.total = 0

@@ -27,7 +27,7 @@ from ..errors import (CvmHalted, GeneralProtectionFault, NestedPageFault,
                       SimulationError)
 from ..trace import NULL_SPAN
 from .ghcb import Ghcb
-from .memory import PAGE_SHIFT, PAGE_SIZE, pages_spanned
+from .memory import PAGE_SHIFT, PAGE_SIZE
 from .pagetable import PageFault
 from .rmp import Access
 from .tlb import SoftTlb
@@ -35,12 +35,16 @@ from .vmsa import RegisterFile, Vmsa
 
 _OFFSET_MASK = PAGE_SIZE - 1
 
-# Pre-resolved access bits for the packed RMP-verdict cache keys
-# ``(ppn << 6) | (vmpl << 4) | access_bits`` (see repro.hw.tlb).
-_READ_BIT = Access.READ.value
-_WRITE_BIT = Access.WRITE.value
-_UEXEC_BIT = Access.UEXEC.value
-_SEXEC_BIT = Access.SEXEC.value
+# Pre-resolved access kinds and their bits for the packed RMP-verdict
+# cache keys ``(ppn << 6) | (vmpl << 4) | access_bits`` (see
+# repro.hw.tlb).  Both ``Access.READ`` and ``.value`` call a Python-level
+# enum descriptor, so the access paths read these constants instead.
+_READ, _WRITE, _UEXEC, _SEXEC = (Access.READ, Access.WRITE, Access.UEXEC,
+                                 Access.SEXEC)
+_READ_BIT = _READ.value
+_WRITE_BIT = _WRITE.value
+_UEXEC_BIT = _UEXEC.value
+_SEXEC_BIT = _SEXEC.value
 
 if typing.TYPE_CHECKING:
     from .platform import SevSnpMachine
@@ -166,34 +170,17 @@ class VirtualCpu:
             raise PageFault(vpn, "nx")
         return pte.ppn
 
-    def _rmp_check_page(self, ppn: int, access: Access) -> None:
-        """RMP check for one page; a violation is fail-stop for the CVM.
-
-        Unlike a CPL page fault (which the OS can resolve), a guest-side
-        RMP violation re-faults forever -- the paper's observable defence
-        is "the CVM halts with continuous #NPFs".  Only *allow* verdicts
-        are cached (:meth:`~repro.hw.rmp.Rmp.check_access` charges no
-        cycles, so caching it is ledger-neutral); the cache is dropped
-        whenever the RMP generation moved.
-        """
-        vmpl = self.vmpl
-        tlb = self.tlb
-        rmp = self.machine.rmp
-        if tlb.rmp_generation != rmp.generation:
-            tlb.invalidate_rmp(rmp.generation)
-        key = (ppn << 6) | (vmpl << 4) | access.value
-        if key in tlb.rmp_allow:
-            tlb.stats.rmp_hits += 1
-            return
-        self._rmp_fill(ppn, vmpl, access, key)
-
     def _rmp_fill(self, ppn: int, vmpl: int, access: Access,
                   key: int) -> None:
         """Verdict-cache miss: re-derive the RMP verdict and cache it.
 
-        Separated from the access fast path so the hit path stays a pure
-        set-membership test.  Failures halt the machine before the cache
-        insert, so a deny verdict is never cached.
+        Separated from the access paths so the hit path stays a pure
+        set-membership test.  A violation halts the CVM before the cache
+        insert, so a deny verdict is never cached: unlike a CPL page
+        fault, a guest-side RMP violation re-faults forever, and the
+        paper's observable defence is "the CVM halts with continuous
+        #NPFs".  :meth:`~repro.hw.rmp.Rmp.check_access` charges no
+        cycles, so caching allow verdicts is ledger-neutral.
         """
         machine = self.machine
         tlb = self.tlb
@@ -227,10 +214,36 @@ class VirtualCpu:
         tlb.cur_ptver = machine._pt_version
         return view
 
-    def _rmp_check(self, paddr: int, length: int, access: Access) -> None:
-        """RMP permission check over every page of a physical range."""
-        for ppn in pages_spanned(paddr, length):
-            self._rmp_check_page(ppn, access)
+    def _rmp_check(self, paddr: int, length: int, access: Access,
+                   access_bit: int) -> None:
+        """RMP permission check over every page of a physical range,
+        before the caller moves a byte.
+
+        :meth:`read`'s verdict-cache test, inline: one RMP generation
+        compare per call (an RMPADJUST is visible on the very next
+        access), then per page a hit on the VMPL-packed key or
+        :meth:`_rmp_fill`, which halts the CVM on a violation.  A zero
+        or negative length checks nothing.
+        """
+        if length <= 0:
+            return
+        instance = self.instance
+        if instance is None:
+            raise SimulationError("VCPU is not running any instance")
+        tlb = self.tlb
+        rmp = self.machine.rmp
+        if tlb.rmp_generation != rmp.generation:
+            tlb.invalidate_rmp(rmp.generation)
+        allow = tlb.rmp_allow
+        vmpl = instance.vmpl
+        bits = (vmpl << 4) | access_bit
+        for ppn in range(paddr >> PAGE_SHIFT,
+                         ((paddr + length - 1) >> PAGE_SHIFT) + 1):
+            key = (ppn << 6) | bits
+            if key in allow:
+                tlb.stats.rmp_hits += 1
+            else:
+                self._rmp_fill(ppn, vmpl, access, key)
 
     def _degenerate_access(self, vaddr: int, length: int, write: bool,
                            execute: bool) -> bytes:
@@ -316,12 +329,12 @@ class VirtualCpu:
             if key in allow:
                 stats.rmp_hits += 1
             else:
-                self._rmp_fill(ppn, vmpl_bits >> 4, Access.READ, key)
+                self._rmp_fill(ppn, vmpl_bits >> 4, _READ, key)
             charge_copy(length * copy_x1000 // 1000)
             buf = pages.get(ppn)
             if buf is None:
                 return memory.page_bytes(ppn, offset, length)
-            return bytes(memoryview(buf)[offset:offset + length])
+            return bytes(buf[offset:offset + length])
         # Cross-page gather aggregates the per-page ledger
         # charges into one call per category.  Totals are identical to
         # per-page charging (integer addition commutes and nothing reads
@@ -357,14 +370,14 @@ class VirtualCpu:
                 if key in allow:
                     stats.rmp_hits += 1
                 else:
-                    self._rmp_fill(ppn, vmpl_bits >> 4, Access.READ, key)
+                    self._rmp_fill(ppn, vmpl_bits >> 4, _READ, key)
                 copy_acc += chunk * copy_x1000 // 1000
                 buf = pages.get(ppn)
                 if buf is None:
                     out[pos:pos + chunk] = memory.page_bytes(ppn, off,
                                                              chunk)
                 else:
-                    out[pos:pos + chunk] = memoryview(buf)[off:off + chunk]
+                    out[pos:pos + chunk] = buf[off:off + chunk]
                 pos += chunk
         finally:
             charge_walk(walk_acc)
@@ -427,7 +440,7 @@ class VirtualCpu:
             if key in allow:
                 stats.rmp_hits += 1
             else:
-                self._rmp_fill(ppn, vmpl_bits >> 4, Access.WRITE, key)
+                self._rmp_fill(ppn, vmpl_bits >> 4, _WRITE, key)
             charge_copy(length * copy_x1000 // 1000)
             buf = pages.get(ppn)
             if buf is None:
@@ -469,7 +482,7 @@ class VirtualCpu:
                 if key in allow:
                     stats.rmp_hits += 1
                 else:
-                    self._rmp_fill(ppn, vmpl_bits >> 4, Access.WRITE, key)
+                    self._rmp_fill(ppn, vmpl_bits >> 4, _WRITE, key)
                 copy_acc += chunk * copy_x1000 // 1000
                 buf = pages.get(ppn)
                 if buf is None:
@@ -502,7 +515,7 @@ class VirtualCpu:
         stats = tlb.stats
         vmpl_bits = instance.vmpl << 4
         supervisor = self.regs.cpl == 0
-        access = Access.SEXEC if supervisor else Access.UEXEC
+        access = _SEXEC if supervisor else _UEXEC
         access_bit = _SEXEC_BIT if supervisor else _UEXEC_BIT
         charge_walk = self._h_walk.charge
         charge_copy = self._h_copy.charge
@@ -538,7 +551,7 @@ class VirtualCpu:
             buf = pages.get(ppn)
             if buf is None:
                 return memory.page_bytes(ppn, offset, length)
-            return bytes(memoryview(buf)[offset:offset + length])
+            return bytes(buf[offset:offset + length])
         # Cross-page fetch with aggregated charges (see
         # `read` for the parity argument).
         out = bytearray(length)
@@ -580,7 +593,7 @@ class VirtualCpu:
                     out[pos:pos + chunk] = memory.page_bytes(ppn, off,
                                                              chunk)
                 else:
-                    out[pos:pos + chunk] = memoryview(buf)[off:off + chunk]
+                    out[pos:pos + chunk] = buf[off:off + chunk]
                 pos += chunk
         finally:
             charge_walk(walk_acc)
@@ -592,12 +605,12 @@ class VirtualCpu:
 
     def read_phys(self, paddr: int, length: int) -> bytes:
         """Physical read (RMP-checked at the current VMPL)."""
-        self._rmp_check(paddr, length, Access.READ)
+        self._rmp_check(paddr, length, _READ, _READ_BIT)
         return self.machine.memory.read(paddr, length)
 
     def write_phys(self, paddr: int, data: bytes) -> None:
         """Physical write (RMP-checked at the current VMPL)."""
-        self._rmp_check(paddr, len(data), Access.WRITE)
+        self._rmp_check(paddr, len(data), _WRITE, _WRITE_BIT)
         self.machine.memory.write(paddr, data)
 
     # -- SNP instructions ------------------------------------------------------

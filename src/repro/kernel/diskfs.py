@@ -175,14 +175,17 @@ class DiskSync:
                 lba += 1
         return lba - SUPERBLOCK_LBA
 
-    def _read_sectors(self, core: "VirtualCpu", count: int) -> bytes:
+    def _read_sectors(self, core: "VirtualCpu", first: int,
+                      end: int) -> bytes:
+        """Snapshot sectors ``[first, end)``, one block read each, staged
+        through the bounce buffer a page at a time."""
         bounce = self._bounce(core)
         blob = bytearray()
         memory = self.kernel.machine.memory
         base = page_base(bounce)
-        for start in range(0, count, SECTORS_PER_PAGE):
+        for start in range(first, end, SECTORS_PER_PAGE):
             sectors = []
-            for index in range(start, min(start + SECTORS_PER_PAGE, count)):
+            for index in range(start, min(start + SECTORS_PER_PAGE, end)):
                 reply = self.kernel.hypercall_io(core, {
                     "op": "io", "device": "block", "action": "read",
                     "lba": SUPERBLOCK_LBA + index})
@@ -209,12 +212,14 @@ class DiskSync:
         leaves the previous tree installed.
         """
         with self.kernel.kernel_context(core):
-            header = self._read_sectors(core, 1)
+            # The first sector carries the length prefix; it is read once
+            # and the rest of the snapshot continues from sector 1.
+            header = self._read_sectors(core, 0, 1)
             length = int.from_bytes(header[:8], "little")
             if length == 0 or length > 64 * 1024 * 1024:
                 raise KernelError(EIO, "no valid filesystem snapshot")
             total_sectors = (8 + length + SECTOR - 1) // SECTOR
-            blob = self._read_sectors(core, total_sectors)
+            blob = header + self._read_sectors(core, 1, total_sectors)
         try:
             snapshot = decode(blob[8:8 + length])
         except CodecError:

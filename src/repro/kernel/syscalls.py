@@ -19,12 +19,11 @@ VeilS-LOG attaches.
 from __future__ import annotations
 
 import typing
-from collections import Counter
 
 from ..errors import KernelError
 from ..hw.memory import PAGE_SIZE
 from ..hw.rng import DeterministicRandom, GETRANDOM_SEED
-from ..trace import NULL_SPAN
+from ..trace import NULL_SPAN, Tally
 from . import fs as fsmod
 from . import layout, net
 from .fs import (O_CREAT, O_RDONLY, O_TRUNC, O_WRONLY, InodeType)
@@ -79,7 +78,7 @@ class SyscallTable:
     def __init__(self, kernel: "Kernel"):
         self.kernel = kernel
         self.call_count = 0
-        self.per_syscall_counts: Counter[str] = Counter()
+        self.per_syscall_counts: Tally = Tally()
         # Boot-seeded entropy pool backing sys_getrandom: part of the
         # machine's measured state, so replays read identical bytes.
         self._entropy_pool = DeterministicRandom(GETRANDOM_SEED)

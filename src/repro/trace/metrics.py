@@ -11,7 +11,28 @@ byte-identical determinism contract.
 
 from __future__ import annotations
 
-from collections import Counter
+
+class Tally(dict):
+    """A ``dict`` of counts that reads a missing key as 0.
+
+    ``tally[key] += n`` reads 0 for a new key and then stores it, so a
+    zero increment still creates its key; a bare read of a missing key
+    inserts nothing.  Keys keep insertion order, as in any ``dict``.
+
+    :meth:`__missing__` is the only override, so CPython keeps every
+    store on the plain ``dict`` path.  ``collections.Counter`` defines
+    ``__delitem__`` in Python, and a ``dict`` subclass that does routes
+    every store, ``+=`` included, through the generic Python-level
+    subscript slot: about 4x the cost of a store here on CPython 3.11
+    (docs/PERFORMANCE.md, "Cheap primitives").  The cycle ledger and
+    the syscall and metrics counters store into one on every charge
+    or count.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, key) -> int:
+        return 0
 
 
 class CycleHistogram:
@@ -30,7 +51,7 @@ class CycleHistogram:
         self.total = 0
         self.min = 0
         self.max = 0
-        self.buckets: Counter[int] = Counter()
+        self.buckets: Tally = Tally()
 
     def observe(self, cycles: int) -> None:
         """Record one observation of ``cycles``."""
@@ -85,8 +106,8 @@ class LatencyHistogram:
     bits below the top ``LATENCY_SUB_BITS + 1`` -- values up to
     ``2**(LATENCY_SUB_BITS + 1)`` are recorded exactly, larger ones with
     relative error below ``2**-LATENCY_SUB_BITS``.  Storage is a sparse
-    Counter over bucket indices, so memory is bounded by the number of
-    *distinct* quantized values, never the observation count.
+    :class:`Tally` over bucket indices, so memory is bounded by the
+    number of *distinct* quantized values, never the observation count.
 
     Percentiles use the nearest-rank definition: ``percentile(p)`` over
     ``n`` observations is the value at sorted index
@@ -107,7 +128,7 @@ class LatencyHistogram:
         #: Observations that exceeded ``max_value`` (also in ``count``).
         self.overflow = 0
         self.max_value = max_value
-        self.buckets: Counter[int] = Counter()
+        self.buckets: Tally = Tally()
 
     @staticmethod
     def _index(value: int) -> int:
@@ -205,7 +226,7 @@ class MetricsRegistry:
     """
 
     def __init__(self):
-        self.counters: Counter[str] = Counter()
+        self.counters: Tally = Tally()
         self.histograms: dict[str, CycleHistogram] = {}
         self.latencies: dict[str, LatencyHistogram] = {}
 
@@ -268,7 +289,7 @@ class MetricsRegistry:
 class NullMetrics:
     """No-op registry used by the :class:`~repro.trace.NullTracer`."""
 
-    counters: Counter = Counter()
+    counters: Tally = Tally()
     histograms: dict = {}
     latencies: dict = {}
 

@@ -153,14 +153,15 @@ def run_bench(machine, api: AppApi, bench: SyscallBench, *,
     """Run one microbenchmark; returns per-iteration average stats."""
     state: dict = {}
     bench.setup(api, state)
+    ledger = machine.ledger
     measured = 0
-    before_all = machine.ledger.snapshot()
+    before_all = ledger.snapshot()
     for _ in range(iterations):
-        before = machine.ledger.snapshot()
+        before = ledger.total
         bench.operate(api, state)
-        measured += machine.ledger.since(before).total
+        measured += ledger.total - before
         bench.reset(api, state)
     bench.teardown(api, state)
-    delta = machine.ledger.since(before_all)
+    delta = ledger.since(before_all)
     return RunStats(name=bench.name, cycles=measured // iterations,
                     by_category=dict(delta.by_category))

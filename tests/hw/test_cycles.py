@@ -1,5 +1,7 @@
 """Unit tests: cycle ledger and cost model."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -86,6 +88,60 @@ class TestCycleLedger:
         for category, amount in charges:
             ledger.charge(category, amount)
         assert ledger.total == sum(ledger.by_category.values())
+
+
+class TestLedgerTally:
+    """``by_category`` is a :class:`repro.trace.Tally`; it must read and
+    store exactly as the ``collections.Counter`` it replaced did, because
+    the benchmark's ledger digest sorts ``by_category.items()``."""
+
+    def test_missing_category_reads_zero_and_inserts_nothing(self):
+        ledger = CycleLedger()
+        ledger.charge("a", 1)
+        assert ledger.by_category["missing"] == 0
+        assert ledger.category("missing") == 0
+        assert "missing" not in ledger.by_category
+        assert list(ledger.by_category) == ["a"]
+
+    def test_zero_charge_creates_its_key(self):
+        ledger = CycleLedger()
+        ledger.charge("z", 0)
+        ledger.handle("h").charge(0)
+        assert ledger.by_category == {"z": 0, "h": 0}
+        assert ledger.total == 0
+
+    def test_reset_keeps_handles_valid(self):
+        ledger = CycleLedger()
+        handle = ledger.handle("copy")
+        tally = ledger.by_category
+        handle.charge(5)
+        ledger.charge("walk", 2)
+        ledger.reset()
+        assert ledger.by_category is tally
+        handle.charge(3)
+        assert ledger.total == 3
+        assert ledger.by_category == {"copy": 3}
+
+    @given(st.lists(st.tuples(st.sampled_from(["copy", "walk", "switch",
+                                               "audit"]),
+                              st.integers(0, 10_000), st.booleans()),
+                    max_size=60))
+    def test_items_match_a_counter(self, charges):
+        """Same keys, values and insertion order as a ``Counter`` fed the
+        same charges, through ``charge`` and through handles alike."""
+        ledger = CycleLedger()
+        handles = {}
+        reference = Counter()
+        for category, cycles, by_handle in charges:
+            if by_handle:
+                if category not in handles:
+                    handles[category] = ledger.handle(category)
+                handles[category].charge(cycles)
+            else:
+                ledger.charge(category, cycles)
+            reference[category] += cycles
+        assert list(ledger.by_category.items()) == list(reference.items())
+        assert ledger.total == sum(reference.values())
 
 
 class TestConversions:

@@ -674,7 +674,9 @@ EXEC_VADDR = VPN_BASE * PAGE_SIZE + 0x100
 
 class TestDegenerateAccesses:
     """Negative length, zero length and no running instance: the three
-    accesses the fast paths hand to one helper."""
+    accesses the fast paths hand to one helper, and the last two on the
+    physical path, which the state machine never drives on an idle
+    core."""
 
     def test_negative_length_charges_nothing(self):
         rig = Rig()
@@ -703,6 +705,17 @@ class TestDegenerateAccesses:
             assert rig.access(1, kind, EXEC_VADDR, length) == \
                 (("SimulationError",), WALK, 0)
         assert rig.access(1, kind, EXEC_VADDR, 0)[0][0] == "ok"
+
+    @pytest.mark.parametrize("kind, result", [
+        ("read_phys", b""), ("write_phys", None)],
+        ids=["read_phys", "write_phys"])
+    def test_no_running_instance_phys(self, kind, result):
+        """No VMPL to check at: refused before any charge, unless the
+        length is zero, which checks nothing."""
+        rig = Rig(idle=True)
+        addr = rig.data[0] * PAGE_SIZE
+        assert rig.access(1, kind, addr, 16) == (("SimulationError",), 0, 0)
+        assert rig.access(1, kind, addr, 0) == (("ok", result), 0, 0)
 
 
 @pytest.mark.xfail(strict=True, reason=(

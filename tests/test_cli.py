@@ -1,8 +1,15 @@
 """Smoke tests: the ``python -m repro`` command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestParser:
@@ -187,3 +194,42 @@ class TestCommands:
         # The counters are summary-only: the exported Chrome trace holds
         # model state only, so it must not embed them.
         assert "tlb/" not in out_path.read_text()
+
+
+class TestClosedPipe:
+    """A reader that stops early (``repro attacks | head -1``) ends the
+    run quietly: no ``BrokenPipeError`` traceback on stderr, not even
+    from the interpreter's flush at exit."""
+
+    @staticmethod
+    def run_and_close(argv, lines):
+        """Run ``repro <argv>``, read ``lines`` lines of its stdout, then
+        close the pipe; returns ``(stderr, status)``."""
+        # Unbuffered: each print reaches the pipe as it is made, so the
+        # first line arrives before the rest is written.
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED="1")
+        proc = subprocess.Popen([sys.executable, "-m", "repro", *argv],
+                                stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=env)
+        for _ in range(lines):
+            assert proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        return stderr, proc.wait(timeout=120)
+
+    @pytest.mark.parametrize("argv", [["attacks"], ["fig4"]],
+                             ids=["attacks", "fig4"])
+    def test_after_the_first_line(self, argv):
+        stderr, status = self.run_and_close(argv, 1)
+        assert stderr == b""
+        assert status in (0, 1)
+
+    @pytest.mark.parametrize("argv", [["attacks"], ["fig4"]],
+                             ids=["attacks", "fig4"])
+    def test_before_the_first_write(self, argv):
+        """Closed before the command prints anything, so its first write
+        is certain to meet the closed pipe."""
+        stderr, status = self.run_and_close(argv, 0)
+        assert stderr == b""
+        assert status == 1

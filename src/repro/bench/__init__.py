@@ -1,7 +1,5 @@
 """Benchmark drivers and report renderers for the paper's evaluation."""
 
-from .cluster import (ClusterScalingRow, SCALING_FLEET_SIZES,
-                      render_cluster_scaling, run_cluster_scaling)
 from .harness import (BackgroundRow, BENCH_CONFIG, BootResult, Cs1Result,
                       Fig4Row, Fig5Row, Fig6Row, NOMINAL_NATIVE_BOOT_SECONDS,
                       PLAIN_VMCALL_CYCLES, SwitchResult, run_cs1, run_fig4,
@@ -19,6 +17,4 @@ __all__ = [
     "run_micro_switch", "render_attack_results", "render_background",
     "render_boot", "render_cs1", "render_fig4", "render_fig5",
     "render_fig6", "render_switch",
-    "ClusterScalingRow", "SCALING_FLEET_SIZES", "render_cluster_scaling",
-    "run_cluster_scaling",
 ]

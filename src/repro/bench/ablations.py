@@ -1,7 +1,10 @@
 """Ablation experiments for the design choices DESIGN.md calls out.
 
-Each ``run_*`` returns a plain dict/list that both the pytest-benchmark
-wrappers (``benchmarks/test_ablation_*.py``) and the CLI consume.
+Each ``run_*`` returns plain dicts (or ``BootResult`` rows) and takes
+its parameters from the module constants below.  ``repro ablations``
+prints them through :func:`render_ablations`, as the last section of
+the evaluation (:mod:`repro.bench.evaluation`); the bounds they must
+meet are tier-1 tests (``tests/bench/test_shapes.py``).
 """
 
 from __future__ import annotations
@@ -75,15 +78,9 @@ def run_batching_ablation() -> dict:
 BOOT_SIZES_MB = (256, 512, 1024, 2048)
 
 
-def run_boot_scaling(sizes_mb=BOOT_SIZES_MB) -> list:
-    """(size MB, total boot cycles, rmpadjust cycles) per guest size."""
-    rows = []
-    for size_mb in sizes_mb:
-        result = run_micro_boot(memory_bytes=size_mb * 1024 * 1024,
-                                runs=1)[0]
-        rows.append((size_mb, result.veil_boot_cycles,
-                     result.rmpadjust_cycles))
-    return rows
+def run_boot_scaling() -> list:
+    """One ``BootResult`` per guest size of :data:`BOOT_SIZES_MB`."""
+    return [run_micro_boot(size_mb) for size_mb in BOOT_SIZES_MB]
 
 
 # ---------------------------------------------------------------------------
@@ -94,22 +91,22 @@ PAYLOAD_SIZES = (16, 256, 2048, 8192)
 PAYLOAD_ROUND_TRIPS = 300
 
 
-def run_payload_sweep(sizes=PAYLOAD_SIZES,
-                      round_trips=PAYLOAD_ROUND_TRIPS) -> list:
-    """(payload bytes, cycles per monitor round trip)."""
+def run_payload_sweep() -> list:
+    """Cycles per monitor round trip at each of :data:`PAYLOAD_SIZES`."""
     system = boot_veil_system(VeilConfig(
         memory_bytes=32 * 1024 * 1024, num_cores=2,
         log_storage_pages=64))
     core = system.boot_core
     rows = []
-    for size in sizes:
+    for size in PAYLOAD_SIZES:
         payload = "x" * size
         before = system.machine.ledger.snapshot()
-        for _ in range(round_trips):
+        for _ in range(PAYLOAD_ROUND_TRIPS):
             system.gateway.call_monitor(core, {"op": "ping",
                                                "payload": payload})
         delta = system.machine.ledger.since(before)
-        rows.append((size, delta.total // round_trips))
+        rows.append({"payload_bytes": size,
+                     "cycles_per_call": delta.total // PAYLOAD_ROUND_TRIPS})
     return rows
 
 
@@ -175,8 +172,10 @@ def _vsgx_enclave_computation(libc) -> None:
     libc.printf("result ready\n")
 
 
-def run_vsgx_comparison(n: int = VSGX_N) -> dict:
-    """Total and marginal cost of N shielded computations both ways."""
+def run_vsgx_comparison() -> dict:
+    """Total and marginal cost of :data:`VSGX_N` shielded computations
+    both ways."""
+    n = VSGX_N
     vsgx_cycles = 0
     for index in range(n):
         system = boot_native_system(VSGX_CONFIG)
@@ -212,7 +211,6 @@ def run_vsgx_comparison(n: int = VSGX_N) -> dict:
 def render_ablations(batching: dict, flush: dict, vsgx: dict,
                      boot_rows: list, payload_rows: list) -> str:
     """One combined human-readable ablation report."""
-    from ..hw.cycles import cycles_to_seconds
     lines = ["Ablations (design-choice experiments)", "=" * 64]
     lines.append(
         f"syscall batching : {batching['speedup']:.2f}x speedup, "
@@ -226,12 +224,16 @@ def render_ablations(batching: dict, flush: dict, vsgx: dict,
         f"vSGX comparison  : {vsgx['marginal_advantage']:.1f}x cheaper "
         f"marginal provisioning, {vsgx['memory_advantage']:.0f}x less "
         "memory")
+    lines.append(
+        f"                   ({vsgx['vsgx_marginal_cycles']:,} vs "
+        f"{vsgx['veil_marginal_cycles']:,} cycles per added computation)")
     lines.append("boot sweep scaling:")
-    for size_mb, total, rmp in boot_rows:
-        lines.append(f"  {size_mb:>5} MiB: "
-                     f"{cycles_to_seconds(total):.3f} s "
-                     f"(rmpadjust {100 * rmp / total:.0f}%)")
+    for row in boot_rows:
+        lines.append(f"  {row.memory_bytes >> 20:>5} MiB: "
+                     f"{row.veil_boot_seconds:.3f} s "
+                     f"(rmpadjust {100 * row.rmpadjust_fraction:.0f}%)")
     lines.append("monitor round trip vs IDCB payload:")
-    for size, cycles in payload_rows:
-        lines.append(f"  {size:>6} B: {cycles:>8,} cycles/call")
+    for row in payload_rows:
+        lines.append(f"  {row['payload_bytes']:>6} B: "
+                     f"{row['cycles_per_call']:>8,} cycles/call")
     return "\n".join(lines)

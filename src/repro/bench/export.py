@@ -2,7 +2,8 @@
 
 ``python -m repro all`` prints human tables; downstream users who want to
 regenerate the paper's *figures* (matplotlib, gnuplot, ...) get machine-
-readable series from here instead.
+readable series from ``python -m repro export`` instead: the same
+evaluation's rows, one file pair per row list.
 """
 
 from __future__ import annotations
@@ -16,10 +17,12 @@ from pathlib import Path
 
 
 def rows_to_dicts(rows: typing.Sequence) -> list[dict]:
-    """Dataclass rows -> plain dicts, including computed properties."""
+    """Dataclass or dict rows -> plain dicts, including computed
+    properties."""
     out = []
     for row in rows:
-        record = dataclasses.asdict(row)
+        record = dict(row) if isinstance(row, dict) else \
+            dataclasses.asdict(row)
         for name in dir(type(row)):
             attr = getattr(type(row), name, None)
             if isinstance(attr, property):
@@ -46,33 +49,20 @@ def to_csv(rows: typing.Sequence) -> str:
     return buffer.getvalue()
 
 
-def export_all(directory: str | Path, *, fig4_iterations: int = 30,
-               boot_memory_bytes: int = 512 * 1024 * 1024,
-               switch_round_trips: int = 2000,
-               cs1_repetitions: int = 50) -> dict:
-    """Run every experiment and write <name>.json / <name>.csv files.
+def export_all(directory: str | Path, sections: typing.Sequence) -> dict:
+    """Write each row list of ``sections`` as <name>.json / <name>.csv.
 
-    Returns {experiment name: path of the JSON file written}.
+    ``sections`` is the evaluation
+    (:func:`repro.bench.evaluation.run_evaluation`).  Returns {row list
+    name: path of the JSON file written}.
     """
-    from .harness import (run_cs1, run_fig4, run_fig5, run_fig6,
-                          run_micro_background, run_micro_boot,
-                          run_micro_switch)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    experiments = {
-        "fig4": run_fig4(iterations=fig4_iterations),
-        "fig5": run_fig5(),
-        "fig6": run_fig6(),
-        "micro_boot": run_micro_boot(memory_bytes=boot_memory_bytes,
-                                     runs=1),
-        "micro_switch": [run_micro_switch(switch_round_trips)],
-        "micro_background": run_micro_background(),
-        "cs1": [run_cs1(repetitions=cs1_repetitions)],
-    }
     written = {}
-    for name, rows in experiments.items():
-        json_path = directory / f"{name}.json"
-        json_path.write_text(to_json(rows))
-        (directory / f"{name}.csv").write_text(to_csv(rows))
-        written[name] = str(json_path)
+    for section in sections:
+        for name, rows in section.rows.items():
+            json_path = directory / f"{name}.json"
+            json_path.write_text(to_json(rows))
+            (directory / f"{name}.csv").write_text(to_csv(rows))
+            written[name] = str(json_path)
     return written

@@ -1,10 +1,13 @@
 """Experiment drivers: one function per table/figure of the paper.
 
 Each ``run_*`` function boots the systems it needs, executes the
-workloads, and returns plain result records the report printers and the
-pytest-benchmark wrappers consume.  Absolute cycle counts come from the
-calibrated cost model; the claims under test are the *shapes* (ratios,
-orderings, crossovers) documented in EXPERIMENTS.md.
+workloads, and returns plain result records for the report printers.
+Their defaults are the evaluation's parameters: the module constants
+below, which the per-experiment ``repro`` commands take as their
+defaults too, and which :mod:`repro.bench.evaluation` runs.  Absolute
+cycle counts come from the calibrated cost model; the claims under
+test are the *shapes* (ratios, orderings, crossovers) documented in
+EXPERIMENTS.md.
 """
 
 from __future__ import annotations
@@ -37,6 +40,13 @@ NOMINAL_NATIVE_BOOT_SECONDS = 15.4
 BENCH_CONFIG = VeilConfig(memory_bytes=48 * 1024 * 1024, num_cores=2,
                           log_storage_pages=512)
 
+#: The evaluation's parameters (``repro micro --memory-mb/--switches``,
+#: ``repro cs1 --reps``, ``repro fig4 --iterations``).
+BOOT_MEMORY_MB = 2048
+SWITCH_ROUND_TRIPS = 5000
+CS1_REPETITIONS = 100
+FIG4_ITERATIONS = 30
+
 
 def _fresh_pair() -> tuple[VeilSystem, NativeSystem]:
     return boot_veil_system(BENCH_CONFIG), boot_native_system(BENCH_CONFIG)
@@ -68,7 +78,7 @@ class Fig4Row:
         return self.enclave_cycles / max(1, self.native_cycles)
 
 
-def run_fig4(iterations: int = 40) -> list[Fig4Row]:
+def run_fig4(iterations: int = FIG4_ITERATIONS) -> list[Fig4Row]:
     """Regenerate Fig. 4: per-syscall native vs enclave cost."""
     _require_runs("iterations", iterations)
     veil, native = _fresh_pair()
@@ -245,19 +255,16 @@ class BootResult:
             NOMINAL_NATIVE_BOOT_SECONDS
 
 
-def run_micro_boot(*, memory_bytes: int = 2 * 1024 ** 3,
-                   runs: int = 1) -> list[BootResult]:
+def run_micro_boot(memory_mb: int = BOOT_MEMORY_MB) -> BootResult:
     """Veil's boot-time cost on a paper-sized (2 GB) guest."""
-    results = []
-    config = VeilConfig(memory_bytes=memory_bytes, num_cores=2,
-                        log_storage_pages=1024)
-    for _ in range(runs):
-        system = boot_veil_system(config)
-        delta = system.veil_boot_delta
-        results.append(BootResult(
-            memory_bytes=memory_bytes, veil_boot_cycles=delta.total,
-            rmpadjust_cycles=delta.category("rmpadjust")))
-    return results
+    memory_bytes = memory_mb * 1024 * 1024
+    system = boot_veil_system(VeilConfig(memory_bytes=memory_bytes,
+                                         num_cores=2,
+                                         log_storage_pages=1024))
+    delta = system.veil_boot_delta
+    return BootResult(memory_bytes=memory_bytes,
+                      veil_boot_cycles=delta.total,
+                      rmpadjust_cycles=delta.category("rmpadjust"))
 
 
 @dataclass
@@ -280,7 +287,8 @@ class SwitchResult:
         return self.cycles_per_switch / PLAIN_VMCALL_CYCLES
 
 
-def run_micro_switch(round_trips: int = 10_000) -> SwitchResult:
+def run_micro_switch(round_trips: int = SWITCH_ROUND_TRIPS
+                     ) -> SwitchResult:
     """Average cost of a hypervisor-relayed domain switch."""
     _require_runs("round_trips", round_trips)
     system = boot_veil_system(VeilConfig(memory_bytes=32 * 1024 * 1024,
@@ -359,7 +367,7 @@ class Cs1Result:
             self.native_unload_cycles
 
 
-def run_cs1(repetitions: int = 100) -> Cs1Result:
+def run_cs1(repetitions: int = CS1_REPETITIONS) -> Cs1Result:
     """CS1: a 4728-byte module (24 KiB installed) loaded/unloaded 100x."""
     _require_runs("repetitions", repetitions)
     key = module_signing_key()

@@ -65,18 +65,16 @@ def render_fig6(rows: typing.Sequence[Fig6Row]) -> str:
     return "\n".join(lines)
 
 
-def render_boot(results: typing.Sequence[BootResult]) -> str:
-    """Section 9.1 boot-cost summary lines."""
-    lines = ["Section 9.1: Veil boot-time cost", _rule()]
-    for result in results:
-        gib = result.memory_bytes / 1024 ** 3
-        lines.append(
-            f"guest {gib:.1f} GiB: +{result.veil_boot_seconds:.2f} s "
-            f"({result.pct_of_native_boot:.0f}% of a "
-            f"{NOMINAL_NATIVE_BOOT_SECONDS:.1f} s native CVM boot), "
-            f"RMPADJUST share {100 * result.rmpadjust_fraction:.0f}%")
-    lines.append("paper: ~2 s (~13%), >70% in RMPADJUST")
-    return "\n".join(lines)
+def render_boot(result: BootResult) -> str:
+    """Section 9.1 boot-cost summary."""
+    gib = result.memory_bytes / 1024 ** 3
+    return "\n".join([
+        "Section 9.1: Veil boot-time cost", _rule(),
+        f"guest {gib:.1f} GiB: +{result.veil_boot_seconds:.2f} s "
+        f"({result.pct_of_native_boot:.0f}% of a "
+        f"{NOMINAL_NATIVE_BOOT_SECONDS:.1f} s native CVM boot), "
+        f"RMPADJUST share {100 * result.rmpadjust_fraction:.0f}%",
+        "paper: ~2 s (~13%), >70% in RMPADJUST"])
 
 
 def render_switch(result: SwitchResult) -> str:

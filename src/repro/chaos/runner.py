@@ -120,9 +120,6 @@ def run_chaos_cluster(config: ChaosConfig | None = None, *,
     config = config or ChaosConfig()
     profile = profile_by_name(config.profile)
     plan = FaultPlan(config.seed, profile)
-    if tracer is None:
-        from ..trace.tracer import default_tracer
-        tracer = default_tracer()
     net = ChaoticNetwork(plan, tracer=tracer)
     fleet = ClusterFleet(config, tracer=tracer, net=net, scope=scope)
 

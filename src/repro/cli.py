@@ -18,7 +18,10 @@ Commands map one-to-one onto the paper's experiments:
 ``chaos``      torture a fleet with a seeded fault schedule (veil-chaos)
 ``scope``      fleet-wide distributed tracing + latency telemetry
 ``surge``      open-loop load generation on the event scheduler
-``all``        everything above (the full evaluation)
+``export``     the evaluation's rows as JSON/CSV files
+``ablations``  design-choice ablation experiments
+``all``        the paper's evaluation: ``micro``, ``cs1``, ``fig4``-``6``,
+               ``attacks``, ``ltp`` and ``ablations`` at their defaults
 =============  ========================================================
 """
 
@@ -28,13 +31,10 @@ import argparse
 import os
 import sys
 
-from .attacks import (run_log_attacks, run_table1, run_table2,
-                      run_validation)
-from .bench import (render_attack_results, render_background,
-                    render_boot, render_cs1, render_fig4, render_fig5,
-                    render_fig6, render_switch, run_cs1, run_fig4,
-                    run_fig5, run_fig6, run_micro_background,
-                    run_micro_boot, run_micro_switch)
+from .bench import evaluation
+from .bench.charts import chart_fig4, chart_fig5, chart_fig6
+from .bench.harness import (BOOT_MEMORY_MB, CS1_REPETITIONS,
+                            FIG4_ITERATIONS, SWITCH_ROUND_TRIPS)
 from .core import VeilConfig, boot_veil_system
 from .errors import SimulationError
 from .hw.cycles import cycles_to_seconds
@@ -68,72 +68,48 @@ def _cmd_boot(args) -> None:
           f"{system.expected_measurement().hex()[:16]}...)")
 
 
-def _cmd_micro(args) -> None:
-    print(render_boot(_boot_sized(args.memory_mb, lambda: run_micro_boot(
-        memory_bytes=args.memory_mb * 1024 * 1024, runs=1))))
-    print()
-    print(render_switch(run_micro_switch(args.switches)))
-    print()
-    print(render_background(run_micro_background()))
-
-
-def _cmd_cs1(args) -> None:
-    print(render_cs1(run_cs1(repetitions=args.reps)))
-
-
-def _cmd_fig4(args) -> None:
-    rows = run_fig4(iterations=args.iterations)
-    if getattr(args, "chart", False):
-        from .bench.charts import chart_fig4
-        print(chart_fig4(rows))
-    else:
-        print(render_fig4(rows))
-
-
-def _cmd_fig5(args) -> None:
-    rows = run_fig5()
-    if getattr(args, "chart", False):
-        from .bench.charts import chart_fig5
-        print(chart_fig5(rows))
-    else:
-        print(render_fig5(rows))
-
-
-def _cmd_fig6(args) -> None:
-    rows = run_fig6()
-    if getattr(args, "chart", False):
-        from .bench.charts import chart_fig6
-        print(chart_fig6(rows))
-    else:
-        print(render_fig6(rows))
-
-
-def _cmd_attacks(args) -> None:
-    results = (run_table1() + run_table2() + run_log_attacks() +
-               run_validation())
-    print(render_attack_results(results))
-    expected_breaches = [r for r in results
-                         if not r.defended and "baseline" in r.defense]
-    unexpected = [r for r in results
-                  if not r.defended and "baseline" not in r.defense]
-    if unexpected:
-        print("UNEXPECTED BREACHES:")
-        for result in unexpected:
-            print(f"  {result}")
+def _print_section(section) -> None:
+    """Print one section of the evaluation; exit 1 if it saw a fault."""
+    print(section.text)
+    if not section.ok:
         sys.exit(1)
 
 
+def _cmd_micro(args) -> None:
+    _print_section(_boot_sized(args.memory_mb, lambda: evaluation.micro(
+        args.memory_mb, args.switches)))
+
+
+def _cmd_cs1(args) -> None:
+    _print_section(evaluation.cs1(args.reps))
+
+
+def _cmd_fig4(args) -> None:
+    section = evaluation.fig4(args.iterations)
+    print(chart_fig4(section.rows["fig4"]) if args.chart else section.text)
+
+
+def _cmd_fig5(args) -> None:
+    section = evaluation.fig5()
+    print(chart_fig5(section.rows["fig5"]) if args.chart else section.text)
+
+
+def _cmd_fig6(args) -> None:
+    section = evaluation.fig6()
+    print(chart_fig6(section.rows["fig6"]) if args.chart else section.text)
+
+
+def _cmd_attacks(args) -> None:
+    _print_section(evaluation.attacks())
+
+
 def _cmd_ltp(args) -> None:
-    from .workloads.ltp import run_ltp
-    system = boot_veil_system(VeilConfig(
-        memory_bytes=32 * 1024 * 1024, num_cores=2,
-        log_storage_pages=64))
-    report = run_ltp(system)
-    print(report.summary())
+    section = evaluation.ltp()
+    print(section.text)
     if args.verbose:
-        for name in sorted(report.per_syscall):
-            good, bad = report.per_syscall[name]
-            print(f"  {name:<20} {good} passed / {bad} failed")
+        for row in section.rows["ltp"]:
+            print(f"  {row['syscall']:<20} {row['passed']} passed / "
+                  f"{row['failed']} failed")
 
 
 def _lint_argv(args) -> list:
@@ -375,30 +351,27 @@ def _cmd_surge(args) -> None:
 
 
 def _cmd_ablations(args) -> None:
-    from .bench.ablations import (render_ablations,
-                                  run_batching_ablation,
-                                  run_boot_scaling, run_flush_ablation,
-                                  run_payload_sweep,
-                                  run_vsgx_comparison)
-    print(render_ablations(
-        run_batching_ablation(), run_flush_ablation(),
-        run_vsgx_comparison(),
-        run_boot_scaling(sizes_mb=(256, 512)),
-        run_payload_sweep()))
+    _print_section(evaluation.ablations())
 
 
 def _cmd_export(args) -> None:
     from .bench.export import export_all
-    written = export_all(args.out)
+    written = export_all(args.out, evaluation.run_evaluation())
     for name, path in sorted(written.items()):
         print(f"{name:<18} -> {path}")
 
 
 def _cmd_all(args) -> None:
-    for fn in (_cmd_micro, _cmd_cs1, _cmd_fig4, _cmd_fig5, _cmd_fig6,
-               _cmd_attacks, _cmd_ltp):
-        fn(args)
+    """Print every section of the evaluation, each followed by a blank
+    line: the per-experiment commands' outputs at their defaults."""
+    ok = True
+    for experiment in evaluation.EXPERIMENTS:
+        section = experiment()
+        print(section.text)
         print()
+        ok = ok and section.ok
+    if not ok:
+        sys.exit(1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -417,16 +390,16 @@ def build_parser() -> argparse.ArgumentParser:
     boot.set_defaults(fn=_cmd_boot)
 
     micro = sub.add_parser("micro", help="section 9.1 microbenchmarks")
-    micro.add_argument("--memory-mb", type=int, default=2048)
-    micro.add_argument("--switches", type=int, default=5000)
+    micro.add_argument("--memory-mb", type=int, default=BOOT_MEMORY_MB)
+    micro.add_argument("--switches", type=int, default=SWITCH_ROUND_TRIPS)
     micro.set_defaults(fn=_cmd_micro)
 
     cs1 = sub.add_parser("cs1", help="module load/unload overhead")
-    cs1.add_argument("--reps", type=int, default=100)
+    cs1.add_argument("--reps", type=int, default=CS1_REPETITIONS)
     cs1.set_defaults(fn=_cmd_cs1)
 
     fig4 = sub.add_parser("fig4", help="enclave syscall microbenchmarks")
-    fig4.add_argument("--iterations", type=int, default=30)
+    fig4.add_argument("--iterations", type=int, default=FIG4_ITERATIONS)
     fig4.add_argument("--chart", action="store_true",
                       help="draw an ASCII bar chart instead of a table")
     fig4.set_defaults(fn=_cmd_fig4)
@@ -595,23 +568,25 @@ def build_parser() -> argparse.ArgumentParser:
                    help="design-choice ablation experiments"
                    ).set_defaults(fn=_cmd_ablations)
 
-    everything = sub.add_parser("all", help="the full evaluation")
-    everything.add_argument("--memory-mb", type=int, default=2048)
-    everything.add_argument("--switches", type=int, default=5000)
-    everything.add_argument("--reps", type=int, default=50)
-    everything.add_argument("--iterations", type=int, default=30)
-    everything.add_argument("--verbose", action="store_true")
-    everything.set_defaults(fn=_cmd_all)
+    sub.add_parser("all", help="the paper's evaluation").set_defaults(
+        fn=_cmd_all)
     return parser
 
 
 def _check_output_paths(args) -> None:
-    """Refuse an ``--out``/``--json`` file that cannot be written.
+    """Refuse an ``--out``/``--json`` path that cannot be written.
 
     Checked before the run, which may take seconds.  ``export --out``
-    names a directory that the command creates, so it is not a file.
+    names a directory, created with any missing parents, so only a
+    file at that path or above it is refused.
     """
     if args.command == "export":
+        existing = args.out
+        while existing and not os.path.exists(existing):
+            existing = os.path.dirname(existing)
+        if existing and not os.path.isdir(existing):
+            raise SimulationError(
+                f"cannot write {args.out}: {existing} is not a directory")
         return
     for path in (getattr(args, "out", None), getattr(args, "json", None)):
         if not path:

@@ -150,12 +150,7 @@ class ClusterFleet:
                  tracer: "Tracer | None" = None,
                  net: InterHostNetwork | None = None,
                  scope=None):
-        from ..trace.tracer import default_tracer
         self.config = config
-        if tracer is None:
-            # Pick up the harness-wide tracer (VEIL_TRACE_DIR capture)
-            # so fleet runs trace like single-machine runs do.
-            tracer = default_tracer()
         self.tracer = tracer
         #: veil-scope observer; NULL_SCOPE (zero-cost no-op) by default.
         self.scope = scope if scope is not None else NULL_SCOPE

@@ -217,7 +217,7 @@ def boot_native_system(config: VeilConfig | None = None) -> NativeSystem:
     core = machine.core(0)
     core.hw_enter(boot_vmsa)
     # Launch-time memory acceptance (PVALIDATE sweep) happens natively too.
-    machine.rmp.bulk_assign_validate(machine.num_pages)
+    machine.rmp.bulk_assign_validate()
     for ppn in machine.vmsa_objects:
         machine.rmp.install_vmsa(ppn)
     kernel = Kernel(machine)

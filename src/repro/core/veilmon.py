@@ -135,7 +135,7 @@ class VeilMon:
         if core.vmpl != VMPL_MON:
             raise SecurityViolation("VeilMon must initialize at VMPL-0")
         # Accept all guest memory (launch-time PVALIDATE sweep).
-        self.machine.rmp.bulk_assign_validate(self.machine.num_pages)
+        self.machine.rmp.bulk_assign_validate()
         self._mark_existing_vmsas()
         # Monitor image + heap.
         self.image_ppns = self.reserve_protected_frames(MON_IMAGE_PAGES,
@@ -265,12 +265,10 @@ class VeilMon:
         mon_private = set(self.image_ppns) | set(self._heap_ppns)
         self.machine.rmp.bulk_rmpadjust(
             executing_vmpl=VMPL_MON, target_vmpl=VMPL_SER,
-            perms=Access.all(), count=self.machine.num_pages,
-            exclude=mon_private)
+            perms=Access.all(), exclude=mon_private)
         self.machine.rmp.bulk_rmpadjust(
             executing_vmpl=VMPL_MON, target_vmpl=VMPL_UNT,
-            perms=Access.all(), count=self.machine.num_pages,
-            exclude=set(self.protected_ppns))
+            perms=Access.all(), exclude=set(self.protected_ppns))
 
     def protect_new_region(self, core: "VirtualCpu", ppns,
                            *, allow_ser: bool = True) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import typing
 
 from ..errors import CvmHalted, SimulationError
-from ..trace import NULL_TRACER, default_tracer
+from ..trace import NULL_TRACER
 from .cycles import CostModel, CycleLedger
 from .memory import PAGE_SIZE, PhysicalMemory
 from .pagetable import GuestPageTable
@@ -103,11 +103,10 @@ class SevSnpMachine:
                 f"{PAGE_SIZE}, got {memory_bytes}")
         self.cost = cost or CostModel()
         self.ledger = CycleLedger()
-        # Observability: an explicit tracer wins, then the process-wide
-        # default (benchmark fixture), then the no-op tracer.  Tracing
-        # never charges the ledger, so cycle totals are identical with
-        # it on or off.
-        self.tracer = tracer or default_tracer() or NULL_TRACER
+        # Observability: the given tracer, else the no-op tracer.
+        # Tracing never charges the ledger, so cycle totals are
+        # identical with it on or off.
+        self.tracer = tracer or NULL_TRACER
         self.tracer.attach_ledger(self.ledger)
         self.memory = PhysicalMemory(memory_bytes, cost=self.cost,
                                      ledger=self.ledger)

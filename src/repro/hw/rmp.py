@@ -135,14 +135,18 @@ class Rmp:
     # -- bulk operations (simulator fast path for full-memory sweeps) -------
 
     def bulk_rmpadjust(self, *, executing_vmpl: int, target_vmpl: int,
-                       perms: Access, count: int,
+                       perms: Access,
                        exclude: "set[int] | frozenset[int]" = frozenset()
                        ) -> None:
         """Apply ``RMPADJUST`` to every page except ``exclude``.
 
-        Architecturally equivalent to calling :meth:`rmpadjust` on each of
-        ``count`` pages (and charged as such); kept as one call so the
-        boot-time sweep over gigabytes is tractable to simulate.
+        Equivalent to calling :meth:`rmpadjust` on each assigned page
+        that is not excluded, not a VMSA and not shared, and charged as
+        one ``RMPADJUST`` per page of the table; kept as one call so the
+        boot-time sweep over gigabytes is tractable to simulate.  Pages
+        never touched share one default entry, which the sweep updates
+        even while it is unassigned, where the per-page op would fault;
+        VeilMon sweeps only after :meth:`bulk_assign_validate`.
         """
         self._check_vmpl(executing_vmpl)
         self._check_vmpl(target_vmpl)
@@ -152,11 +156,12 @@ class Rmp:
                 f"VMPL-{target_vmpl} permissions")
         tracer = self.tracer
         span = tracer.span("hw", "RMPADJUST_SWEEP", vmpl=executing_vmpl,
-                           args={"pages": count,
+                           args={"pages": self.num_pages,
                                  "target_vmpl": target_vmpl}) \
             if tracer.enabled else NULL_SPAN
         with span:
-            self.ledger.charge("rmpadjust", self.cost.rmpadjust * count)
+            self.ledger.charge("rmpadjust",
+                               self.cost.rmpadjust * self.num_pages)
             # Excluded pages keep their current (typically restricted)
             # state; materialize them so the default change below cannot
             # reach them.
@@ -169,13 +174,20 @@ class Rmp:
                     ent.perms[target_vmpl] = perms
             self.generation += 1
 
-    def bulk_assign_validate(self, count: int) -> None:
-        """Assign + PVALIDATE every page (launch-time acceptance sweep)."""
+    def bulk_assign_validate(self) -> None:
+        """Assign + PVALIDATE every page (launch-time acceptance sweep).
+
+        Equivalent to :meth:`assign` then a validating :meth:`pvalidate`
+        on every page that is not shared, and charged as one
+        ``PVALIDATE`` per page of the table.
+        """
         tracer = self.tracer
-        span = tracer.span("hw", "PVALIDATE_SWEEP", args={"pages": count}) \
+        span = tracer.span("hw", "PVALIDATE_SWEEP",
+                           args={"pages": self.num_pages}) \
             if tracer.enabled else NULL_SPAN
         with span:
-            self.ledger.charge("pvalidate", self.cost.pvalidate * count)
+            self.ledger.charge("pvalidate",
+                               self.cost.pvalidate * self.num_pages)
             self._default.assigned = True
             self._default.validated = True
             for ent in self._entries.values():

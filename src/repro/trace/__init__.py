@@ -11,8 +11,6 @@ Public surface:
 - :func:`chrome_trace` / :func:`write_chrome_trace` — Perfetto-loadable
   Chrome trace-event export; :func:`validate_chrome_trace` checks it.
 - :func:`render_summary` — text top-N report.
-- :func:`set_default_tracer` — process-wide default for harness-booted
-  machines (used by the ``VEIL_TRACE_DIR`` benchmark fixture).
 
 See ``docs/OBSERVABILITY.md`` for the span taxonomy and usage.
 """
@@ -22,13 +20,11 @@ from .export import (chrome_trace, dumps_chrome_trace, render_summary,
 from .metrics import (LATENCY_SUB_BITS, NULL_METRICS, CycleHistogram,
                       LatencyHistogram, MetricsRegistry, NullMetrics, Tally)
 from .tracer import (DEFAULT_CAPACITY, NULL_SPAN, NULL_TRACER, UNATTRIBUTED,
-                     NullTracer, TraceEvent, Tracer, default_tracer,
-                     set_default_tracer)
+                     NullTracer, TraceEvent, Tracer)
 
 __all__ = [
     "Tracer", "NullTracer", "TraceEvent", "NULL_SPAN", "NULL_TRACER",
-    "UNATTRIBUTED", "DEFAULT_CAPACITY", "default_tracer",
-    "set_default_tracer",
+    "UNATTRIBUTED", "DEFAULT_CAPACITY",
     "MetricsRegistry", "CycleHistogram", "LatencyHistogram",
     "LATENCY_SUB_BITS", "NullMetrics", "NULL_METRICS", "Tally",
     "chrome_trace", "dumps_chrome_trace", "write_chrome_trace",

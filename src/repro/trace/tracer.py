@@ -166,8 +166,8 @@ class Tracer:
         """Clock this tracer off a machine's cycle ledger.
 
         Called by :class:`~repro.hw.platform.SevSnpMachine` at
-        construction.  A tracer shared across several machines (the
-        benchmark fixture) is re-attached by each; spans straddling an
+        construction.  A tracer shared across several machines (a
+        fleet's replicas) is re-attached by each; spans straddling an
         attach clamp their duration at zero rather than going negative.
         """
         self._clock = lambda: ledger.total
@@ -295,22 +295,3 @@ class NullTracer:
 
 #: Process-wide shared no-op tracer (stateless, safe across machines).
 NULL_TRACER = NullTracer()
-
-#: Process-wide default tracer; see :func:`set_default_tracer`.
-_DEFAULT_TRACER: "Tracer | None" = None
-
-
-def set_default_tracer(tracer: "Tracer | None") -> None:
-    """Install (or clear, with ``None``) the process-wide default tracer.
-
-    Machines built without an explicit ``tracer`` pick this up, which is
-    how the benchmark suite's ``VEIL_TRACE_DIR`` fixture captures traces
-    from systems booted deep inside harness functions.
-    """
-    global _DEFAULT_TRACER
-    _DEFAULT_TRACER = tracer
-
-
-def default_tracer() -> "Tracer | None":
-    """The process-wide default tracer, if one is installed."""
-    return _DEFAULT_TRACER

@@ -34,6 +34,13 @@ class TestSerialization:
         assert to_csv([]) == ""
         assert json.loads(to_json([])) == []
 
+    def test_dict_rows_exported(self):
+        records = rows_to_dicts([{"payload_bytes": 16,
+                                  "cycles_per_call": 15_000}])
+        assert records == [{"payload_bytes": 16, "cycles_per_call": 15_000}]
+        assert to_csv(records).splitlines()[0] == \
+            "cycles_per_call,payload_bytes"
+
     def test_fig5_properties_exported(self):
         rows = [Fig5Row("App", 100, 150, 3, 10, 20)]
         record = rows_to_dicts(rows)[0]
@@ -43,22 +50,17 @@ class TestSerialization:
 
 
 class TestExportAll:
-    def test_writes_every_experiment(self, tmp_path):
-        written = export_all(tmp_path, fig4_iterations=5,
-                             boot_memory_bytes=64 * 1024 * 1024,
-                             switch_round_trips=100, cs1_repetitions=3)
-        assert set(written) == {"fig4", "fig5", "fig6", "micro_boot",
-                                "micro_switch", "micro_background",
-                                "cs1"}
+    def test_writes_every_experiment(self, tmp_path, evaluation):
+        written = export_all(tmp_path, list(evaluation.values()))
+        assert set(written) == {name for section in evaluation.values()
+                                for name in section.rows}
         for name in written:
             decoded = json.loads((tmp_path / f"{name}.json").read_text())
             assert decoded, name
             assert (tmp_path / f"{name}.csv").read_text(), name
 
-    def test_exported_fig4_matches_band(self, tmp_path):
-        export_all(tmp_path, fig4_iterations=5,
-                   boot_memory_bytes=64 * 1024 * 1024,
-                   switch_round_trips=100, cs1_repetitions=3)
+    def test_exported_fig4_matches_band(self, tmp_path, evaluation):
+        export_all(tmp_path, [evaluation["fig4"]])
         rows = json.loads((tmp_path / "fig4.json").read_text())
         for row in rows:
             assert 2.5 <= row["slowdown"] <= 9.0

@@ -88,8 +88,8 @@ class TestRenderers:
         assert "NGINX" in text and "15.0%" in text
 
     def test_render_boot(self):
-        text = render_boot([BootResult(2 << 30, 6_000_000_000,
-                                       5_000_000_000)])
+        text = render_boot(BootResult(2 << 30, 6_000_000_000,
+                                      5_000_000_000))
         assert "2.0 GiB" in text and "RMPADJUST" in text
 
     def test_render_switch(self):

@@ -1,28 +1,38 @@
-"""Shape tests: the harness must regenerate the paper's evaluation shapes.
+"""Shape tests: the evaluation must regenerate the paper's shapes.
 
 These assert *relations* (orderings, bands, crossovers) rather than
-absolute numbers, per DESIGN.md's reproduction criteria.
+absolute numbers, per DESIGN.md's reproduction criteria, on the one
+evaluation ``repro all`` prints: the session's ``evaluation`` fixture.
 """
 
 import pytest
 
-from repro.bench import (run_cs1, run_fig4, run_fig5, run_fig6,
-                         run_micro_background, run_micro_switch)
+from repro.bench.ablations import PAYLOAD_SIZES
 
 
 @pytest.fixture(scope="module")
-def fig4_rows():
-    return run_fig4(iterations=15)
+def fig4_rows(evaluation):
+    return evaluation["fig4"].rows["fig4"]
 
 
 @pytest.fixture(scope="module")
-def fig5_rows():
-    return run_fig5()
+def fig5_rows(evaluation):
+    return evaluation["fig5"].rows["fig5"]
 
 
 @pytest.fixture(scope="module")
-def fig6_rows():
-    return run_fig6()
+def fig6_rows(evaluation):
+    return evaluation["fig6"].rows["fig6"]
+
+
+@pytest.fixture(scope="module")
+def micro(evaluation):
+    return evaluation["micro"].rows
+
+
+@pytest.fixture(scope="module")
+def ablation(evaluation):
+    return evaluation["ablations"].rows
 
 
 class TestFig4Shape:
@@ -52,7 +62,7 @@ class TestFig5Shape:
         """Paper: 4.9% - 63.9%."""
         values = [row.overhead_pct for row in fig5_rows]
         assert 2.0 <= min(values) <= 10.0
-        assert 50.0 <= max(values) <= 75.0
+        assert 50.0 <= max(values) < 75.0
 
     def test_ordering_matches_paper(self, fig5_rows):
         by_name = {row.name: row.overhead_pct for row in fig5_rows}
@@ -107,18 +117,70 @@ class TestFig6Shape:
 
 
 class TestMicrobenchShapes:
-    def test_domain_switch_is_7135_cycles(self):
-        result = run_micro_switch(round_trips=500)
+    def test_boot_time_2gb_guest(self, micro):
+        """Paper: ~2 s, ~13% of a native CVM boot, >70% in RMPADJUST."""
+        result, = micro["micro_boot"]
+        assert result.memory_bytes == 2 * 1024 ** 3
+        assert 1.5 <= result.veil_boot_seconds <= 2.5
+        assert result.rmpadjust_fraction > 0.7
+        assert 10.0 <= result.pct_of_native_boot <= 16.0
+
+    def test_domain_switch_is_7135_cycles(self, micro):
+        result, = micro["micro_switch"]
         assert result.cycles_per_switch == pytest.approx(7135, rel=0.01)
         assert 5.0 <= result.vs_plain_vmcall <= 8.0
 
-    def test_cs1_matches_paper(self):
-        result = run_cs1(repetitions=10)
+    def test_cs1_matches_paper(self, evaluation):
+        result, = evaluation["cs1"].rows["cs1"]
         assert 4.0 <= result.load_overhead_pct <= 8.0      # paper: 5.7%
         assert 3.0 <= result.unload_overhead_pct <= 6.0    # paper: 4.2%
         assert 40_000 <= result.load_extra_cycles <= 70_000
 
-    def test_background_impact_negligible(self):
+    def test_background_impact_negligible(self, micro):
         """Paper: <2% with no protected service in use."""
-        for row in run_micro_background():
+        for row in micro["micro_background"]:
             assert abs(row.overhead_pct) < 2.0, row.name
+
+
+class TestSecurityTables:
+    def test_only_baseline_rows_breach(self, evaluation):
+        """The one expected breach is the unprotected Kaudit baseline."""
+        section = evaluation["attacks"]
+        breaches = [r for r in section.rows["attacks"] if not r.defended]
+        assert all("baseline" in r.defense for r in breaches)
+        assert section.ok
+
+
+class TestAblationShapes:
+    def test_batching_cuts_exits_and_cycles(self, ablation):
+        result, = ablation["ablation_batching"]
+        assert result["batched_exits"] < result["plain_exits"] / 4
+        assert result["speedup"] > 1.1
+
+    def test_boot_cost_doubles_with_memory(self, ablation):
+        """The full sweep, 256 MiB to the paper's 2 GiB guest."""
+        rows = ablation["ablation_boot"]
+        assert (rows[0].memory_bytes, rows[-1].memory_bytes) == \
+            (256 << 20, 2 << 30)
+        for small, large in zip(rows, rows[1:]):
+            ratio = large.veil_boot_cycles / small.veil_boot_cycles
+            assert 1.7 <= ratio <= 2.3, (small.memory_bytes, ratio)
+
+    def test_flush_on_exit_closes_the_residue_channel(self, ablation):
+        result, = ablation["ablation_flush"]
+        assert result["plain_leaks_residue"] is True
+        assert result["flush_leaks_residue"] is False
+        assert result["overhead_pct"] > 5.0
+
+    def test_switch_cost_fixed_plus_linear_copy(self, ablation):
+        rows = ablation["ablation_payload"]
+        base = rows[0]["cycles_per_call"]
+        assert base >= 2 * 7135
+        grow = rows[-1]["cycles_per_call"] - base
+        per_byte = grow / (PAYLOAD_SIZES[-1] - PAYLOAD_SIZES[0])
+        assert 0.3 <= per_byte <= 3.0
+
+    def test_vsgx_comparison(self, ablation):
+        result, = ablation["ablation_vsgx"]
+        assert result["memory_advantage"] == result["n"]
+        assert result["marginal_advantage"] > 1.5

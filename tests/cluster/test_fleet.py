@@ -97,6 +97,27 @@ class TestScaling:
             assert result.throughput_rps > previous
             previous = result.throughput_rps
 
+    def test_throughput_scales_1_2_4_8(self):
+        """Near-linear scaling, with per-replica cycle totals and
+        handshake costs in the metrics registry at every size."""
+        tracer = Tracer()
+        sizes = (1, 2, 4, 8)
+        results = [run_clean(tracer, replicas=replicas, requests=64)
+                   for replicas in sizes]
+        throughputs = [result.throughput_rps for result in results]
+        assert throughputs == sorted(throughputs)
+        assert all(a < b for a, b in zip(throughputs, throughputs[1:]))
+        assert throughputs[-1] > 4 * throughputs[0]
+        histograms = tracer.metrics.histograms
+        for replicas, result in zip(sizes, results):
+            for index in range(replicas):
+                name = f"replica{index}"
+                assert result.handshake_cycles[name] > 0
+                assert result.replica_cycles[name] > 0
+                assert histograms[f"handshake_cycles/{name}"].count > 0
+                assert histograms[f"replica_total_cycles/{name}"].total > 0
+        assert all(result.rejected == [] for result in results)
+
 
 class TestDegenerateConfig:
     @pytest.mark.parametrize("replicas", [0, -1])

@@ -17,7 +17,7 @@ def launched():
     vmsa = hv.launch(b"image")
     core = machine.core(0)
     core.hw_enter(vmsa)
-    machine.rmp.bulk_assign_validate(machine.num_pages)
+    machine.rmp.bulk_assign_validate()
     for ppn in machine.vmsa_objects:
         machine.rmp.entry(ppn).vmsa = True
     return machine, hv, core

@@ -21,7 +21,7 @@ def core_on(table: GuestPageTable, cpl: int = 0):
     """A VMPL-0 core of a 4 MiB machine with every page accepted,
     walking ``table`` at ``cpl``."""
     machine = SevSnpMachine(memory_bytes=4 * 1024 * 1024, num_cores=1)
-    machine.rmp.bulk_assign_validate(machine.num_pages)
+    machine.rmp.bulk_assign_validate()
     machine.register_page_table(table)
     core = machine.core(0)
     core.hw_enter(Vmsa(vcpu_id=0, vmpl=0, ppn=1,

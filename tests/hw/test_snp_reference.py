@@ -14,7 +14,12 @@ bytes, the ``PageFault`` (vpn and kind) or the #NPF halt, and the
 ``page_table_walk`` and ``copy`` cycles charged.  The op mix is biased:
 after every world switch, RMP op, table op and CR3 load the last access
 runs again, because that is the access a stale cached translation or
-verdict would answer.
+verdict would answer.  After every RMP op and world switch each core
+also repeats its last access in physical form (the physical access
+itself, or the frame a virtual read or write reached), because the
+physical path checks the verdict cache on its own.  Only the first
+access on a core after an RMP op can meet a stale verdict, so the RMP
+op draws which form goes first.
 """
 
 import itertools
@@ -197,7 +202,10 @@ class RefSnp:
 
     def phys(self, c, kind, paddr, length, data=b""):
         """``read_phys``/``write_phys``: every page checked, then one
-        copy charge over the whole length."""
+        copy charge over the whole length; a negative length is refused
+        first, as on the virtual path."""
+        if length < 0:
+            return ("ValueError",), 0, 0
         core = self.cores[c]
         write = kind == "write_phys"
         need = Access.WRITE if write else Access.READ
@@ -309,7 +317,7 @@ class Rig:
         machine = self.machine = SevSnpMachine(
             memory_bytes=MEMORY_PAGES * PAGE_SIZE, num_cores=2)
         model = self.model = RefSnp(MEMORY_PAGES, 2)
-        machine.rmp.bulk_assign_validate(MEMORY_PAGES)
+        machine.rmp.bulk_assign_validate()
         self.data = machine.frames.alloc_many(DATA_PAGES)
         self.tables = {}
         self.roots = []
@@ -345,6 +353,7 @@ class Rig:
             self.switch(1, 0)
         self.last = None
         self.last_on = {}
+        self.last_phys_on = {}
         self.last_vpn = VPN_BASE
         self.last_ppn = self.data[0]
         self.last_root = a
@@ -366,8 +375,11 @@ class Rig:
 
     # -- compared ops ------------------------------------------------------
 
-    def access(self, c, kind, addr, length, seed=0):
-        """Run one access on both sides; return the model's verdict."""
+    def access(self, c, kind, addr, length, seed=0, repeat=False):
+        """Run one access on both sides; return the model's verdict.
+
+        A drawn access (not a ``repeat``) becomes core ``c``'s last one.
+        """
         data = PATTERN[seed:seed + max(length, 0)]
         cpu = self.machine.core(c)
         ledger = self.machine.ledger.by_category
@@ -389,21 +401,37 @@ class Rig:
         core = model.cores[c]
         if kind.endswith("_phys"):
             want = model.phys(c, kind, addr, length, data)
-            self.last_ppn = addr // PAGE_SIZE
         else:
             want = model.access(c, kind, addr, length, data)
-            self.last_vpn = addr // PAGE_SIZE
-            self.last_root = core.cr3
-            pte = model.tables.get(core.cr3, RefTable()).lookup(
-                self.last_vpn)
-            if pte is not None:
-                self.last_ppn = pte.ppn
         assert got == want, (kind, c, hex(addr), length, core.instance,
                              core.cpl)
         if kind.startswith("write"):
             self.check_memory()
-        self.last = self.last_on[c] = (c, kind, addr, length, seed)
+        if not repeat:
+            self.note(c, kind, addr, length, seed)
         return want
+
+    def note(self, c, kind, addr, length, seed):
+        """Make a drawn access core ``c``'s last one: the access
+        :meth:`reaccess` repeats and the page the table and RMP ops
+        target.  Its physical form is what :meth:`reaccess_phys`
+        repeats."""
+        self.last = self.last_on[c] = (c, kind, addr, length, seed)
+        if kind.endswith("_phys"):
+            self.last_ppn = addr // PAGE_SIZE
+            self.last_phys_on[c] = self.last
+            return
+        core = self.model.cores[c]
+        self.last_vpn = addr // PAGE_SIZE
+        self.last_root = core.cr3
+        pte = self.model.tables.get(core.cr3, RefTable()).lookup(
+            self.last_vpn)
+        if pte is not None:
+            self.last_ppn = pte.ppn
+            if kind != "fetch":
+                self.last_phys_on[c] = (
+                    c, kind + "_phys",
+                    pte.ppn * PAGE_SIZE + addr % PAGE_SIZE, length, seed)
 
     def reaccess(self, c=None):
         """Repeat each core's last access, or only core ``c``'s (the
@@ -413,7 +441,15 @@ class Rig:
             last = self.last_on.get(core, None if c is None else self.last)
             if last is not None:
                 _core, kind, addr, length, seed = last
-                self.access(core, kind, addr, length, (seed + 1) % 251)
+                self.access(core, kind, addr, length, (seed + 1) % 251,
+                            repeat=True)
+
+    def reaccess_phys(self):
+        """Repeat each core's last access in physical form."""
+        for core, last in sorted(self.last_phys_on.items()):
+            _core, kind, addr, length, seed = last
+            self.access(core, kind, addr, length, (seed + 1) % 251,
+                        repeat=True)
 
     def check_memory(self):
         memory = self.machine.memory
@@ -589,6 +625,7 @@ class AccessPathVsReference(RuleBasedStateMachine):
     @rule(core=CORES, vmpl=VMPLS)
     def world_switch(self, core, vmpl):
         self.rig.switch(core, vmpl)
+        self.rig.reaccess_phys()
         self.rig.reaccess(core)
 
     @rule(op=st.sampled_from(("cr3", "cr3+flush", "cpl0", "cpl3",
@@ -637,8 +674,9 @@ class AccessPathVsReference(RuleBasedStateMachine):
                               "unassign", "install_vmsa", "poke-perms",
                               "poke-validated", "poke-vmsa")),
           core=CORES, at_last=AT_LAST, ppn=INDEX, vmpl=VMPLS, perms=PERMS,
-          flag=st.booleans())
-    def rmp_op(self, op, core, at_last, ppn, vmpl, perms, flag):
+          flag=st.booleans(), phys_first=st.booleans())
+    def rmp_op(self, op, core, at_last, ppn, vmpl, perms, flag,
+               phys_first):
         rig = self.rig
         ppn = self.pick_ppn(at_last, ppn)
         if op == "rmpadjust":
@@ -656,7 +694,11 @@ class AccessPathVsReference(RuleBasedStateMachine):
             rig.poke(ppn, op[5:], flag)
         else:
             rig.hypervisor(op, ppn)
+        if phys_first:
+            rig.reaccess_phys()
         rig.reaccess()
+        if not phys_first:
+            rig.reaccess_phys()
 
 
 TestAccessPathMatchesReference = AccessPathVsReference.TestCase
@@ -680,9 +722,9 @@ class TestDegenerateAccesses:
 
     def test_negative_length_charges_nothing(self):
         rig = Rig()
-        for kind in ("read", "fetch"):
-            assert rig.access(0, kind, EXEC_VADDR, -1) == \
-                (("ValueError",), 0, 0)
+        for kind, addr in (("read", EXEC_VADDR), ("fetch", EXEC_VADDR),
+                           ("read_phys", rig.data[0] * PAGE_SIZE)):
+            assert rig.access(0, kind, addr, -1) == (("ValueError",), 0, 0)
 
     @pytest.mark.parametrize("kind, result", [
         ("read", b""), ("write", None), ("fetch", b"")],

@@ -62,6 +62,32 @@ class TestOpenLoop:
             run_surge(small(arrivals="lognormal"))
 
 
+class TestKnee:
+    """Under the knee (load 0.5) the fleet keeps up with what is offered;
+    past it (load 2.0) throughput saturates at capacity while the
+    backlog deepens and the tail inflates."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        return [run_surge(SurgeConfig(seed=1, replicas=2, requests=240,
+                                      load=load)) for load in (0.5, 2.0)]
+
+    def test_under_the_knee_the_fleet_keeps_up(self, runs):
+        under, over = runs
+        assert under.throughput_rps > under.offered_rps * 0.8
+        assert under.completed == 240
+        assert under.max_in_flight < over.max_in_flight
+
+    def test_past_the_knee_throughput_saturates(self, runs):
+        under, over = runs
+        assert over.offered_rps > under.offered_rps * 3
+        assert over.throughput_rps < over.offered_rps * 0.75
+        assert over.peak_queue_depth > under.peak_queue_depth
+        assert over.latency["get"]["p99"] > 3 * under.latency["get"]["p99"]
+        # Saturation is capacity, not collapse.
+        assert over.throughput_rps >= under.throughput_rps * 0.9
+
+
 class TestDegenerateConfig:
     """A degenerate surge shape is refused, naming the field and value."""
 

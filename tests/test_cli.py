@@ -68,11 +68,9 @@ class TestDegenerateSizes:
         ["boot", "--memory-mb", "0"],
         ["boot", "--memory-mb", "-8"],
         ["micro", "--memory-mb", "0"],
-        ["all", "--memory-mb", "0"],
         ["boot", "--memory-mb", "4"],
         ["boot", "--memory-mb", "5"],
         ["micro", "--memory-mb", "4"],
-        ["all", "--memory-mb", "4"],
         ["trace", "switch", "--top", "-2"],
     ], ids=" ".join)
     def test_exits_2_without_traceback(self, capsys, argv):
@@ -107,6 +105,57 @@ class TestDegenerateSizes:
             f"repro: error: cannot write {path}: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("under", ["", "x/y"], ids=["file", "under-file"])
+    def test_export_onto_a_file_refused_before_the_run(self, capsys,
+                                                       tmp_path, under):
+        """``export --out`` names a directory it creates: a file at the
+        path or above it is refused, not met by ``mkdir``."""
+        afile = tmp_path / "afile"
+        afile.touch()
+        path = afile / under if under else afile
+        with pytest.raises(SystemExit) as exited:
+            main(["export", "--out", str(path)])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"repro: error: cannot write {path}: "
+                                f"{afile} is not a directory\n")
+
+
+class TestAll:
+    """``repro all`` prints the evaluation's sections in order, each
+    followed by a blank line, and takes no flags."""
+
+    @staticmethod
+    def stub(monkeypatch, *sections):
+        from repro.bench import evaluation
+        monkeypatch.setattr(evaluation, "EXPERIMENTS",
+                            tuple(lambda s=s: s for s in sections))
+
+    def test_prints_each_section_then_a_blank_line(self, capsys,
+                                                   monkeypatch):
+        from repro.bench.evaluation import Section
+        self.stub(monkeypatch, Section("a", "one", {}),
+                  Section("b", "two\nlines", {}))
+        main(["all"])
+        assert capsys.readouterr().out == "one\n\ntwo\nlines\n\n"
+
+    def test_a_failed_section_exits_1_after_the_rest(self, capsys,
+                                                     monkeypatch):
+        from repro.bench.evaluation import Section
+        self.stub(monkeypatch, Section("a", "breach", {}, ok=False),
+                  Section("b", "rest", {}))
+        with pytest.raises(SystemExit) as exited:
+            main(["all"])
+        assert exited.value.code == 1
+        assert capsys.readouterr().out == "breach\n\nrest\n\n"
+
+    def test_takes_no_flags(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["all", "--memory-mb", "4"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_boot(self, capsys):
@@ -115,12 +164,12 @@ class TestCommands:
         assert "veils-kci" in out and "attestation: OK" in out
 
     def test_cs1(self, capsys):
-        main(["cs1", "--reps", "5"])
+        main(["cs1"])
         out = capsys.readouterr().out
         assert "KCI load" in out
 
     def test_fig4(self, capsys):
-        main(["fig4", "--iterations", "5"])
+        main(["fig4"])
         out = capsys.readouterr().out
         assert "slowdown" in out
 

@@ -43,7 +43,7 @@ class TestVmplLattice:
         granted accesses -- never more (monotonic security lattice)."""
         machine = SevSnpMachine(memory_bytes=4 * 1024 * 1024,
                                 num_cores=1)
-        machine.rmp.bulk_assign_validate(machine.num_pages)
+        machine.rmp.bulk_assign_validate()
         ppn = 5
         for vmpl, perms in grants.items():
             machine.rmp.rmpadjust(executing_vmpl=0, ppn=ppn,

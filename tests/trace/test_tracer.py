@@ -3,8 +3,7 @@
 import pytest
 
 from repro.trace import (DEFAULT_CAPACITY, NULL_TRACER, CycleHistogram,
-                         MetricsRegistry, NullTracer, Tracer,
-                         default_tracer, set_default_tracer)
+                         MetricsRegistry, NullTracer, Tracer)
 
 
 class FakeLedger:
@@ -174,17 +173,6 @@ class TestNullTracer:
     def test_singleton_attach_ledger_is_noop(self):
         NULL_TRACER.attach_ledger(FakeLedger())
         assert NULL_TRACER.now() == 0
-
-
-class TestDefaultTracer:
-    def test_set_and_clear(self):
-        tracer = Tracer()
-        set_default_tracer(tracer)
-        try:
-            assert default_tracer() is tracer
-        finally:
-            set_default_tracer(None)
-        assert default_tracer() is None
 
 
 class TestArgCoercion:

@@ -128,10 +128,8 @@ def attack_incorrect_ghcb_mapping(system=None) -> AttackResult:
     with system.kernel.kernel_context(system.boot_core) as core:
         core.wrmsr_ghcb(page_base(rogue_ppn))
     from ..hw.ghcb import Ghcb
-    ghcb = Ghcb(rogue_ppn)
-    ghcb.write_switch(system.machine.memory, VMPL_ENC)
     try:
-        system.boot_core.vmgexit()
+        system.boot_core.switch_to(Ghcb(rogue_ppn), VMPL_ENC)
     except CvmHalted as halt:
         return AttackResult("incorrect GHCB mapping", True,
                             "CVM crash on VMGEXIT", str(halt))
@@ -280,10 +278,8 @@ def attack_enclave_escalates_via_ghcb(system=None) -> AttackResult:
 
     def escalate(libc):
         rt = libc.rt
-        ghcb = rt._user_ghcb()
         # veil-lint: allow(vmpl-literal) -- forged escalation payload
-        ghcb.write_switch(system.machine.memory, vmpl=0)
-        rt.core.vmgexit()
+        rt.core.switch_to(rt._user_ghcb(), vmpl=0)
         return "switched"
 
     try:

@@ -15,6 +15,8 @@ import json
 import typing
 from pathlib import Path
 
+from ..errors import SimulationError
+
 
 def rows_to_dicts(rows: typing.Sequence) -> list[dict]:
     """Dataclass or dict rows -> plain dicts, including computed
@@ -54,9 +56,18 @@ def export_all(directory: str | Path, sections: typing.Sequence) -> dict:
 
     ``sections`` is the evaluation
     (:func:`repro.bench.evaluation.run_evaluation`).  Returns {row list
-    name: path of the JSON file written}.
+    name: path of the JSON file written}.  Every target is checked
+    before the first write: one that is a directory raises
+    :class:`~repro.errors.SimulationError`, and nothing is written.
     """
     directory = Path(directory)
+    for section in sections:
+        for name in section.rows:
+            for path in (directory / f"{name}.json",
+                         directory / f"{name}.csv"):
+                if path.is_dir():
+                    raise SimulationError(
+                        f"cannot write {path}: it is a directory")
     directory.mkdir(parents=True, exist_ok=True)
     written = {}
     for section in sections:

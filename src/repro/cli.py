@@ -578,7 +578,8 @@ def _check_output_paths(args) -> None:
 
     Checked before the run, which may take seconds.  ``export --out``
     names a directory, created with any missing parents, so only a
-    file at that path or above it is refused.
+    file at that path or above it is refused here; the file names come
+    from the run, and ``export_all`` checks them before its first write.
     """
     if args.command == "export":
         existing = args.out

@@ -84,9 +84,11 @@ class Idcb:
     def _read(self, mem: PhysicalMemory, offset: int) -> dict:
         """Decode one slot.
 
-        Raises :class:`ValueError` when the bytes are not UTF-8 JSON or
-        decode to something other than an object: the less-privileged
-        side owns the pages and can write anything into them.
+        The less-privileged side owns the pages and can write anything
+        into them.  Raises :class:`~repro.errors.SimulationError` when
+        the length header announces no payload or more than the slot
+        holds, and :class:`ValueError` when the bytes are not UTF-8 JSON
+        or decode to something other than an object.
         """
         # Slots start at a multiple of half a page, so the header never
         # crosses a backing page.
@@ -94,7 +96,9 @@ class Idcb:
         addr = (self.ppns[page_index] << PAGE_SHIFT) + in_page
         length = frame_length(mem.read(addr, FRAME_HEADER))
         if length == 0 or length > self.slot_size - FRAME_HEADER:
-            raise SimulationError("IDCB slot holds no valid message")
+            raise SimulationError(
+                f"IDCB slot holds no valid message: length header "
+                f"{length} is outside 1..{self.slot_size - FRAME_HEADER}")
         if in_page + FRAME_HEADER + length <= PAGE_SIZE:
             blob = mem.read(addr + FRAME_HEADER, length)
         else:

@@ -5,10 +5,10 @@ stubs that transcribe a request into the per-VCPU IDCB, ask the hypervisor
 for a domain switch via the GHCB, and read the reply once the trusted
 domain has switched back (Fig. 3 of the paper).
 
-The Python control flow mirrors the hardware flow: ``core.vmgexit()``
-re-enters the core on the target domain's VMSA, after which the gateway
-invokes that domain's *body* (monitor or service dispatch), which ends by
-switching back.
+The Python control flow mirrors the hardware flow: ``core.switch_to()``
+exits through the GHCB and re-enters the core on the target domain's
+VMSA, after which the gateway invokes that domain's *body* (monitor or
+service dispatch), which ends by switching back.
 """
 
 from __future__ import annotations
@@ -42,9 +42,7 @@ class MonitorGateway:
         assert self.kernel.kernel_table is not None
         core.regs.cr3 = self.kernel.kernel_table.root_ppn
         core.regs.cpl = 0
-        core.wrmsr_ghcb(ghcb.gpa)
-        ghcb.write_switch(self.kernel.machine.memory, target_vmpl)
-        core.vmgexit()
+        core.switch_to(ghcb, target_vmpl, publish=True)
         self.switch_count += 1
 
     def call_monitor(self, core: "VirtualCpu", request: dict) -> dict:

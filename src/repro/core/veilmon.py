@@ -24,7 +24,6 @@ from ..hw.memory import PAGE_SIZE, page_base
 from ..hw.pagetable import GuestPageTable, LinearWindow
 from ..hw.rmp import Access
 from ..hw.vmsa import RegisterFile, Vmsa
-from ..trace import NULL_SPAN
 from .domains import VMPL_ENC, VMPL_MON, VMPL_SER, VMPL_UNT
 from .idcb import Idcb
 
@@ -326,10 +325,7 @@ class VeilMon:
 
     def switch_from_mon(self, core: "VirtualCpu", target_vmpl: int) -> None:
         """Request the hypervisor switch this core out of DomMON."""
-        ghcb = self._mon_ghcb(core)
-        core.wrmsr_ghcb(ghcb.gpa)
-        ghcb.write_switch(self.machine.memory, target_vmpl)
-        core.vmgexit()
+        core.switch_to(self._mon_ghcb(core), target_vmpl, publish=True)
 
     def on_entry(self, core: "VirtualCpu",
                  from_vmpl: int = VMPL_UNT) -> None:
@@ -347,19 +343,29 @@ class VeilMon:
                 else self.os_idcbs)[core.cpu_index]
         request, reply_to, error = self._read_request(idcb, from_vmpl)
         tracer = machine.tracer
+        if not tracer.enabled:
+            self._respond(core, self._handlers, request, error, idcb,
+                          self.mon_ghcb_ppns, reply_to)
+            return
         # Span covers the whole DomMON residence: dispatch, reply write,
         # and the switch back out.
-        if tracer.enabled:
-            op = str(request.get("op", ""))
-            tracer.metrics.count("mon_request", op)
-            span = tracer.span("mon", f"request:{op}", vcpu=core.cpu_index,
-                               vmpl=VMPL_MON, args={"from_vmpl": from_vmpl})
-        else:
-            span = NULL_SPAN
-        with span:
-            reply = error or self._dispatch(core, self._handlers, request)
-            idcb.write_reply(machine.memory, reply)
-            self.switch_from_mon(core, reply_to)
+        op = str(request.get("op", ""))
+        tracer.metrics.count("mon_request", op)
+        with tracer.span("mon", f"request:{op}", vcpu=core.cpu_index,
+                         vmpl=VMPL_MON, args={"from_vmpl": from_vmpl}):
+            self._respond(core, self._handlers, request, error, idcb,
+                          self.mon_ghcb_ppns, reply_to)
+
+    def _respond(self, core: "VirtualCpu", handlers: dict, request: dict,
+                 error: dict | None, idcb: Idcb, ghcb_ppns: dict,
+                 reply_to: int) -> None:
+        """The rest of a monitor or service body: dispatch the request
+        (unless it was malformed), write the reply, and switch back to
+        the caller through this domain's GHCB (``ghcb_ppns``, per core)."""
+        reply = error or self._dispatch(core, handlers, request)
+        idcb.write_reply(self.machine.memory, reply)
+        core.switch_to(ghcb_view(ghcb_ppns[core.cpu_index]), reply_to,
+                       publish=True)
 
     def _read_request(self, idcb: Idcb,
                       reply_to: int) -> tuple[dict, int, dict | None]:
@@ -367,14 +373,17 @@ class VeilMon:
 
         The less-privileged side owns the IDCB pages and may have written
         any bytes into the request slot.  Returns ``(request, reply_to,
-        error_reply)``: a request that is not a JSON object, or whose
-        ``_reply_to`` is not an integer, yields ``({}, reply_to, error)``
-        so the body still replies and switches back to the caller.
+        error_reply)``: a length header the slot cannot hold (the slot's
+        :class:`~repro.errors.SimulationError`), a request that is not a
+        JSON object, or one whose ``_reply_to`` is not an integer, yields
+        ``({}, reply_to, error)`` so the body still replies and switches
+        back to the caller.
         """
         try:
             request = idcb.read_request(self.machine.memory)
             return request, int(request.get("_reply_to", reply_to)), None
-        except (TypeError, ValueError, OverflowError) as bad:
+        except (SimulationError, TypeError, ValueError,
+                OverflowError) as bad:
             return {}, reply_to, {"status": "error",
                                   "reason": f"malformed request: {bad!r}"}
 
@@ -404,10 +413,8 @@ class VeilMon:
 
     def switch_from_ser(self, core: "VirtualCpu", target_vmpl: int) -> None:
         """Request the hypervisor switch this core out of DomSER."""
-        ghcb = ghcb_view(self.ser_ghcb_ppns[core.cpu_index])
-        core.wrmsr_ghcb(ghcb.gpa)
-        ghcb.write_switch(self.machine.memory, target_vmpl)
-        core.vmgexit()
+        core.switch_to(ghcb_view(self.ser_ghcb_ppns[core.cpu_index]),
+                       target_vmpl, publish=True)
 
     def on_ser_entry(self, core: "VirtualCpu",
                      idcb: "Idcb | None" = None) -> None:
@@ -425,18 +432,16 @@ class VeilMon:
             idcb = self.ser_idcbs[core.cpu_index]
         request, reply_to, error = self._read_request(idcb, VMPL_UNT)
         tracer = machine.tracer
-        if tracer.enabled:
-            op = str(request.get("op", ""))
-            tracer.metrics.count("ser_request", op)
-            span = tracer.span("ser", f"request:{op}", vcpu=core.cpu_index,
-                               vmpl=VMPL_SER)
-        else:
-            span = NULL_SPAN
-        with span:
-            reply = error or self._dispatch(core, self.ser_handlers,
-                                            request)
-            idcb.write_reply(machine.memory, reply)
-            self.switch_from_ser(core, reply_to)
+        if not tracer.enabled:
+            self._respond(core, self.ser_handlers, request, error, idcb,
+                          self.ser_ghcb_ppns, reply_to)
+            return
+        op = str(request.get("op", ""))
+        tracer.metrics.count("ser_request", op)
+        with tracer.span("ser", f"request:{op}", vcpu=core.cpu_index,
+                         vmpl=VMPL_SER):
+            self._respond(core, self.ser_handlers, request, error, idcb,
+                          self.ser_ghcb_ppns, reply_to)
 
     def ser_call_monitor(self, core: "VirtualCpu", request: dict) -> dict:
         """Call VeilMon from DomSER (e.g. VMSA creation for enclaves)."""

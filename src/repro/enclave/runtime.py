@@ -98,23 +98,13 @@ class EnclaveRuntime:
         if self.inside:
             raise SdkError("already inside the enclave")
         tracer = self.tracer
-        span = tracer.span("enclave", "enter", vcpu=self.vcpu_id,
-                           vmpl=VMPL_UNT, pid=self.proc.pid,
-                           args={"enclave_id": self.setup.enclave_id}) \
-            if tracer.enabled else NULL_SPAN
-        with span:
-            # The OS scheduler re-registers the thread's VMSA whenever a
-            # different DomENC instance last ran on this core (several
-            # enclaves multiplex one core's VMPL-2 slot).
-            my_vmsa, ghcb_ppn = self._threads[self.vcpu_id]
-            if self._vmsas.get((self.vcpu_id, VMPL_ENC)) is not my_vmsa:
-                self.system.integration.schedule_enclave(
-                    self.core, self.setup.enclave_id,
-                    vcpu_id=self.vcpu_id, ghcb_ppn=ghcb_ppn)
-            else:
-                self._arm_ghcb(ghcb_ppn)
-            ghcb_view(ghcb_ppn).write_switch(self.machine.memory, VMPL_ENC)
-            self.core.vmgexit()
+        if tracer.enabled:
+            with tracer.span("enclave", "enter", vcpu=self.vcpu_id,
+                             vmpl=VMPL_UNT, pid=self.proc.pid,
+                             args={"enclave_id": self.setup.enclave_id}):
+                self._switch_in()
+        else:
+            self._switch_in()
         self.inside = True
         self.setup.active_runtime = self
         self.enclave_exits += 1
@@ -124,30 +114,48 @@ class EnclaveRuntime:
         if self.setup.heap is None:
             self._init_heap()
 
+    def _switch_in(self) -> None:
+        """The body of :meth:`enter`: schedule this thread's instance
+        (or re-arm its GHCB) and switch to it."""
+        # The OS scheduler re-registers the thread's VMSA whenever a
+        # different DomENC instance last ran on this core (several
+        # enclaves multiplex one core's VMPL-2 slot).
+        my_vmsa, ghcb_ppn = self._threads[self.vcpu_id]
+        if self._vmsas.get((self.vcpu_id, VMPL_ENC)) is not my_vmsa:
+            self.system.integration.schedule_enclave(
+                self.core, self.setup.enclave_id,
+                vcpu_id=self.vcpu_id, ghcb_ppn=ghcb_ppn)
+        else:
+            self._arm_ghcb(ghcb_ppn)
+        self.core.switch_to(ghcb_view(ghcb_ppn), VMPL_ENC)
+
     def exit_to_untrusted(self) -> None:
         """Transition DomENC -> DomUNT (the costly enclave exit)."""
         if not self.inside:
             return
         tracer = self.tracer
-        span = tracer.span("enclave", "exit", vcpu=self.vcpu_id,
-                           vmpl=VMPL_ENC, pid=self.proc.pid,
-                           args={"enclave_id": self.setup.enclave_id}) \
-            if tracer.enabled else NULL_SPAN
-        with span:
-            if self.flush_on_exit and not self._flushing:
-                # Route through VeilS-ENC so privileged WBINVD scrubs
-                # this core's cache/TLB footprint before untrusted code
-                # runs.
-                self._flushing = True
-                try:
-                    self.service_request({
-                        "op": "enc_flush_cpu_state",
-                        "enclave_id": self.setup.enclave_id})
-                finally:
-                    self._flushing = False
-            self._user_ghcb().write_switch(self.machine.memory, VMPL_UNT)
-            self.core.vmgexit()
+        if tracer.enabled:
+            with tracer.span("enclave", "exit", vcpu=self.vcpu_id,
+                             vmpl=VMPL_ENC, pid=self.proc.pid,
+                             args={"enclave_id": self.setup.enclave_id}):
+                self._switch_out()
+        else:
+            self._switch_out()
         self.inside = False
+
+    def _switch_out(self) -> None:
+        """The body of :meth:`exit_to_untrusted`."""
+        if self.flush_on_exit and not self._flushing:
+            # Route through VeilS-ENC so privileged WBINVD scrubs this
+            # core's cache/TLB footprint before untrusted code runs.
+            self._flushing = True
+            try:
+                self.service_request({
+                    "op": "enc_flush_cpu_state",
+                    "enclave_id": self.setup.enclave_id})
+            finally:
+                self._flushing = False
+        self.core.switch_to(self._user_ghcb(), VMPL_UNT)
 
     @property
     def heap(self) -> EnclaveHeap | None:
@@ -294,27 +302,32 @@ class EnclaveRuntime:
             raise SdkError("enclave was killed")
         self._staging_cursor = 0
         tracer = self.tracer
-        span = tracer.span("enclave", f"redirect:{name}",
-                           vcpu=self.vcpu_id, vmpl=VMPL_ENC,
-                           pid=self.proc.pid) \
-            if tracer.enabled else NULL_SPAN
-        with span:
-            try:
-                marshalled = self.sanitizer.marshal(name, args)
-            except SdkError:
-                self._kill()
-                raise
-            self.exit_to_untrusted()
-            try:
-                result = self.kernel.syscall(self.core, self.proc, name,
-                                             *marshalled.proxy_args)
-            finally:
-                self.enter()
-            try:
-                self.sanitizer.finish(name, marshalled, result)
-            except SecurityViolation:
-                self._kill()
-                raise
+        if tracer.enabled:
+            with tracer.span("enclave", f"redirect:{name}",
+                             vcpu=self.vcpu_id, vmpl=VMPL_ENC,
+                             pid=self.proc.pid):
+                return self._redirect(name, args)
+        return self._redirect(name, args)
+
+    def _redirect(self, name: str, args: tuple):
+        """The body of :meth:`syscall`: marshal, exit, run, re-enter,
+        check the result."""
+        try:
+            marshalled = self.sanitizer.marshal(name, args)
+        except SdkError:
+            self._kill()
+            raise
+        self.exit_to_untrusted()
+        try:
+            result = self.kernel.syscall(self.core, self.proc, name,
+                                         *marshalled.proxy_args)
+        finally:
+            self.enter()
+        try:
+            self.sanitizer.finish(name, marshalled, result)
+        except SecurityViolation:
+            self._kill()
+            raise
         self.syscall_count += 1
         self.enclave_exits += 1
         self.redirect_bytes += marshalled.bytes_total
@@ -405,23 +418,27 @@ class EnclaveRuntime:
         request = dict(request)
         request["_reply_to"] = VMPL_ENC
         tracer = self.tracer
-        span = tracer.span("enclave", f"service:{request.get('op')}",
-                           vcpu=self.vcpu_id, vmpl=VMPL_ENC,
-                           pid=self.proc.pid,
-                           args={"enclave_id": self.setup.enclave_id}) \
-            if tracer.enabled else NULL_SPAN
-        with span:
-            record.idcb.write_request(self.machine.memory, request)
-            self._user_ghcb().write_switch(self.machine.memory, VMPL_SER)
-            self.core.vmgexit()
-            # Core now runs DomSER: the service body handles the request
-            # and switches back to DomENC.
-            self.system.veilmon.on_ser_entry(self.core, idcb=record.idcb)
+        if tracer.enabled:
+            with tracer.span("enclave", f"service:{request.get('op')}",
+                             vcpu=self.vcpu_id, vmpl=VMPL_ENC,
+                             pid=self.proc.pid,
+                             args={"enclave_id": self.setup.enclave_id}):
+                self._call_service(record.idcb, request)
+        else:
+            self._call_service(record.idcb, request)
         self.enclave_exits += 1
         reply = record.idcb.read_reply(self.machine.memory)
         if reply.get("status") == "denied":
             raise SecurityViolation(str(reply.get("reason")))
         return reply
+
+    def _call_service(self, idcb, request: dict) -> None:
+        """The body of :meth:`service_request`."""
+        idcb.write_request(self.machine.memory, request)
+        self.core.switch_to(self._user_ghcb(), VMPL_SER)
+        # Core now runs DomSER: the service body handles the request
+        # and switches back to DomENC.
+        self.system.veilmon.on_ser_entry(self.core, idcb=idcb)
 
 
 class SyscallBatch:

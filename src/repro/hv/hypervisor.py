@@ -9,6 +9,16 @@ Implements the three host-side changes the paper makes to KVM (section 7):
 3. relaying automatic interrupt exits taken during enclave execution to
    DomUNT.
 
+Which side recognizes which GHCB frame: the guest writes a domain-switch
+request as one of the four pre-encoded frames
+(:meth:`VirtualCpu.switch_to <repro.hw.vcpu.VirtualCpu.switch_to>`), and
+:meth:`Hypervisor.handle_vmgexit` looks its payload bytes up in
+:data:`~repro.hw.ghcb.SWITCH_PAYLOADS` before it decodes anything, so a
+switch goes straight to the policy check and the VMENTER.  Every other
+payload, a switch request spelled any other way included, is decoded by
+:func:`~repro.hw.ghcb.decode_payload` and dispatched to an ``_op_*``
+handler; ``_op_domain_switch`` ends in the same switch body.
+
 The hypervisor is *untrusted*: it also exposes attack knobs (refusing the
 interrupt relay, attempting VMSA tampering through host memory access) used
 by the section 8 experiments.  Host access to guest memory goes through
@@ -24,8 +34,9 @@ from dataclasses import dataclass, field
 
 from ..errors import NestedPageFault, SecurityViolation, \
     SimulationError
-from ..hw.ghcb import Ghcb, ghcb_view
-from ..hw.memory import page_base
+from ..hw.ghcb import (FRAME_HEADER, SWITCH_PAYLOADS, Ghcb, decode_payload,
+                      ghcb_view)
+from ..hw.memory import PAGE_SHIFT, PAGE_SIZE
 from ..hw.pagetable import PageFault
 from ..hw.rmp import NUM_VMPLS, VMPL_ENC, VMPL_MON, VMPL_UNT, vmpl_name
 from ..hw.vmsa import Vmsa
@@ -46,6 +57,9 @@ class HostAccessBlocked(SecurityViolation):
 #: exits" assertion in the test/attack suites while bounding memory on
 #: multi-thousand-switch benchmark runs.
 EXIT_LOG_CAPACITY = 512
+
+#: The exit-log tag of a domain-switch request.
+_SWITCH_TAG = "vmgexit:domain_switch"
 
 #: ``(from_vmpl, to_vmpl) -> "DomX->DomY"``, the ``switch`` metric key.
 _SWITCH_METRIC = {(src, dst): f"{vmpl_name(src)}->{vmpl_name(dst)}"
@@ -190,38 +204,70 @@ class Hypervisor:
     # ------------------------------------------------------------------
 
     def handle_vmgexit(self, core: "VirtualCpu") -> None:
-        """Service a non-automatic exit.  ``core`` has already hw_exit()ed."""
+        """Service a non-automatic exit.  ``core`` has already hw_exit()ed.
+
+        Reads the GHCB frame in two charged reads (length header, then
+        payload).  A payload in :data:`~repro.hw.ghcb.SWITCH_PAYLOADS`
+        goes straight to :meth:`_switch`; any other is decoded and
+        dispatched to its ``_op_*`` handler.
+        """
         exited = core.instance
         if exited is None:
             raise SimulationError("vmgexit with no exited instance")
+        machine = self.machine
         ghcb_gpa = exited.regs.ghcb_msr
         if ghcb_gpa == 0:
-            self.machine.halt("VMGEXIT with no GHCB published")
-        ghcb = ghcb_view(ghcb_gpa >> 12)
-        # The GHCB is a shared page: anything may be in it.  Bytes that
-        # do not decode to a JSON object, or an op whose fields do not
+            machine.halt("VMGEXIT with no GHCB published")
+        ppn = ghcb_gpa >> PAGE_SHIFT
+        gpa = ppn << PAGE_SHIFT
+        memory = machine.memory
+        # The GHCB is a shared page: anything may be in it, and the MSR
+        # may point anywhere.  A GHCB page outside physical memory, a
+        # frame whose length header does not fit the page, bytes that do
+        # not decode to a JSON object, or an op whose fields do not
         # parse, are errant hypercalls and crash the CVM (section 6.2).
+        if not 0 <= ppn < memory.num_pages:
+            machine.halt(f"malformed GHCB message: GHCB page {ppn:#x} is "
+                         "outside physical memory")
+        length = int.from_bytes(memory.read(gpa, FRAME_HEADER), "little")
+        if length == 0 or length > PAGE_SIZE - FRAME_HEADER:
+            machine.halt(f"malformed GHCB message: length header {length} "
+                         f"outside 1..{PAGE_SIZE - FRAME_HEADER}")
+        payload = memory.read(gpa + FRAME_HEADER, length)
+        target_vmpl = SWITCH_PAYLOADS.get(payload)
+        if target_vmpl is not None:
+            self.exit_log.append(_SWITCH_TAG)
+            tracer = machine.tracer
+            if tracer.enabled:
+                tracer.metrics.count("vmgexit", "domain_switch")
+                with self.trace_span(core, exited, "op:domain_switch",
+                                     target_vmpl=target_vmpl):
+                    self._switch(core, exited, ppn, target_vmpl)
+            else:
+                self._switch(core, exited, ppn, target_vmpl)
+            return
         try:
-            message = ghcb.read_message(self.machine.memory)
+            message = decode_payload(payload)
         except ValueError as bad:
-            self.machine.halt(f"malformed GHCB message: {bad}", cause=bad)
+            machine.halt(f"malformed GHCB message: {bad}", cause=bad)
         if not isinstance(message, dict):
-            self.machine.halt("malformed GHCB message: a JSON "
-                              f"{type(message).__name__}, not an object")
+            machine.halt("malformed GHCB message: a JSON "
+                         f"{type(message).__name__}, not an object")
         op = message.get("op")
         known = _VMGEXIT_OPS.get(op) if type(op) is str else None
         tag, handler_name = known or (f"vmgexit:{op}", None)
         self.exit_log.append(tag)
-        tracer = self.machine.tracer
+        tracer = machine.tracer
         if tracer.enabled:
             tracer.metrics.count("vmgexit", str(op))
         if handler_name is None:
-            self.machine.halt(f"unknown VMGEXIT op {op!r}")
+            machine.halt(f"unknown VMGEXIT op {op!r}")
         try:
-            getattr(self, handler_name)(core, exited, ghcb, message)
+            getattr(self, handler_name)(core, exited, ghcb_view(ppn),
+                                        message)
         except (KeyError, TypeError, ValueError, OverflowError) as bad:
-            self.machine.halt(f"malformed GHCB message for op {op!r}: "
-                              f"{bad!r}", cause=bad)
+            machine.halt(f"malformed GHCB message for op {op!r}: "
+                         f"{bad!r}", cause=bad)
 
     def trace_span(self, core: "VirtualCpu", exited: Vmsa, name: str,
                    **args):
@@ -245,32 +291,47 @@ class Hypervisor:
 
     # -- operations -------------------------------------------------------
 
+    def _switch(self, core: "VirtualCpu", exited: Vmsa, ghcb_ppn: int,
+                target_vmpl: int) -> None:
+        """The domain switch: check the GHCB's policy, enter the target.
+
+        The one body of every switch request, recognized from its bytes
+        by :meth:`handle_vmgexit` or decoded by
+        :meth:`_op_domain_switch`; both open the ``op:domain_switch``
+        span around it when tracing is on.
+        """
+        machine = self.machine
+        policy = self.ghcb_policies.get(ghcb_ppn)
+        if policy is None:
+            machine.halt(f"domain switch via unregistered GHCB {ghcb_ppn:#x}")
+        pair = (exited.vmpl, target_vmpl)
+        if pair not in policy.allowed_switches:
+            # Paper section 6.2: errant hypercalls crash the CVM.
+            machine.halt(f"GHCB {ghcb_ppn:#x} does not permit switch "
+                         f"VMPL-{pair[0]} -> VMPL-{pair[1]}")
+        target = self.vmsas.get((exited.vcpu_id, target_vmpl))
+        if target is None:
+            machine.halt(f"no VMSA for vcpu {exited.vcpu_id} at "
+                         f"VMPL-{target_vmpl}")
+        tracer = machine.tracer
+        if tracer.enabled:
+            tracer.metrics.count("switch", _SWITCH_METRIC[pair])
+        # VMENTER: the enter half of the switch cost, charged inline as
+        # _enter's CycleLedger.charge would, then the register load.
+        ledger = machine.ledger
+        cycles = machine.cost.vmenter
+        ledger.total += cycles
+        ledger.by_category["domain_switch"] += cycles
+        core.hw_enter(target)
+
     def _op_domain_switch(self, core, exited: Vmsa, ghcb: Ghcb,
                           message: dict) -> None:
+        """A switch request the guest spelled another way (the codec's
+        path): parse the target, then the same :meth:`_switch`."""
         target_vmpl = int(message["target_vmpl"])
-        tracer = self.machine.tracer
-        span = self.trace_span(core, exited, "op:domain_switch",
-                               target_vmpl=target_vmpl) \
-            if tracer.enabled else NULL_SPAN
-        with span:
-            policy = self.ghcb_policies.get(ghcb.ppn)
-            if policy is None:
-                self.machine.halt(
-                    f"domain switch via unregistered GHCB {ghcb.ppn:#x}")
-            pair = (exited.vmpl, target_vmpl)
-            if pair not in policy.allowed_switches:
-                # Paper section 6.2: errant hypercalls crash the CVM.
-                self.machine.halt(
-                    f"GHCB {ghcb.ppn:#x} does not permit switch "
-                    f"VMPL-{pair[0]} -> VMPL-{pair[1]}")
-            target = self.vmsas.get((exited.vcpu_id, target_vmpl))
-            if target is None:
-                self.machine.halt(
-                    f"no VMSA for vcpu {exited.vcpu_id} at "
-                    f"VMPL-{target_vmpl}")
-            if tracer.enabled:
-                tracer.metrics.count("switch", _SWITCH_METRIC[pair])
-            self._enter(core, target)
+        with self.trace_span(core, exited, "op:domain_switch",
+                             target_vmpl=target_vmpl):
+            self._switch(core, exited, ghcb.ppn, target_vmpl)
 
     def _op_register_vmsa(self, core, exited: Vmsa, ghcb: Ghcb,
                           message: dict) -> None:

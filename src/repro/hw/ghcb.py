@@ -21,15 +21,25 @@ deep nesting the same way from any caller.
 
 Three kinds of frame dominate the traffic.  Two are encoded once at
 import: the four ``{"op": "domain_switch", "target_vmpl": v}`` requests
-(:data:`SWITCH_FRAMES`, written by :meth:`Ghcb.write_switch`) and the
-``{"status": "ok"}`` reply (:data:`OK_FRAME`).  Decoding looks their
-payload bytes up before falling back to the codec.  The third is the
-VeilS-LOG append every audited syscall sends to DomSER,
-``{"_reply_to": r, "op": "log_append", "record_hex": h}``: it is
-encoded from a template, and decoding recognizes exactly that byte form
-(a decimal ``r`` without a leading zero, an ASCII-alphanumeric ``h``)
-before falling back.  The bytes in memory and the copy costs charged are
-the same as for the codec path.
+(:data:`SWITCH_FRAMES`) and the ``{"status": "ok"}`` reply
+(:data:`OK_FRAME`).  The third is the VeilS-LOG append every audited
+syscall sends to DomSER, ``{"_reply_to": r, "op": "log_append",
+"record_hex": h}``: it is encoded from a template.  The bytes in memory
+and the copy costs charged are the same as for the codec path.
+
+Which side recognizes which frame:
+
+* the guest writes a switch request only with
+  :meth:`VirtualCpu.switch_to <repro.hw.vcpu.VirtualCpu.switch_to>`,
+  and the hypervisor looks its payload up in :data:`SWITCH_PAYLOADS`
+  before decoding anything, so a switch is served from its bytes; any
+  other payload, a switch request spelled another way included, goes
+  to :func:`decode_payload`;
+* :func:`decode_payload`, which every IDCB read and every guest-side
+  GHCB read goes through, recognizes the ``ok`` reply and exactly the
+  byte form the log-append template writes (a decimal ``r`` without a
+  leading zero, an ASCII-alphanumeric ``h``) before falling back to
+  the codec.
 """
 
 from __future__ import annotations
@@ -60,9 +70,14 @@ SWITCH_FRAMES = {
     vmpl: _encode({"op": "domain_switch", "target_vmpl": vmpl})
     for vmpl in range(NUM_VMPLS)}
 
-#: ``payload bytes -> message`` for every pre-encoded frame.
-_DECODED = {frame[FRAME_HEADER:]: decode(frame[FRAME_HEADER:])
-            for frame in (OK_FRAME, *SWITCH_FRAMES.values())}
+#: ``payload bytes -> target_vmpl`` for the four :data:`SWITCH_FRAMES`:
+#: the hypervisor's table of the switch requests it serves without
+#: decoding.  Exactly the codec's bytes map to a VMPL.
+SWITCH_PAYLOADS = {frame[FRAME_HEADER:]: vmpl
+                   for vmpl, frame in SWITCH_FRAMES.items()}
+
+#: The ``ok`` reply's payload bytes.
+_OK_PAYLOAD = OK_FRAME[FRAME_HEADER:]
 
 #: The log-append payload around its two fields (sorted keys, the
 #: encoder's default separators).
@@ -138,10 +153,8 @@ def decode_payload(payload: bytes):
         message = _decode_append(payload)
         if message is not None:
             return message
-    else:
-        known = _DECODED.get(payload)
-        if known is not None:
-            return dict(known)
+    elif payload == _OK_PAYLOAD:
+        return dict(_OK_MESSAGE)
     return decode(payload)
 
 
@@ -164,18 +177,6 @@ class Ghcb:
                 f"GHCB message of {len(frame) - FRAME_HEADER} bytes "
                 "exceeds one page")
         mem.write(self.gpa, frame)
-
-    def write_switch(self, mem: PhysicalMemory, vmpl: int) -> None:
-        """Ask the hypervisor to switch this core to ``vmpl``."""
-        # ``True == 1`` and ``1.0 == 1``: only an exact int takes a
-        # pre-encoded frame.
-        frame = SWITCH_FRAMES.get(vmpl) if type(vmpl) is int else None
-        if frame is None:
-            # Not a VMPL: the hypervisor halts the CVM on this request.
-            self.write_message(mem, {"op": "domain_switch",
-                                     "target_vmpl": vmpl})
-        else:
-            mem.write(self.gpa, frame)
 
     def read_message(self, mem: PhysicalMemory) -> dict:
         """Deserialize the current message from the GHCB page.

@@ -26,7 +26,7 @@ import typing
 from ..errors import (CvmHalted, GeneralProtectionFault, NestedPageFault,
                       SimulationError)
 from ..trace import NULL_SPAN
-from .ghcb import Ghcb
+from .ghcb import SWITCH_FRAMES, Ghcb
 from .memory import PAGE_SHIFT, PAGE_SIZE
 from .pagetable import PageFault
 from .rmp import Access
@@ -639,10 +639,17 @@ class VirtualCpu:
 
     def wrmsr_ghcb(self, gpa: int) -> None:
         """Publish the GHCB location (privileged write)."""
-        if self.regs.cpl != 0:
+        regs = self.regs
+        if regs.cpl != 0:
             raise GeneralProtectionFault("WRMSR requires CPL-0")
-        self.machine.ledger.charge("msr", self.machine.cost.wrmsr)
-        self.regs.ghcb_msr = gpa
+        # Charged inline, as CycleLedger.charge would: every gateway
+        # switch and enclave entry publishes a GHCB.
+        machine = self.machine
+        ledger = machine.ledger
+        cycles = machine.cost.wrmsr
+        ledger.total += cycles
+        ledger.by_category["msr"] += cycles
+        regs.ghcb_msr = gpa
 
     def rdmsr_ghcb(self) -> int:
         """Read the GHCB location MSR."""
@@ -666,19 +673,55 @@ class VirtualCpu:
         whatever instance the hypervisor chose to resume.
         """
         machine = self.machine
-        # Attribute the span to the VMPL that *took* the exit; after
-        # hw_exit the core may resume on a different instance.
-        exiting_vmpl = self.instance.vmpl if self.instance else -1
+        ledger = machine.ledger
+        cycles = machine.cost.vmgexit
         tracer = machine.tracer
-        span = tracer.span("hw", "VMGEXIT", vcpu=self.cpu_index,
-                           vmpl=exiting_vmpl) \
-            if tracer.enabled else NULL_SPAN
-        with span:
-            machine.ledger.charge("domain_switch", machine.cost.vmgexit)
+        # The exit half of the switch cost (charged inline, as
+        # CycleLedger.charge would), the seal and the hypervisor's turn:
+        # inside a span only with tracing on.
+        if tracer.enabled:
+            # Attribute the span to the VMPL that *took* the exit; after
+            # hw_exit the core may resume on a different instance.
+            exiting_vmpl = self.instance.vmpl if self.instance else -1
+            with tracer.span("hw", "VMGEXIT", vcpu=self.cpu_index,
+                             vmpl=exiting_vmpl):
+                ledger.total += cycles
+                ledger.by_category["domain_switch"] += cycles
+                self.hw_exit()
+                machine.hypervisor.handle_vmgexit(self)
+        else:
+            ledger.total += cycles
+            ledger.by_category["domain_switch"] += cycles
             self.hw_exit()
             machine.hypervisor.handle_vmgexit(self)
-        if self.instance is None or not self.instance.running:
+        instance = self.instance
+        if instance is None or not instance.running:
             raise CvmHalted("hypervisor failed to resume the VCPU")
+
+    def switch_to(self, ghcb: Ghcb, vmpl: int, *,
+                  publish: bool = False) -> None:
+        """Ask the hypervisor to resume this core on its ``vmpl`` instance.
+
+        The guest half of every domain switch, and the one writer of a
+        switch request: write the request for ``vmpl`` into ``ghcb`` (the
+        pre-encoded frame of :data:`~repro.hw.ghcb.SWITCH_FRAMES`) and
+        execute VMGEXIT.  With ``publish``, the GHCB MSR is pointed at
+        ``ghcb`` first (:meth:`wrmsr_ghcb`); without it, the caller has
+        armed the MSR already.
+        """
+        if publish:
+            self.wrmsr_ghcb(ghcb.gpa)
+        memory = self.machine.memory
+        # ``True == 1`` and ``1.0 == 1``: only an exact int takes a
+        # pre-encoded frame.
+        frame = SWITCH_FRAMES.get(vmpl) if type(vmpl) is int else None
+        if frame is None:
+            # Not a VMPL: the hypervisor halts the CVM on this request.
+            ghcb.write_message(memory, {"op": "domain_switch",
+                                        "target_vmpl": vmpl})
+        else:
+            memory.write(ghcb.gpa, frame)
+        self.vmgexit()
 
     def automatic_exit(self, reason: str = "interrupt") -> None:
         """Automatic exit (no GHCB protocol), e.g. a timer interrupt."""

@@ -33,16 +33,6 @@ class RegisterFile:
     ghcb_msr: int = 0                # GHCB location MSR (gpa)
     efer_sce: bool = True            # syscall enable; illustrative only
 
-    def copy(self) -> "RegisterFile":
-        """Deep copy of the register state.
-
-        Every world switch copies twice (``save`` and ``restore``), so
-        the fields go in positionally, in declaration order.  ``gprs`` is
-        copied, so saved and live states never share a dict.
-        """
-        return RegisterFile(self.rip, self.cpl, self.cr3, dict(self.gprs),
-                            self.ghcb_msr, self.efer_sce)
-
 
 @dataclass
 class Vmsa:
@@ -60,12 +50,20 @@ class Vmsa:
     #: state is then *in* the CPU, not the VMSA).
     running: bool = False
 
+    # Every world switch seals one register file and loads another, so
+    # each copy is built here, positionally in declaration order.
+    # ``gprs`` is copied, so saved and live states never share a dict.
+
     def save(self, regs: RegisterFile) -> None:
-        """Hardware path: seal the given register state into the VMSA."""
-        self.regs = regs.copy()
+        """Hardware path: seal a copy of ``regs`` into the VMSA."""
+        self.regs = RegisterFile(regs.rip, regs.cpl, regs.cr3,
+                                 dict(regs.gprs), regs.ghcb_msr,
+                                 regs.efer_sce)
         self.running = False
 
     def restore(self) -> RegisterFile:
-        """Hardware path: load register state out of the VMSA."""
+        """Hardware path: load a copy of the sealed register state."""
         self.running = True
-        return self.regs.copy()
+        regs = self.regs
+        return RegisterFile(regs.rip, regs.cpl, regs.cr3, dict(regs.gprs),
+                            regs.ghcb_msr, regs.efer_sce)

@@ -23,7 +23,7 @@ import typing
 from ..errors import KernelError
 from ..hw.memory import PAGE_SIZE
 from ..hw.rng import DeterministicRandom, GETRANDOM_SEED
-from ..trace import NULL_SPAN, Tally
+from ..trace import Tally
 from . import fs as fsmod
 from . import layout, net
 from .fs import (O_CREAT, O_RDONLY, O_TRUNC, O_WRONLY, InodeType)
@@ -103,14 +103,17 @@ class SyscallTable:
         self.call_count += 1
         self.per_syscall_counts[name] += 1
         tracer = machine.tracer
+        # With tracing off no span is built: the body runs once either
+        # way, and a traced call closes its span in the outer finally,
+        # as a ``with`` block would (a span ignores the exception).
+        span = None
         if tracer.enabled:
             tracer.metrics.count("syscall", name)
             vmpl = core.instance.vmpl if core.instance is not None else -1
             span = tracer.span("syscall", name, vcpu=core.cpu_index,
                                vmpl=vmpl, pid=proc.pid)
-        else:
-            span = NULL_SPAN
-        with span:
+            span.__enter__()
+        try:
             machine.ledger.charge("syscall", machine.cost.syscall_entry)
             machine.ledger.charge("syscall", BASE_COSTS.get(name, 1000))
             # Execute-ahead auditing (section 6.3): the record is produced
@@ -126,11 +129,13 @@ class SyscallTable:
             core.regs.cr3 = proc.page_table.root_ppn
             core.regs.cpl = 0
             try:
-                result = handler(core, proc, *args, **kwargs)
+                return handler(core, proc, *args, **kwargs)
             finally:
                 core.regs.cpl = prev_cpl
                 core.regs.cr3 = prev_cr3
-        return result
+        finally:
+            if span is not None:
+                span.__exit__(None, None, None)
 
     @staticmethod
     def _summarize(args) -> dict:

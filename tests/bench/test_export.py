@@ -8,6 +8,7 @@ import pytest
 
 from repro.bench.export import export_all, rows_to_dicts, to_csv, to_json
 from repro.bench.harness import Fig4Row, Fig5Row
+from repro.errors import SimulationError
 
 
 SAMPLE = [Fig4Row("open", 1000, 5000), Fig4Row("read", 2000, 7000)]
@@ -64,3 +65,12 @@ class TestExportAll:
         rows = json.loads((tmp_path / "fig4.json").read_text())
         for row in rows:
             assert 2.5 <= row["slowdown"] <= 9.0
+
+    def test_checks_every_target_before_the_first_write(self, tmp_path,
+                                                        evaluation):
+        sections = list(evaluation.values())
+        last = f"{list(sections[-1].rows)[-1]}.csv"
+        (tmp_path / last).mkdir()
+        with pytest.raises(SimulationError, match="it is a directory"):
+            export_all(tmp_path, sections)
+        assert [p.name for p in tmp_path.iterdir()] == [last]

@@ -9,7 +9,8 @@ are bad.
 import pytest
 
 from repro.core.domains import VMPL_MON, VMPL_SER, VMPL_UNT
-from repro.hw.memory import page_base
+from repro.core.idcb import DEFAULT_IDCB_PAGES
+from repro.hw.memory import PAGE_SIZE, page_base
 from repro.kernel.layout import direct_map_vaddr
 
 PAYLOADS = {
@@ -27,6 +28,19 @@ def os_writes_request(veil, idcb, payload: bytes) -> None:
     """The OS scribbles raw bytes into the request slot of ``idcb``."""
     frame = len(payload).to_bytes(4, "little") + payload
     veil.boot_core.write(direct_map_vaddr(page_base(idcb.ppn)), frame)
+
+
+def os_writes_header(veil, idcb, length: int) -> None:
+    """The OS puts a length header of its choosing in front of a ping."""
+    frame = length.to_bytes(4, "little") + b'{"op": "ping"}'
+    veil.boot_core.write(direct_map_vaddr(page_base(idcb.ppn)), frame)
+
+
+#: Length headers no request slot can hold: none, one byte more than
+#: the slot holds after its header, and the largest a header can say.
+BAD_LENGTHS = {"zero": 0,
+               "past-slot": DEFAULT_IDCB_PAGES * PAGE_SIZE // 2 - 3,
+               "max": 0xFFFFFFFF}
 
 
 def enter(veil, target_vmpl: int) -> dict:
@@ -55,6 +69,24 @@ def test_malformed_request_gets_error_reply(veil, target_vmpl, shape):
     assert reply["reason"].startswith("malformed request: ")
     assert veil.boot_core.vmpl == VMPL_UNT
     assert not veil.machine.halted
+
+
+@pytest.mark.parametrize("shape", sorted(BAD_LENGTHS))
+@pytest.mark.parametrize("target_vmpl", [VMPL_MON, VMPL_SER],
+                         ids=["monitor", "service"])
+def test_bad_length_header_gets_error_reply(veil, target_vmpl, shape):
+    idcbs = (veil.veilmon.os_idcbs if target_vmpl == VMPL_MON
+             else veil.veilmon.ser_idcbs)
+    os_writes_header(veil, idcbs[veil.boot_core.cpu_index],
+                     BAD_LENGTHS[shape])
+    reply = enter(veil, target_vmpl)
+    assert reply["status"] == "error"
+    assert reply["reason"].startswith("malformed request: ")
+    assert veil.boot_core.vmpl == VMPL_UNT
+    assert not veil.machine.halted
+    # The core keeps serving well-formed requests.
+    assert veil.gateway.call_monitor(veil.boot_core, {
+        "op": "ping", "payload": 7}) == {"status": "ok", "echo": 7}
 
 
 @pytest.mark.parametrize("shape", sorted(PAYLOADS))

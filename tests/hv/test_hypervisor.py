@@ -223,6 +223,48 @@ class TestMalformedGhcbMessage:
         assert machine.halted
         assert machine.halt_reason.startswith("malformed GHCB message")
 
+    @pytest.mark.parametrize("length", [0, 4093, 5000, 0xFFFFFFFF],
+                             ids=["zero", "past-page", "5000", "max"])
+    def test_bad_length_header_halts(self, length):
+        # A header announcing no payload, or more than the page holds
+        # after the header, is one more malformed message.
+        machine, core, ghcb = switch_ready()
+        machine.memory.write(ghcb.gpa, length.to_bytes(4, "little") +
+                             SWITCH_FRAMES[3][4:])
+        with pytest.raises(CvmHalted):
+            core.vmgexit()
+        assert machine.halted
+        assert machine.halt_reason.startswith("malformed GHCB message")
+        assert core.instance is None or not core.instance.running
+
+    @pytest.mark.parametrize("page", [-1, 0, 1 << 40],
+                             ids=["negative", "past-memory", "far"])
+    def test_ghcb_outside_physical_memory_halts(self, page):
+        # The MSR may point anywhere: a page past physical memory (or
+        # below it) is one more malformed message, not a traceback.
+        machine, core, _ = switch_ready()
+        page = page or machine.num_pages
+        core.regs.cpl = 0
+        core.wrmsr_ghcb(page << 12)
+        with pytest.raises(CvmHalted):
+            core.vmgexit()
+        assert machine.halted
+        assert machine.halt_reason == (
+            f"malformed GHCB message: GHCB page {page:#x} is outside "
+            "physical memory")
+        assert core.instance is None or not core.instance.running
+
+    def test_longest_frame_the_page_holds_is_read(self):
+        # The largest announced length, 4092 bytes, still fits the page:
+        # it is read and decoded (here to an unknown op), not refused.
+        machine, core, ghcb = switch_ready()
+        payload = b'{"op": "pad", "x": "' + b"a" * 4070 + b'"}'
+        assert len(payload) == 4092
+        machine.memory.write(ghcb.gpa, raw_frame(payload))
+        with pytest.raises(CvmHalted):
+            core.vmgexit()
+        assert machine.halt_reason == "unknown VMGEXIT op 'pad'"
+
     @pytest.mark.parametrize("payload", [
         b"[" * 1500 + b"]" * 1500,
         b'{"op": "domain_switch", "target_vmpl": ' + b"[" * 1500 +

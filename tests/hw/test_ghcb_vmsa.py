@@ -6,15 +6,16 @@ from hypothesis import given, strategies as st
 from repro.codec import encode
 from repro.errors import SimulationError
 from repro.hw.cycles import CycleLedger, free_cost_model
-from repro.hw.ghcb import (OK_FRAME, SWITCH_FRAMES, Ghcb, decode_payload,
-                           encode_frame, frame_length)
+from repro.hw.ghcb import (OK_FRAME, SWITCH_FRAMES, SWITCH_PAYLOADS, Ghcb,
+                           decode_payload, encode_frame, frame_length)
 from repro.hw.memory import PAGE_SIZE, PhysicalMemory
 from repro.hw.vmsa import GPR_NAMES, RegisterFile, Vmsa
 
 from tests.wire_templates import (APPEND, CONSTANT_PAYLOADS,
                                   ESCAPED_RECORDS, NEAR_CONSTANTS,
-                                  NEAR_MISSES, append_message,
-                                  check_template, framed, switch_message)
+                                  NEAR_MISSES, SWITCH_SPELLINGS,
+                                  append_message, check_template, framed,
+                                  switch_message, switch_request)
 
 
 @pytest.fixture
@@ -75,12 +76,12 @@ class TestSwitchFrames:
 
     @pytest.mark.parametrize("vmpl", range(4))
     def test_page_bytes_and_charges_match_encoder_path(self, vmpl):
-        fast = PhysicalMemory(8 * PAGE_SIZE, ledger=CycleLedger())
-        Ghcb(3).write_switch(fast, vmpl)
+        fast = switch_request(vmpl, ppn=3)
         slow = PhysicalMemory(8 * PAGE_SIZE, ledger=CycleLedger())
         slow.write(3 * PAGE_SIZE, framed(encode(switch_message(vmpl))))
-        assert fast.ledger.total == slow.ledger.total > 0
-        assert fast.read(3 * PAGE_SIZE, 64) == slow.read(3 * PAGE_SIZE, 64)
+        assert fast.ledger.category("copy") == slow.ledger.total > 0
+        assert fast.memory.read(3 * PAGE_SIZE, 64) == \
+            slow.read(3 * PAGE_SIZE, 64)
 
     def test_read_returns_a_fresh_dict(self, mem):
         ghcb = Ghcb(3)
@@ -100,6 +101,17 @@ class TestSwitchFrames:
     def test_write_switch_to_a_non_vmpl_encodes_the_request(self, mem,
                                                             vmpl):
         check_template("switch-frame", vmpl)
+
+    def test_hypervisor_table_holds_the_four_frame_payloads(self):
+        assert SWITCH_PAYLOADS == {
+            frame[4:]: vmpl for vmpl, frame in SWITCH_FRAMES.items()}
+        for payload in SWITCH_PAYLOADS:
+            check_template("switch-payloads", payload)
+
+    @pytest.mark.parametrize("payload", SWITCH_SPELLINGS)
+    def test_other_spellings_map_to_no_vmpl(self, payload):
+        check_template("switch-payloads", payload)
+        assert SWITCH_PAYLOADS.get(payload) is None
 
 
 class TestFrameCodec:
@@ -182,25 +194,27 @@ class TestRegisterFile:
         regs = RegisterFile()
         assert set(regs.gprs) == set(GPR_NAMES)
 
-    def test_copy_keeps_every_field(self):
-        regs = RegisterFile(rip=0x1000, cpl=3, cr3=0x42, ghcb_msr=0x5000,
-                            efer_sce=False)
-        regs.gprs["r15"] = 11
-        assert regs.copy() == regs
-
     def test_is_slotted(self):
         with pytest.raises(AttributeError):
             RegisterFile().not_a_register = 1
 
-    def test_copy_is_deep(self):
-        regs = RegisterFile()
-        regs.gprs["rax"] = 7
-        clone = regs.copy()
-        clone.gprs["rax"] = 99
-        assert regs.gprs["rax"] == 7
-
 
 class TestVmsa:
+    def test_save_and_restore_keep_every_field(self):
+        regs = RegisterFile(rip=0x1000, cpl=3, cr3=0x42, ghcb_msr=0x5000,
+                            efer_sce=False)
+        regs.gprs["r15"] = 11
+        vmsa = Vmsa(vcpu_id=0, vmpl=2, ppn=10)
+        vmsa.save(regs)
+        assert vmsa.regs == regs
+        assert vmsa.restore() == regs
+
+    def test_restore_is_deep(self):
+        vmsa = Vmsa(vcpu_id=0, vmpl=2, ppn=10)
+        vmsa.regs.gprs["rax"] = 7
+        vmsa.restore().gprs["rax"] = 99
+        assert vmsa.regs.gprs["rax"] == 7
+
     def test_save_seals_a_copy(self):
         vmsa = Vmsa(vcpu_id=0, vmpl=2, ppn=10)
         live = RegisterFile(rip=0x1000)

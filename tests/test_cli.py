@@ -121,6 +121,21 @@ class TestDegenerateSizes:
         assert captured.err == (f"repro: error: cannot write {path}: "
                                 f"{afile} is not a directory\n")
 
+    def test_export_onto_a_directory_named_like_a_file_refused(
+            self, capsys, tmp_path):
+        """A directory where the export would write ``fig4.json`` is
+        refused before the first write, and nothing is written."""
+        (tmp_path / "fig4.json").mkdir()
+        with pytest.raises(SystemExit) as exited:
+            main(["export", "--out", str(tmp_path)])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"repro: error: cannot write "
+                                f"{tmp_path / 'fig4.json'}: it is a "
+                                "directory\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["fig4.json"]
+
 
 class TestAll:
     """``repro all`` prints the evaluation's sections in order, each

@@ -5,7 +5,10 @@ requests and ``ok`` reply, the VeilS-LOG ``log_append`` frame (encoded
 from a template, read back by a recognizer), ``AuditEntry.serialize``,
 and the fleet's request and reply envelopes.  Each must write exactly
 the bytes :mod:`repro.codec` writes for the same input, fall back to it
-for any other input, and read back as ``json.loads`` reads.
+for any other input, and read back as ``json.loads`` reads.  The
+hypervisor's table of switch payloads (``SWITCH_PAYLOADS``, read before
+anything is decoded) must map exactly the codec's bytes of a switch
+request to its VMPL, and nothing else to any VMPL.
 
 :data:`TEMPLATES` names each template with the inputs to draw, the
 template path and the codec path.  :func:`check_template` is the one
@@ -21,14 +24,17 @@ import json
 from dataclasses import dataclass
 from typing import Callable
 
+import pytest
 from hypothesis import strategies as st
 
 from repro.codec import decode, encode, encode_compact
 from repro.cluster.net import encode_reply, encode_request
-from repro.hw.cycles import CycleLedger, free_cost_model
-from repro.hw.ghcb import (FRAME_HEADER, Ghcb, decode_payload,
-                           encode_frame, frame_length)
-from repro.hw.memory import PAGE_SIZE, PhysicalMemory
+from repro.errors import SimulationError
+from repro.hw import SevSnpMachine
+from repro.hw.ghcb import (FRAME_HEADER, SWITCH_PAYLOADS, Ghcb,
+                           decode_payload, encode_frame, frame_length)
+from repro.hw.memory import PAGE_SIZE
+from repro.hw.rmp import NUM_VMPLS
 from repro.kernel.audit import AuditEntry
 from repro.scope.context import TraceContext
 
@@ -66,11 +72,22 @@ def append_message(reply_to, record_hex) -> dict:
             "_reply_to": reply_to}
 
 
+def switch_request(vmpl, ppn: int = 1) -> SevSnpMachine:
+    """A bare machine whose core asked for a switch to ``vmpl`` through
+    the GHCB at page ``ppn``.
+
+    The core runs no instance, so :meth:`VirtualCpu.switch_to` stops at
+    the VMGEXIT's seal, with its frame written and the exit charged.
+    """
+    machine = SevSnpMachine(memory_bytes=4 * PAGE_SIZE, num_cores=1)
+    with pytest.raises(SimulationError, match="without a running instance"):
+        machine.core(0).switch_to(Ghcb(ppn), vmpl)
+    return machine
+
+
 def switch_page(vmpl) -> bytes:
-    """The frame :meth:`Ghcb.write_switch` leaves in the page."""
-    mem = PhysicalMemory(4 * PAGE_SIZE, cost=free_cost_model(),
-                         ledger=CycleLedger())
-    Ghcb(1).write_switch(mem, vmpl)
+    """The frame :meth:`VirtualCpu.switch_to` leaves in the page."""
+    mem = switch_request(vmpl).memory
     length = frame_length(mem.read(PAGE_SIZE, FRAME_HEADER))
     return mem.read(PAGE_SIZE, FRAME_HEADER + length)
 
@@ -105,6 +122,47 @@ CONSTANT_PAYLOADS = [
     b'{"status": "ok"}', b'{"status":"ok"}',
     b'{"op": "domain_switch", "target_vmpl": 2}',
     b'{"target_vmpl": 2, "op": "domain_switch"}', b"[1, 2]", b"7"]
+
+#: The codec's bytes of the switch request to each VMPL.
+SWITCH_PAYLOAD_BYTES = [encode(switch_message(vmpl))
+                        for vmpl in range(NUM_VMPLS)]
+
+#: Other spellings of a switch request, and its near neighbours.
+SWITCH_SPELLINGS = [
+    b'{"target_vmpl": 2, "op": "domain_switch"}',
+    b'{"target_vmpl":3,"op":"domain_switch"}',
+    b'{"op":"domain_switch","target_vmpl":1}',
+    b'{"op": "domain_switch", "target_vmpl": 2.0}',
+    b'{"op": "domain_switch", "target_vmpl": true}',
+    b'{"op": "domain_switch", "target_vmpl": "2"}',
+    b'{"op": "domain_switch", "target_vmpl": 02}',
+    b'{"op": "domain_switch", "target_vmpl": 4}',
+    b'{"op": "domain_switch", "target_vmpl": -1}',
+    b'{"op": "domain_switch", "target_vmpl": 2} ',
+    b' {"op": "domain_switch", "target_vmpl": 2}',
+    b'{"op": "domain_switcH", "target_vmpl": 2}',
+    b'{"op": "domain_switch", "target_vmpl": 2, "x": 0}',
+    b'{"op": "domain_switch", "target_vmpl": 1, "target_vmpl": 2}',
+]
+
+
+def switch_target(payload: bytes):
+    """The reference for the switch-payload table: the VMPL a payload
+    asks for when it is the codec's bytes of a switch request to a
+    VMPL, else None."""
+    try:
+        message = json_loads(payload)
+    except ValueError:
+        return None
+    if type(message) is not dict or \
+            message.keys() != {"op", "target_vmpl"}:
+        return None
+    vmpl = message["target_vmpl"]
+    if message["op"] != "domain_switch" or type(vmpl) is not int or \
+            not 0 <= vmpl < NUM_VMPLS:
+        return None
+    return vmpl if encode(message) == payload else None
+
 
 #: Records the template must hand to the encoder (they need escapes,
 #: are not ASCII or are empty).
@@ -149,6 +207,23 @@ PAYLOADS = st.one_of(
               st.binary(max_size=80), st.binary(max_size=8)),
     st.builds(lambda body, close: b'{"_reply_to": ' + body + close,
               st.binary(max_size=80), st.sampled_from([b"", b'"}'])))
+
+
+#: Payloads for the switch-payload table: its entries, other spellings,
+#: every single-byte edit and cut of an entry, and the frame payloads.
+SWITCH_PAYLOAD_INPUTS = st.one_of(
+    st.sampled_from(SWITCH_PAYLOAD_BYTES + SWITCH_SPELLINGS +
+                    CONSTANT_PAYLOADS + NEAR_MISSES),
+    st.builds(lambda vmpl: encode(switch_message(vmpl)), VMPLS),
+    st.builds(lambda payload, index, byte:
+              payload[:index] + bytes([byte]) + payload[index + 1:],
+              st.sampled_from(SWITCH_PAYLOAD_BYTES),
+              st.integers(min_value=0, max_value=41),
+              st.integers(min_value=0, max_value=255)),
+    st.builds(lambda payload, cut: payload[:cut],
+              st.sampled_from(SWITCH_PAYLOAD_BYTES),
+              st.integers(min_value=0, max_value=41)),
+    PAYLOADS)
 
 
 # -- the audit record and the fleet envelopes --------------------------------
@@ -248,6 +323,8 @@ TEMPLATES = {
         lambda message: framed(encode(message)),
         decode_payload, FRAME_HEADER),
     "frame-recognizer": Template(PAYLOADS, decode_payload, json_loads),
+    "switch-payloads": Template(SWITCH_PAYLOAD_INPUTS, SWITCH_PAYLOADS.get,
+                                switch_target),
     "audit-entry": Template(
         AUDIT_ENTRIES, AuditEntry.serialize,
         lambda entry: encode(audit_record(entry))),

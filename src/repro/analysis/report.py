@@ -92,8 +92,3 @@ def render_sarif(report: AnalysisReport) -> str:
         }],
     }
     return json.dumps(log, indent=2, sort_keys=True)
-
-
-def severity_of(name: str) -> Severity:
-    """Parse a severity name (for CLI filters)."""
-    return Severity(name)

@@ -56,6 +56,11 @@ WORKLOADS = ("memcached", "sqlite")
 #: memory on long runs.
 IDEMPOTENCY_CACHE_ENTRIES = 512
 
+#: Every replica's CVM: guest memory, VCPUs and VeilS-LOG storage pages.
+REPLICA_MEMORY_BYTES = 32 * 1024 * 1024
+REPLICA_CORES = 2
+REPLICA_LOG_PAGES = 64
+
 
 class BackdoorService(ProtectedService):
     """A service that should *not* be in the fleet's measured image.
@@ -87,8 +92,6 @@ class ClusterReplica:
 
     def __init__(self, index: int, net: InterHostNetwork, *,
                  workload: str = "memcached", shielded: bool = True,
-                 memory_bytes: int = 32 * 1024 * 1024,
-                 num_cores: int = 2, log_storage_pages: int = 64,
                  tracer: "Tracer | None" = None,
                  tampered: bool = False):
         if workload not in WORKLOADS:
@@ -104,8 +107,8 @@ class ClusterReplica:
                   lambda veilmon: BackdoorService(veilmon)),) if tampered \
             else ()
         self.config = VeilConfig(
-            memory_bytes=memory_bytes, num_cores=num_cores,
-            log_storage_pages=log_storage_pages, tracer=tracer,
+            memory_bytes=REPLICA_MEMORY_BYTES, num_cores=REPLICA_CORES,
+            log_storage_pages=REPLICA_LOG_PAGES, tracer=tracer,
             extra_services=extra)
         self.system = boot_veil_system(self.config)
         self.system.integration.enable_protected_logging()

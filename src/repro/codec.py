@@ -3,8 +3,8 @@
 Veil's domains exchange frames through pages the less-privileged side
 writes (the hypervisor-shared GHCB and the IDCBs, paper section 5.2),
 and the fleet's hosts exchange them over an untrusted fabric.  Every
-such frame, sealed channel payload, audit record and disk snapshot is
-JSON, and this module is its one codec:
+such frame, sealed channel payload and audit record is JSON, and this
+module is its one codec:
 
 * :func:`encode` writes sorted keys with the default ``", "`` and
   ``": "`` separators;
@@ -24,8 +24,7 @@ depth check runs before the parser does.  The parser recurses once per
 level and would stop at the interpreter's recursion limit, which
 depends on how deep the caller's stack already is; checked first, the
 verdict on a frame is the same from any caller.  Each caller maps the
-error to its own outcome: a halted CVM, an error reply, ``None`` or
-``EIO``.
+error to its own outcome: a halted CVM, an error reply or ``None``.
 """
 
 from __future__ import annotations
@@ -37,9 +36,9 @@ from json import encoder as _json_encoder
 from .errors import CodecError
 
 #: Deepest nesting of arrays and objects :func:`decode` accepts.  The
-#: deepest legitimate frame nests 3 levels (an enclave layout, a disk
-#: snapshot record); the parser's own recursion at this bound stays far
-#: below the interpreter's limit from any realistic call depth.
+#: deepest legitimate frame nests 3 levels (an enclave layout); the
+#: parser's own recursion at this bound stays far below the
+#: interpreter's limit from any realistic call depth.
 MAX_DEPTH = 32
 
 

@@ -79,13 +79,6 @@ class ProtectedService:
         protected-region map to services, section 8.1)."""
         self.veilmon.sanitize_ppn_range(ppns)
 
-    def write_protected_page(self, core: "VirtualCpu", ppn: int,
-                             offset: int, data: bytes) -> None:
-        """Write within one protected page (service context)."""
-        if offset + len(data) > PAGE_SIZE:
-            raise ValueError("write crosses page boundary")
-        core.write_phys(page_base(ppn) + offset, data)
-
     def read_page(self, core: "VirtualCpu", ppn: int, offset: int = 0,
                   length: int = PAGE_SIZE) -> bytes:
         """Read from a physical page at service privilege."""

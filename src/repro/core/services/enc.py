@@ -94,10 +94,6 @@ class EnclaveRecord:
         """Whether ``vaddr`` falls inside the enclave window."""
         return self.base_vaddr <= vaddr < self.end_vaddr
 
-    def resident_ppns(self) -> set:
-        """Physical pages currently mapped into the enclave."""
-        return {ppn for ppn, _w, _x in self.pages.values()}
-
 
 class VeilSEnc(ProtectedService):
     """The shielded-execution protected service."""

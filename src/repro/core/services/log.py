@@ -124,22 +124,6 @@ class VeilSLog(ProtectedService):
         """Number of records in protected storage."""
         return len(self._index)
 
-    def retrieve_all(self, core: "VirtualCpu") -> list[bytes]:
-        """Read every stored record (service/monitor context only)."""
-        return [self._read_storage(core, off, length)
-                for off, length in self._index]
-
-    def sealed_export(self, core: "VirtualCpu") -> bytes:
-        """Export all records sealed for the remote user.
-
-        Must run in DomSER/DomMON context (storage is VMPL-protected);
-        the OS reaches it only through the ``log_export`` service request,
-        receiving an opaque sealed blob it can relay but not read.
-        """
-        records = [blob.decode("utf-8") for blob in self.retrieve_all(core)]
-        return self.veilmon.channel_send({"logs": records,
-                                          "chain_hex": self.chain.hexdigest})
-
     #: Records per export chunk (each sealed chunk must fit the IDCB).
     EXPORT_CHUNK = 20
 

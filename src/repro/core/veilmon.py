@@ -269,19 +269,6 @@ class VeilMon:
             executing_vmpl=VMPL_MON, target_vmpl=VMPL_UNT,
             perms=Access.all(), exclude=set(self.protected_ppns))
 
-    def protect_new_region(self, core: "VirtualCpu", ppns,
-                           *, allow_ser: bool = True) -> None:
-        """Revoke DomUNT (and DomENC) access to freshly protected pages."""
-        for ppn in ppns:
-            self.protected_ppns.add(ppn)
-            core.rmpadjust(ppn=ppn, target_vmpl=VMPL_UNT,
-                           perms=Access.NONE)
-            core.rmpadjust(ppn=ppn, target_vmpl=VMPL_ENC,
-                           perms=Access.NONE)
-            if not allow_ser:
-                core.rmpadjust(ppn=ppn, target_vmpl=VMPL_SER,
-                               perms=Access.NONE)
-
     # ------------------------------------------------------------------
     # IDCBs
     # ------------------------------------------------------------------

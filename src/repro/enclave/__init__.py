@@ -3,7 +3,6 @@
 from .allocator import EnclaveHeap
 from .binary import EnclaveBinary, build_test_binary
 from .host import EnclaveHost
-from .libos import EnclaveFile, LibOs
 from .runtime import EnclaveRuntime
 from .sanitizer import MarshalledCall, SyscallSanitizer
 from .sdk import EnclaveLibc
@@ -12,7 +11,7 @@ from .specs import (ArgKind, ArgSpec, CallSpec, SYSCALL_SPECS,
 
 __all__ = [
     "EnclaveHeap", "EnclaveBinary", "build_test_binary", "EnclaveHost",
-    "EnclaveFile", "LibOs", "EnclaveRuntime", "MarshalledCall", "SyscallSanitizer", "EnclaveLibc",
+    "EnclaveRuntime", "MarshalledCall", "SyscallSanitizer", "EnclaveLibc",
     "ArgKind", "ArgSpec", "CallSpec", "SYSCALL_SPECS",
     "supported_syscalls", "unsupported_syscalls",
 ]

@@ -239,16 +239,6 @@ class EnclaveRuntime:
         self._staging_cursor += max(aligned, _STAGING_ALIGN)
         return vaddr
 
-    def shared_write(self, vaddr: int, data: bytes) -> None:
-        """Write the shared staging region from DomENC."""
-        self._require_inside()
-        self.core.write(vaddr, data)
-
-    def shared_read(self, vaddr: int, length: int) -> bytes:
-        """Read the shared staging region from DomENC."""
-        self._require_inside()
-        return self.core.read(vaddr, length)
-
     # The sanitizer's marshalling copies are gather+scatter
     # pairs (enclave <-> staging).  These combined helpers make each
     # pair one call with one inside-check; the two VCPU accesses -- and

@@ -1,12 +1,12 @@
-"""Untrusted host software: hypervisor, PSP attestation, virtio devices."""
+"""Untrusted host software: hypervisor, PSP attestation, virtio console."""
 
 from .attestation import (AttestationReport, RemoteUser, SecureProcessor,
                           platform_signing_key)
-from .devices import SECTOR_SIZE, VirtioBlock, VirtioConsole
+from .devices import VirtioConsole
 from .hypervisor import GhcbPolicy, HostAccessBlocked, Hypervisor
 
 __all__ = [
     "AttestationReport", "RemoteUser", "SecureProcessor",
-    "platform_signing_key", "SECTOR_SIZE", "VirtioBlock", "VirtioConsole",
+    "platform_signing_key", "VirtioConsole",
     "GhcbPolicy", "HostAccessBlocked", "Hypervisor",
 ]

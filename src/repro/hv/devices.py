@@ -1,16 +1,12 @@
-"""Host-side virtio-style devices exposed to the CVM.
+"""Host-side virtio-style console exposed to the CVM.
 
-The CVM reaches devices only through GHCB-mediated exits (the hypervisor
-services ``io`` requests).  Devices are deliberately untrusted: tests can
-tamper with their contents to model malicious-host behaviour, and nothing
-security-critical may depend on them.
+The CVM reaches the console only through GHCB-mediated exits (the
+hypervisor services ``io`` requests).  The device is deliberately
+untrusted: tests can tamper with it to model malicious-host behaviour,
+and nothing security-critical may depend on it.
 """
 
 from __future__ import annotations
-
-from ..errors import KernelError
-
-SECTOR_SIZE = 512
 
 
 class VirtioConsole:
@@ -37,31 +33,3 @@ class VirtioConsole:
     def output(self) -> str:
         return "\n".join(self.lines + ([self._partial] if self._partial
                                        else []))
-
-
-class VirtioBlock:
-    """A sector-addressed block device backing the guest's disk."""
-
-    def __init__(self, capacity_sectors: int = 16384):
-        self.capacity_sectors = capacity_sectors
-        self._sectors: dict[int, bytes] = {}
-        self.reads = 0
-        self.writes = 0
-
-    def read_sector(self, lba: int) -> bytes:
-        """Read one 512-byte sector."""
-        self._check(lba)
-        self.reads += 1
-        return self._sectors.get(lba, b"\x00" * SECTOR_SIZE)
-
-    def write_sector(self, lba: int, data: bytes) -> None:
-        """Write one 512-byte sector."""
-        self._check(lba)
-        if len(data) != SECTOR_SIZE:
-            raise KernelError(22, "short sector write")
-        self.writes += 1
-        self._sectors[lba] = bytes(data)
-
-    def _check(self, lba: int) -> None:
-        if not 0 <= lba < self.capacity_sectors:
-            raise KernelError(5, f"lba {lba} out of range")

@@ -42,7 +42,7 @@ from ..hw.rmp import NUM_VMPLS, VMPL_ENC, VMPL_MON, VMPL_UNT, vmpl_name
 from ..hw.vmsa import Vmsa
 from ..trace import NULL_SPAN
 from .attestation import SecureProcessor
-from .devices import VirtioBlock, VirtioConsole
+from .devices import VirtioConsole
 
 if typing.TYPE_CHECKING:
     from ..hw.platform import SevSnpMachine
@@ -128,7 +128,6 @@ class Hypervisor:
         machine.hypervisor = self
         self.psp = psp or SecureProcessor()
         self.console = VirtioConsole()
-        self.block = VirtioBlock()
         #: (vcpu_id, vmpl) -> VMSA.  The "struct vcpu_svm" extension.
         self.vmsas: dict[tuple[int, int], Vmsa] = {}
         #: ghcb ppn -> policy, for GHCBs registered for domain switching.
@@ -343,6 +342,7 @@ class Hypervisor:
         """
         ppn = int(message["vmsa_ppn"])
         with self.trace_span(core, exited, "op:register_vmsa", ppn=ppn):
+            self._check_pages("register_vmsa", (ppn,))
             ent = self.machine.rmp.peek(ppn)
             vmsa = self.machine.vmsa_objects.get(ppn)
             if vmsa is None or not ent.vmsa:
@@ -370,35 +370,44 @@ class Hypervisor:
 
     def _op_page_state_change(self, core, exited: Vmsa, ghcb: Ghcb,
                               message: dict) -> None:
-        """Guest asks to convert pages private<->shared (KVM assists)."""
+        """Guest asks to convert pages private<->shared (KVM assists).
+
+        Every page is parsed and checked against physical memory before
+        any RMP entry changes, so a request that names one bad page
+        halts the CVM with every page as it was.
+        """
         action = message["action"]
         with self.trace_span(core, exited, "op:page_state_change",
                              action=str(action),
                              pages=len(message["ppns"])):
-            for ppn in message["ppns"]:
+            ppns = list(map(int, message["ppns"]))
+            self._check_pages("page_state_change", ppns)
+            for ppn in ppns:
                 if action == "share":
-                    self.machine.rmp.share(int(ppn))
+                    self.machine.rmp.share(ppn)
                 elif action == "private":
-                    self.machine.rmp.assign(int(ppn))
+                    self.machine.rmp.assign(ppn)
                 else:
                     self.machine.halt(f"bad page_state_change {action!r}")
             self._resume_same(core, exited)
 
+    def _check_pages(self, op: str, ppns) -> None:
+        """Halt the CVM if a page of ``ppns`` lies outside physical
+        memory: an errant hypercall, like a GHCB page out there."""
+        num_pages = self.machine.memory.num_pages
+        for ppn in ppns:
+            if not 0 <= ppn < num_pages:
+                self.machine.halt(f"malformed GHCB message for op {op!r}: "
+                                  f"page {ppn:#x} outside physical memory")
+
     def _op_io(self, core, exited: Vmsa, ghcb: Ghcb, message: dict) -> None:
-        """Device I/O: console writes and block-device sector access."""
+        """Device I/O: console writes, the only device the host exposes."""
         device = message["device"]
         reply: dict = {"status": "ok"}
         with self.trace_span(core, exited, "op:io", device=str(device)):
             if device == "console":
                 data = bytes.fromhex(message["data_hex"])
                 reply["written"] = self.console.write(data)
-            elif device == "block":
-                lba = int(message["lba"])
-                if message["action"] == "read":
-                    reply["data_hex"] = self.block.read_sector(lba).hex()
-                else:
-                    self.block.write_sector(
-                        lba, bytes.fromhex(message["data_hex"]))
             else:
                 self.machine.halt(f"io to unknown device {device!r}")
             ghcb.write_message(self.machine.memory, reply)

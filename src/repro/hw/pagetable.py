@@ -149,10 +149,6 @@ class GuestPageTable:
         return {vpn: pte.copy() for vpn, pte in self._entries.items()
                 if pte.present}
 
-    def explicit_entry_count(self) -> int:
-        """Number of explicit (non-window) entries."""
-        return len(self._entries)
-
     def clone(self, root_ppn: int) -> "GuestPageTable":
         """Deep-copy this table into a new root (VeilS-ENC uses this to move
         an enclave's table into protected memory)."""

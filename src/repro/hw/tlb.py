@@ -95,12 +95,6 @@ class TlbStats:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    @property
-    def rmp_hit_rate(self) -> float:
-        """RMP verdict-cache hit rate in ``[0, 1]`` (0.0 when idle)."""
-        total = self.rmp_hits + self.rmp_misses
-        return self.rmp_hits / total if total else 0.0
-
 
 class TlbView:
     """Cached translations for one page-table root at one generation."""

@@ -2,7 +2,6 @@
 
 from .audit import (DEFAULT_AUDIT_RULESET, AuditEntry, AuditSink,
                     InMemoryAuditSink, Kaudit, NullAuditSink)
-from .diskfs import DiskSync
 from .fs import (FileSystem, Inode, InodeType, O_APPEND, O_CREAT, O_EXCL,
                  O_RDONLY, O_RDWR, O_TRUNC, O_WRONLY, OpenFile, Pipe,
                  SEEK_CUR, SEEK_END, SEEK_SET)
@@ -18,7 +17,6 @@ from .syscalls import (BASE_COSTS, MAP_ANONYMOUS, MAP_PRIVATE, MAP_SHARED,
 from .vulnerable import AttackerContext
 
 __all__ = [
-    "DiskSync",
     "DEFAULT_AUDIT_RULESET", "AuditEntry", "AuditSink", "InMemoryAuditSink",
     "Kaudit", "NullAuditSink", "FileSystem", "Inode", "InodeType",
     "O_APPEND", "O_CREAT", "O_EXCL", "O_RDONLY", "O_RDWR", "O_TRUNC",

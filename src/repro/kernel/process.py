@@ -106,13 +106,6 @@ class Process:
             raise KernelError(EBADF, f"bad fd {number}")
         return entry
 
-    def lowest_free_fd(self) -> int:
-        """Smallest unused fd number."""
-        fd = 0
-        while fd in self.fds:
-            fd += 1
-        return fd
-
     # -- memory regions -------------------------------------------------------
 
     def reserve_mmap_range(self, num_pages: int) -> int:
@@ -124,13 +117,6 @@ class Process:
     def add_region(self, region: VmRegion) -> None:
         """Record a mapped region."""
         self.regions[region.vaddr] = region
-
-    def find_region(self, vaddr: int) -> VmRegion:
-        """Region starting exactly at ``vaddr``."""
-        region = self.regions.get(vaddr)
-        if region is None:
-            raise KernelError(22, f"no region at {vaddr:#x}")
-        return region
 
     def region_containing(self, vaddr: int) -> VmRegion | None:
         """Region covering ``vaddr``, if any."""

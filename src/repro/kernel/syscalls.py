@@ -770,11 +770,7 @@ class SyscallTable:
         return 0
 
     def sys_sync(self, core, proc) -> int:
-        """Flush the filesystem to the host block device."""
-        from .diskfs import DiskSync
-        if not hasattr(self.kernel, "_disk_sync"):
-            self.kernel._disk_sync = DiskSync(self.kernel)
-        self.kernel._disk_sync.sync(core)
+        """Flush every filesystem (a no-op: the tree is in guest memory)."""
         return 0
 
     def sys_fsync(self, core, proc, fd: int) -> int:

@@ -216,7 +216,6 @@ class SurgeRun:
         self.servers: dict[str, _Server] = {}
         self.active: list[str] = []
         self.standby: list[str] = []
-        self.draining: set[str] = set()
         self.in_flight = 0
         self.max_in_flight = 0
         self.peak_queue_depth = 0
@@ -243,10 +242,9 @@ class SurgeRun:
         self.active_high_water = len(self.active)
 
     def _candidates(self) -> list[str]:
-        """Routable replicas: active, healthy, not draining."""
+        """Routable replicas: active and healthy."""
         healthy = set(self.fleet.frontend.healthy)
-        return [n for n in self.active
-                if n in healthy and n not in self.draining]
+        return [n for n in self.active if n in healthy]
 
     # -- autoscaler ------------------------------------------------------
 

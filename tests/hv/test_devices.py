@@ -1,9 +1,6 @@
-"""Unit tests: virtio-style host devices."""
+"""Unit tests: the virtio-style host console."""
 
-import pytest
-
-from repro.errors import KernelError
-from repro.hv.devices import SECTOR_SIZE, VirtioBlock, VirtioConsole
+from repro.hv.devices import VirtioConsole
 
 
 class TestConsole:
@@ -30,25 +27,3 @@ class TestConsole:
         console.write(b"\xff\xfe ok\n")
         assert "ok" in console.lines[0]
 
-
-class TestBlock:
-    def test_sector_roundtrip(self):
-        block = VirtioBlock()
-        data = bytes(range(256)) * 2
-        block.write_sector(7, data)
-        assert block.read_sector(7) == data
-        assert (block.reads, block.writes) == (1, 1)
-
-    def test_unwritten_sector_reads_zero(self):
-        assert VirtioBlock().read_sector(0) == b"\x00" * SECTOR_SIZE
-
-    def test_short_write_rejected(self):
-        with pytest.raises(KernelError):
-            VirtioBlock().write_sector(0, b"short")
-
-    def test_out_of_range_rejected(self):
-        block = VirtioBlock(capacity_sectors=4)
-        with pytest.raises(KernelError):
-            block.read_sector(4)
-        with pytest.raises(KernelError):
-            block.write_sector(-1, b"\x00" * SECTOR_SIZE)

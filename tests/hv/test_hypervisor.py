@@ -77,19 +77,16 @@ class TestVmgexitDispatch:
         reply = ghcb.read_message(machine.memory)
         assert reply["status"] == "ok"
 
-    def test_block_device_io(self):
+    def test_io_to_block_device_halts(self):
+        # The filesystem lives in guest memory: the host has no block
+        # device, so a sector request is io to an unknown device.
         machine, hv, core = launched()
         ghcb = armed_ghcb(machine, core)
-        sector = (b"data" * 128)
-        ghcb.write_message(machine.memory, {
-            "op": "io", "device": "block", "action": "write", "lba": 3,
-            "data_hex": sector.hex()})
-        core.vmgexit()
         ghcb.write_message(machine.memory, {
             "op": "io", "device": "block", "action": "read", "lba": 3})
-        core.vmgexit()
-        reply = ghcb.read_message(machine.memory)
-        assert bytes.fromhex(reply["data_hex"]) == sector
+        with pytest.raises(CvmHalted):
+            core.vmgexit()
+        assert machine.halt_reason == "io to unknown device 'block'"
 
     def test_page_state_change_share(self):
         machine, hv, core = launched()
@@ -278,6 +275,51 @@ class TestMalformedGhcbMessage:
         with pytest.raises(CvmHalted):
             core.vmgexit()
         assert machine.halt_reason.startswith("malformed GHCB message")
+
+    @pytest.mark.parametrize("page", [-1, 0],
+                             ids=["negative", "past-memory"])
+    @pytest.mark.parametrize("action", ["share", "private"])
+    def test_page_state_change_outside_physical_memory_halts(self, action,
+                                                             page):
+        machine, hv, core = launched()
+        ghcb = armed_ghcb(machine, core)
+        page = page or machine.num_pages
+        ghcb.write_message(machine.memory, {
+            "op": "page_state_change", "action": action, "ppns": [page]})
+        with pytest.raises(CvmHalted):
+            core.vmgexit()
+        assert machine.halt_reason == (
+            "malformed GHCB message for op 'page_state_change': "
+            f"page {page:#x} outside physical memory")
+
+    def test_page_state_change_checks_every_page_first(self):
+        # One bad page refuses the whole request: page 5, named before
+        # it, is not shared on the way to the halt.
+        machine, hv, core = launched()
+        ghcb = armed_ghcb(machine, core)
+        ghcb.write_message(machine.memory, {
+            "op": "page_state_change", "action": "share",
+            "ppns": [5, machine.num_pages]})
+        with pytest.raises(CvmHalted):
+            core.vmgexit()
+        assert machine.halt_reason.startswith(
+            "malformed GHCB message for op 'page_state_change'")
+        entry = machine.rmp.peek(5)
+        assert entry.assigned and not entry.shared
+
+    @pytest.mark.parametrize("page", [-1, 0],
+                             ids=["negative", "past-memory"])
+    def test_register_vmsa_outside_physical_memory_halts(self, page):
+        machine, hv, core = launched()
+        ghcb = armed_ghcb(machine, core)
+        page = page or machine.num_pages
+        ghcb.write_message(machine.memory, {"op": "register_vmsa",
+                                            "vmsa_ppn": page})
+        with pytest.raises(CvmHalted):
+            core.vmgexit()
+        assert machine.halt_reason == (
+            "malformed GHCB message for op 'register_vmsa': "
+            f"page {page:#x} outside physical memory")
 
     def test_malformed_field_of_other_op_halts(self):
         machine, hv, core = launched()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import KernelError
 from repro.kernel.fs import O_CREAT, O_RDWR
+from repro.kernel.syscalls import BASE_COSTS
 
 
 @pytest.fixture
@@ -88,14 +89,18 @@ class TestSyncFamily:
         with pytest.raises(KernelError):
             kernel.syscall(core, proc, "fsync", 99)
 
-    def test_sync_persists_to_block_device(self, env):
+    def test_sync_is_a_no_op_in_guest_memory(self, env):
+        """The filesystem lives in guest memory: ``sync`` charges only
+        the syscall itself and makes no exit to the host."""
         kernel, core, proc = env
-        kernel.syscall(core, proc, "creat", "/tmp/persisted")
-        kernel.syscall(core, proc, "sync")
-        from repro.kernel.diskfs import SUPERBLOCK_LBA
-        hv = kernel.machine.hypervisor
-        raw = hv.block.read_sector(SUPERBLOCK_LBA)
-        assert int.from_bytes(raw[:8], "little") > 0
+        kernel.syscall(core, proc, "creat", "/tmp/in-memory")
+        machine = kernel.machine
+        exits = machine.hypervisor.exit_log.total
+        before = machine.ledger.total
+        assert kernel.syscall(core, proc, "sync") == 0
+        assert machine.ledger.total - before == (
+            machine.cost.syscall_entry + BASE_COSTS["sync"])
+        assert machine.hypervisor.exit_log.total == exits
 
 
 class TestMemoryAdvice:

@@ -1,12 +1,12 @@
 """Untrusted bytes get the same verdict at any stack depth.
 
-The less-privileged side writes the GHCB and the IDCBs, the fabric
-delivers whatever it likes, and the host owns the disk.  Each decoder of
-those bytes must accept or refuse a frame the same way whoever calls it:
-an errant hypercall crashes the CVM the same way every time (paper
-section 6.2).  Each input below goes through every decoder twice, once
-from the test and once 800 Python frames deeper, and both verdicts must
-match.  The parser's own recursion limit depends on the caller's stack:
+The less-privileged side writes the GHCB and the IDCBs, and the fabric
+delivers whatever it likes.  Each decoder of those bytes must accept or
+refuse a frame the same way whoever calls it: an errant hypercall
+crashes the CVM the same way every time (paper section 6.2).  Each input
+below goes through every decoder twice, once from the test and once 800
+Python frames deeper, and both verdicts must match.  The parser's own
+recursion limit depends on the caller's stack:
 without a depth check before parsing, a frame nested 900 deep is
 accepted at the top of the stack and refused deeper down.
 """
@@ -15,15 +15,11 @@ import pytest
 
 from repro.cluster.net import try_decode
 from repro.codec import decode, encode
-from repro.core import boot_native_system
 from repro.core.idcb import Idcb
 from repro.hw.cycles import CycleLedger, free_cost_model
 from repro.hw.ghcb import Ghcb
 from repro.hw.memory import PAGE_SIZE, PhysicalMemory, page_base
-from repro.kernel.diskfs import MAGIC, SECTOR, SUPERBLOCK_LBA, DiskSync
 from repro.scope.context import peek_context
-
-from tests.conftest import SMALL_CONFIG
 
 #: Frames between the two calls of each decoder.
 DEEPER = 800
@@ -39,8 +35,7 @@ def deep_object(depth: int) -> bytes:
 
 def envelope(pad: bytes) -> bytes:
     """A frame every decoder accepts, with ``pad`` as one more field."""
-    head = encode({"kind": "request", "magic": MAGIC, "op": "ping",
-                   "records": {},
+    head = encode({"kind": "request", "op": "ping",
                    "trace": {"trace_id": 1, "span_id": 0,
                              "parent_id": None}})
     return head[:-1] + b', "pad": ' + pad + b"}"
@@ -80,21 +75,6 @@ def idcb_read(data: bytes):
     idcb = Idcb(list(range(4, 12)), low_vmpl=3, high_vmpl=0)
     mem.write(page_base(4), framed(data))
     return idcb.read_request(mem)
-
-
-@pytest.fixture(scope="module")
-def native():
-    return boot_native_system(SMALL_CONFIG)
-
-
-def disk_restore(native, data: bytes):
-    """Restore the filesystem from a host-written snapshot ``data``."""
-    framed_snapshot = len(data).to_bytes(8, "little") + data
-    for offset in range(0, len(framed_snapshot), SECTOR):
-        native.hv.block.write_sector(
-            SUPERBLOCK_LBA + offset // SECTOR,
-            framed_snapshot[offset:offset + SECTOR].ljust(SECTOR, b"\0"))
-    return DiskSync(native.kernel).restore(native.boot_core)
 
 
 DECODERS = {
@@ -138,12 +118,6 @@ def same_verdict(decoder, data: bytes):
 @pytest.mark.parametrize("name", sorted(DECODERS))
 def test_decoder_verdict_does_not_depend_on_stack_depth(name, shape):
     same_verdict(DECODERS[name], INPUTS[shape])
-
-
-@pytest.mark.parametrize("shape", sorted(INPUTS))
-def test_disk_restore_verdict_does_not_depend_on_stack_depth(native,
-                                                             shape):
-    same_verdict(lambda data: disk_restore(native, data), INPUTS[shape])
 
 
 def test_only_the_shallow_envelope_decodes():

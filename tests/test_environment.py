@@ -3,8 +3,7 @@
 A run is set by its arguments and configs alone, so one command gives
 the same result in every shell.  This parses every module under
 ``src/repro`` and fails on any use of ``os.environ``, ``os.getenv`` or
-``environ``.  (The enclave LibOS's own ``getenv`` serves the simulated
-process environment; it is not ``os.getenv`` and is not flagged.)
+``environ``.
 """
 
 import ast

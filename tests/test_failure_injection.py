@@ -48,18 +48,6 @@ class TestHypervisorMisbehavior:
                                         {"op": "log_append",
                                          "record_hex": "00"})
 
-    def test_corrupted_io_reply_surfaces_as_error(self, system):
-        """The host corrupts a block-device read: the guest sees garbage
-        (disk data is untrusted) but snapshot validation catches it."""
-        from repro.kernel.diskfs import DiskSync, SUPERBLOCK_LBA
-        from repro.errors import KernelError
-        sync = DiskSync(system.kernel)
-        system.kernel.fs.create("/tmp/x")
-        sync.sync(system.boot_core)
-        system.hv.block.write_sector(SUPERBLOCK_LBA, b"\xff" * 512)
-        with pytest.raises(KernelError):
-            sync.restore(system.boot_core)
-
     def test_forged_attestation_signature_detected(self, system):
         """The hypervisor tampers with the report in transit."""
         user = system.remote_user()

@@ -18,7 +18,7 @@ from repro import VeilConfig, boot_native_system, boot_veil_system
 from repro.enclave import EnclaveHost, build_test_binary
 from repro.errors import CvmHalted, SecurityViolation
 from repro.hw.cycles import CLOCK_HZ
-from repro.workloads.base import EnclaveApi, NativeApi, measure
+from repro.workloads.base import NativeApi, measure
 from repro.workloads.programs import program_by_name
 
 CONFIG = VeilConfig(memory_bytes=48 * 1024 * 1024, num_cores=2)
@@ -42,14 +42,13 @@ def run_shielded(program):
     host.launch()
     stats = measure(
         system.machine, "enclave",
-        lambda: host.run(lambda libc: program.run(EnclaveApi(libc),
-                                                  state)))
+        lambda: host.run(lambda libc: program.run(libc, state)))
     return system, host, stats
 
 
 def main() -> None:
     program = program_by_name("SQLite")
-    print(f"workload: {program.name} -- {program.table4_setting}")
+    print(f"workload: {program.name} -- {program.setting}")
 
     native = run_native(program)
     system, host, shielded = run_shielded(program)

@@ -6,11 +6,11 @@ CVM OS, the malicious hypervisor, and a malicious co-resident enclave.
 
 from __future__ import annotations
 
-from ..core.domains import VMPL_ENC
 from ..enclave import EnclaveHost, build_test_binary
 from ..errors import CvmHalted, SdkError, SecurityViolation
 from ..hw.memory import page_base
 from ..hw.pagetable import PageFault
+from ..hw.rmp import VMPL_ENC
 from ..hv.hypervisor import HostAccessBlocked
 from ..kernel import layout as klayout
 from .base import AttackResult, fresh_system

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from ..core.boot import boot_veil_system, build_boot_image, \
     module_signing_key
-from ..core.domains import VMPL_MON, VMPL_SER
 from ..errors import (AttestationError, CvmHalted, InvalidInstruction,
                       SecurityViolation)
 from ..hw.memory import page_base
+from ..hw.rmp import VMPL_MON, VMPL_SER
 from .base import ATTACK_CONFIG, AttackResult, fresh_system
 
 

@@ -24,7 +24,7 @@ from ..kernel.audit import DEFAULT_AUDIT_RULESET, InMemoryAuditSink, \
     NullAuditSink
 from ..kernel.modules import build_module
 from ..workloads.audit_programs import AUDITED_PROGRAMS
-from ..workloads.base import EnclaveApi, NativeApi, RunStats, measure
+from ..workloads.base import NativeApi, RunStats, measure
 from ..workloads.programs import ENCLAVE_PROGRAMS
 from ..workloads.spec import SPEC_WORKLOADS
 from ..workloads.syscall_bench import SYSCALL_BENCHES, run_bench
@@ -93,10 +93,9 @@ def run_fig4(iterations: int = FIG4_ITERATIONS) -> list[Fig4Row]:
     enclave_stats: dict[str, RunStats] = {}
 
     def run_all(libc):
-        api = EnclaveApi(libc)
         for bench in SYSCALL_BENCHES:
             enclave_stats[bench.name] = run_bench(
-                veil.machine, api, bench, iterations=iterations)
+                veil.machine, libc, bench, iterations=iterations)
 
     host.run(run_all)
     return [Fig4Row(bench.name, native_stats[bench.name].cycles,
@@ -159,8 +158,7 @@ def run_fig5(programs=None) -> list[Fig5Row]:
         runtime = host.launch()
         enclave_stats = measure(
             veil.machine, program.name,
-            lambda: host.run(lambda libc: program.run(EnclaveApi(libc),
-                                                      veil_state)))
+            lambda: host.run(lambda libc: program.run(libc, veil_state)))
         exit_cost = runtime.enclave_exits * \
             veil.machine.cost.domain_switch
         rows.append(Fig5Row(

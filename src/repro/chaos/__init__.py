@@ -27,13 +27,13 @@ from .invariants import (PLAINTEXT_MARKERS, InvariantChecker,
                          InvariantReport)
 from .net import ChaoticNetwork
 from .plan import (PROFILES, FaultPlan, FaultProfile, MessageFate,
-                   SplitMix64, profile_by_name)
+                   profile_by_name)
 from .runner import ChaosConfig, ChaosResult, run_chaos_cluster
 
 __all__ = [
     "PLAINTEXT_MARKERS", "InvariantChecker", "InvariantReport",
     "ChaoticNetwork",
     "PROFILES", "FaultPlan", "FaultProfile", "MessageFate",
-    "SplitMix64", "profile_by_name",
+    "profile_by_name",
     "ChaosConfig", "ChaosResult", "run_chaos_cluster",
 ]

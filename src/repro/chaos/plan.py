@@ -2,12 +2,12 @@
 
 A :class:`FaultPlan` is the deterministic adversary: a named
 :class:`FaultProfile` (what *kinds* of faults, at what rates) plus a
-seeded :class:`SplitMix64` generator (exactly *which* messages and
-replicas get hit).  Because the simulator has no wall clock and every
-random draw comes from the plan's own generator, re-running the same
-seed + profile replays the identical fault schedule -- the ``events``
-log two runs produce is byte-for-byte equal, which is what makes chaos
-failures debuggable.
+seeded SplitMix64 generator (:class:`~repro.hw.rng.DeterministicRandom`:
+exactly *which* messages and replicas get hit).  Because the simulator
+has no wall clock and every random draw comes from the plan's own
+generator, re-running the same seed + profile replays the identical
+fault schedule -- the ``events`` log two runs produce is byte-for-byte
+equal, which is what makes chaos failures debuggable.
 
 The plan is *inert until activated*: with ``active`` False (or no plan
 at all) the chaos-wrapped fabric is pass-through and runs are
@@ -20,23 +20,6 @@ from dataclasses import dataclass
 
 from ..errors import SimulationError
 from ..hw.rng import DeterministicRandom
-
-
-class SplitMix64(DeterministicRandom):
-    """The plan's PRNG: :class:`~repro.hw.rng.DeterministicRandom`.
-
-    veil-flow hoisted the generator into ``hw.rng`` as the stack-wide
-    sanctioned randomness facility; this subclass keeps the chaos name
-    (and the exact output stream, so pre-existing fault-schedule seeds
-    replay unchanged) while narrowing the error type to the simulation
-    domain.
-    """
-
-    def randrange(self, bound: int) -> int:
-        """Uniform int in [0, bound)."""
-        if bound <= 0:
-            raise SimulationError(f"randrange bound {bound} must be > 0")
-        return super().randrange(bound)
 
 
 @dataclass(frozen=True)
@@ -112,7 +95,7 @@ class FaultPlan:
         self.seed = seed
         self.profile = profile_by_name(profile) \
             if isinstance(profile, str) else profile
-        self.rng = SplitMix64(seed)
+        self.rng = DeterministicRandom(seed)
         #: Injection is gated: inactive plans never consume randomness
         #: on the message path, so wrapped-but-inactive runs stay
         #: byte-identical to unwrapped ones.

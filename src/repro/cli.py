@@ -112,36 +112,13 @@ def _cmd_ltp(args) -> None:
                   f"{row['failed']} failed")
 
 
-def _lint_argv(args) -> list:
-    argv = ["--format", args.format]
-    if args.root:
-        argv += ["--root", args.root]
-    if args.rules:
-        argv += ["--rules", args.rules]
-    if args.show_suppressed:
-        argv.append("--show-suppressed")
-    if args.list_rules:
-        argv.append("--list-rules")
-    if getattr(args, "baseline", None):
-        argv += ["--baseline", args.baseline]
-    if getattr(args, "no_baseline", False):
-        argv.append("--no-baseline")
-    return argv
-
-
-def _cmd_lint(args) -> None:
+def _cmd_analysis(args) -> None:
+    """``lint``/``flow``: the rest of the command line goes to the
+    analysis tool's own parser (``repro lint --help`` prints its help)."""
     from .analysis import cli as analysis_cli
-    argv = _lint_argv(args)
-    if args.flow:
-        argv.append("--flow")
-    code = analysis_cli.run(argv)
-    if code:
-        sys.exit(code)
-
-
-def _cmd_flow(args) -> None:
-    from .analysis import cli as analysis_cli
-    code = analysis_cli.run_flow(_lint_argv(args))
+    run = analysis_cli.run if args.command == "lint" else \
+        analysis_cli.run_flow
+    code = run(args.analysis_argv)
     if code:
         sys.exit(code)
 
@@ -418,31 +395,13 @@ def build_parser() -> argparse.ArgumentParser:
     ltp.add_argument("--verbose", action="store_true")
     ltp.set_defaults(fn=_cmd_ltp)
 
-    lint = sub.add_parser("lint",
-                          help="veil-lint trust-boundary analysis")
-    lint.add_argument("--root", default=None)
-    lint.add_argument("--format", choices=("text", "json", "sarif"),
-                      default="text")
-    lint.add_argument("--rules", default=None)
-    lint.add_argument("--show-suppressed", action="store_true")
-    lint.add_argument("--list-rules", action="store_true")
-    lint.add_argument("--flow", action="store_true",
-                      help="also run the interprocedural flow rules")
-    lint.add_argument("--baseline", default=None)
-    lint.add_argument("--no-baseline", action="store_true")
-    lint.set_defaults(fn=_cmd_lint)
-
-    flow = sub.add_parser(
-        "flow", help="veil-flow secret-flow + determinism analysis")
-    flow.add_argument("--root", default=None)
-    flow.add_argument("--format", choices=("text", "json", "sarif"),
-                      default="text")
-    flow.add_argument("--rules", default=None)
-    flow.add_argument("--show-suppressed", action="store_true")
-    flow.add_argument("--list-rules", action="store_true")
-    flow.add_argument("--baseline", default=None)
-    flow.add_argument("--no-baseline", action="store_true")
-    flow.set_defaults(fn=_cmd_flow)
+    # The analysis tool parses its own flags (repro.analysis.cli).
+    sub.add_parser("lint", add_help=False,
+                   help="veil-lint trust-boundary analysis").set_defaults(
+        fn=_cmd_analysis)
+    sub.add_parser("flow", add_help=False,
+                   help="veil-flow secret-flow + determinism analysis"
+                   ).set_defaults(fn=_cmd_analysis)
 
     trace = sub.add_parser(
         "trace", help="run a workload under veil-trace")
@@ -611,7 +570,10 @@ def main(argv=None) -> None:
     nothing on stderr.
     """
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, rest = parser.parse_known_args(argv)
+    if rest and args.fn is not _cmd_analysis:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
+    args.analysis_argv = rest
     try:
         _check_output_paths(args)
         args.fn(args)

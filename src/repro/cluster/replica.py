@@ -384,8 +384,7 @@ class ClusterReplica:
     def _run_handler(self, body) -> dict:
         """Execute ``body(api)`` in the configured hosting mode."""
         if self._host is not None:
-            from ..workloads.base import EnclaveApi
-            return self._host.run(lambda libc: body(EnclaveApi(libc)))
+            return self._host.run(body)
         return body(self._api)
 
     def _serve_memcached(self, request: dict) -> dict:

@@ -1,6 +1,10 @@
 """Veil core: the paper's primary contribution.
 
-* :mod:`~repro.core.domains` -- dual-factor privilege domains;
+Veil's four dual-factor privilege domains (section 5.1) are named by
+the hardware's VMPL constants, ``repro.hw.VMPL_MON`` to
+``repro.hw.VMPL_UNT``; their table sits beside
+:data:`repro.hw.DOMAIN_NAMES`.
+
 * :mod:`~repro.core.veilmon` -- the VMPL-0 security monitor;
 * :mod:`~repro.core.idcb` / :mod:`~repro.core.switch` -- inter-domain
   communication and hypervisor-relayed switching;
@@ -13,9 +17,6 @@
 from .boot import (NativeSystem, VeilConfig, VeilSystem, boot_native_system,
                    boot_veil_system, build_boot_image, module_signing_key)
 from .delegation import install_delegation
-from .domains import (ALL_DOMAINS, DOM_ENC, DOM_MON, DOM_SER, DOM_UNT,
-                      Domain, VMPL_ENC, VMPL_MON, VMPL_SER, VMPL_UNT,
-                      domain_for_vmpl)
 from .idcb import Idcb
 from .integration import (EnclaveSetup, VEIL_IOC_CREATE, VEIL_IOC_DESTROY,
                           VEIL_IOC_SCHEDULE, VeilKernelIntegration)
@@ -28,9 +29,7 @@ from .veilmon import VeilMon
 __all__ = [
     "NativeSystem", "VeilConfig", "VeilSystem", "boot_native_system",
     "boot_veil_system", "build_boot_image", "module_signing_key",
-    "install_delegation", "ALL_DOMAINS", "DOM_ENC", "DOM_MON", "DOM_SER",
-    "DOM_UNT", "Domain", "VMPL_ENC", "VMPL_MON", "VMPL_SER", "VMPL_UNT",
-    "domain_for_vmpl", "Idcb", "EnclaveSetup", "VEIL_IOC_CREATE",
+    "install_delegation", "Idcb", "EnclaveSetup", "VEIL_IOC_CREATE",
     "VEIL_IOC_DESTROY", "VEIL_IOC_SCHEDULE", "VeilKernelIntegration",
     "EnclaveRecord", "ProtectedModule", "ProtectedService", "SwapRecord",
     "VeilLogSink", "VeilSEnc", "VeilSKci", "VeilSLog", "MonitorGateway",

@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 from ..crypto import RsaKeyPair, generate_keypair, sha256
 from ..hw.cycles import CostModel, LedgerSnapshot
 from ..hw.platform import SevSnpMachine
+from ..hw.rmp import VMPL_MON, VMPL_SER, VMPL_UNT
 from ..hv.attestation import RemoteUser
 from ..hv.hypervisor import Hypervisor
 from ..kernel.kernel import Kernel
 from .delegation import install_delegation
-from .domains import VMPL_MON, VMPL_SER, VMPL_UNT
 from .integration import VeilKernelIntegration
 from .services.enc import VeilSEnc
 from .services.kci import VeilSKci

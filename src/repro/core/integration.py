@@ -16,6 +16,8 @@ import typing
 from dataclasses import dataclass, field
 
 from ..enclave.binary import EnclaveBinary
+from ..enclave.host import VEIL_IOC_CREATE, VEIL_IOC_DESTROY, \
+    VEIL_IOC_SCHEDULE
 from ..errors import KernelError, SecurityViolation
 from ..hw.memory import PAGE_SIZE, page_base
 from ..kernel import layout as klayout
@@ -30,11 +32,6 @@ from .switch import MonitorGateway
 if typing.TYPE_CHECKING:
     from ..hw.vcpu import VirtualCpu
     from ..kernel.kernel import Kernel
-
-# veil.ko ioctl request codes.
-VEIL_IOC_CREATE = 0x5601
-VEIL_IOC_DESTROY = 0x5602
-VEIL_IOC_SCHEDULE = 0x5603
 
 
 @dataclass

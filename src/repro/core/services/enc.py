@@ -28,8 +28,7 @@ from ...crypto import (MeasurementChain, cipher, generate_key,
 from ...errors import SecurityViolation
 from ...hw.memory import PAGE_SIZE, page_base
 from ...hw.pagetable import GuestPageTable
-from ...hw.rmp import Access
-from ..domains import VMPL_ENC, VMPL_SER, VMPL_UNT
+from ...hw.rmp import VMPL_ENC, VMPL_SER, VMPL_UNT, Access
 from ..idcb import Idcb
 from .base import ProtectedService, traced
 

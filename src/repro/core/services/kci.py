@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from ...crypto import RsaPublicKey
 from ...errors import SecurityViolation
 from ...hw.memory import PAGE_SIZE, page_base
-from ...hw.rmp import Access
-from ..domains import VMPL_UNT
+from ...hw.rmp import VMPL_UNT, Access
 from .base import ProtectedService, traced
 
 if typing.TYPE_CHECKING:

@@ -17,7 +17,7 @@ import typing
 
 from ..errors import SecurityViolation
 from ..hw.ghcb import ghcb_view
-from .domains import VMPL_MON, VMPL_SER, VMPL_UNT
+from ..hw.rmp import VMPL_MON, VMPL_SER, VMPL_UNT
 from .veilmon import VeilMon
 
 if typing.TYPE_CHECKING:

@@ -22,9 +22,8 @@ from ..errors import SecurityViolation, SimulationError
 from ..hw.ghcb import Ghcb, ghcb_view
 from ..hw.memory import PAGE_SIZE, page_base
 from ..hw.pagetable import GuestPageTable, LinearWindow
-from ..hw.rmp import Access
+from ..hw.rmp import VMPL_ENC, VMPL_MON, VMPL_SER, VMPL_UNT, Access
 from ..hw.vmsa import RegisterFile, Vmsa
-from .domains import VMPL_ENC, VMPL_MON, VMPL_SER, VMPL_UNT
 from .idcb import Idcb
 
 if typing.TYPE_CHECKING:

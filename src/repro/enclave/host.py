@@ -19,8 +19,11 @@ if typing.TYPE_CHECKING:
     from ..core.boot import VeilSystem
     from ..kernel.process import Process
 
+#: veil.ko's ioctl request codes on /dev/veil: the ABI between a host
+#: application and the kernel module (``core.integration`` serves them).
 VEIL_IOC_CREATE = 0x5601
 VEIL_IOC_DESTROY = 0x5602
+VEIL_IOC_SCHEDULE = 0x5603
 
 
 class EnclaveHost:

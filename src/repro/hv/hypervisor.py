@@ -32,8 +32,8 @@ import typing
 from collections import deque
 from dataclasses import dataclass, field
 
-from ..errors import NestedPageFault, SecurityViolation, \
-    SimulationError
+from ..errors import AttestationError, NestedPageFault, \
+    SecurityViolation, SimulationError
 from ..hw.ghcb import (FRAME_HEADER, SWITCH_PAYLOADS, Ghcb, decode_payload,
                       ghcb_view)
 from ..hw.memory import PAGE_SHIFT, PAGE_SIZE
@@ -53,9 +53,11 @@ class HostAccessBlocked(SecurityViolation):
     """SEV-SNP blocked a host-side access to assigned guest memory."""
 
 
-#: Exit-log retention.  512 entries comfortably covers every "recent
-#: exits" assertion in the test/attack suites while bounding memory on
-#: multi-thousand-switch benchmark runs.
+#: Exit-log retention: ``Hypervisor.exit_log`` keeps the tags of the last
+#: 512 exits, enough for every "recent exits" assertion in the test and
+#: attack suites while bounding memory on multi-thousand-switch runs.
+#: Each core counts its own exits (``VirtualCpu.exit_count``), and the
+#: full history lives in the machine's tracer.
 EXIT_LOG_CAPACITY = 512
 
 #: The exit-log tag of a domain-switch request.
@@ -64,50 +66,6 @@ _SWITCH_TAG = "vmgexit:domain_switch"
 #: ``(from_vmpl, to_vmpl) -> "DomX->DomY"``, the ``switch`` metric key.
 _SWITCH_METRIC = {(src, dst): f"{vmpl_name(src)}->{vmpl_name(dst)}"
                   for src in range(NUM_VMPLS) for dst in range(NUM_VMPLS)}
-
-
-class ExitLog:
-    """Bounded record of recent exits (compat shim over a ring buffer).
-
-    Historically ``Hypervisor.exit_log`` was a plain list that grew one
-    string per exit forever.  It is now a fixed-capacity ring: the most
-    recent :data:`EXIT_LOG_CAPACITY` entries support the same ``in`` /
-    iteration / indexing idioms tests use, while :attr:`total` keeps the
-    all-time count.  Full-fidelity exit history lives in the machine's
-    tracer, not here.
-    """
-
-    def __init__(self, capacity: int = EXIT_LOG_CAPACITY):
-        self._ring: deque[str] = deque(maxlen=capacity)
-        self.total = 0
-
-    def append(self, entry: str) -> None:
-        """Record one exit (evicting the oldest once at capacity)."""
-        self._ring.append(entry)
-        self.total += 1
-
-    def recent(self, n: int | None = None) -> list[str]:
-        """The last ``n`` retained entries (all retained if ``None``)."""
-        entries = list(self._ring)
-        return entries if n is None else entries[-n:]
-
-    def clear(self) -> None:
-        """Drop the buffered tail (``total`` keeps counting)."""
-        self._ring.clear()
-
-    def __contains__(self, entry: str) -> bool:
-        return entry in self._ring
-
-    def __iter__(self):
-        return iter(self._ring)
-
-    def __len__(self) -> int:
-        return len(self._ring)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self._ring)[index]
-        return self._ring[index]
 
 
 @dataclass
@@ -147,7 +105,7 @@ class Hypervisor:
         self.corrupt_ghcb_replies = 0
         #: Attestation replies corrupted so far (detection accounting).
         self.ghcb_replies_corrupted = 0
-        self.exit_log = ExitLog()
+        self.exit_log: deque[str] = deque(maxlen=EXIT_LOG_CAPACITY)
 
     # ------------------------------------------------------------------
     # Launch
@@ -223,8 +181,9 @@ class Hypervisor:
         # The GHCB is a shared page: anything may be in it, and the MSR
         # may point anywhere.  A GHCB page outside physical memory, a
         # frame whose length header does not fit the page, bytes that do
-        # not decode to a JSON object, or an op whose fields do not
-        # parse, are errant hypercalls and crash the CVM (section 6.2).
+        # not decode to a JSON object, an op whose fields do not parse
+        # (or have the wrong JSON type), or a request the PSP refuses,
+        # are errant hypercalls and crash the CVM (section 6.2).
         if not 0 <= ppn < memory.num_pages:
             machine.halt(f"malformed GHCB message: GHCB page {ppn:#x} is "
                          "outside physical memory")
@@ -264,7 +223,8 @@ class Hypervisor:
         try:
             getattr(self, handler_name)(core, exited, ghcb_view(ppn),
                                         message)
-        except (KeyError, TypeError, ValueError, OverflowError) as bad:
+        except (KeyError, TypeError, ValueError, OverflowError,
+                AttestationError) as bad:
             machine.halt(f"malformed GHCB message for op {op!r}: "
                          f"{bad!r}", cause=bad)
 
@@ -284,9 +244,6 @@ class Hypervisor:
         """VMENTER ``core`` on ``vmsa`` (charges the enter half-cost)."""
         self.machine.ledger.charge("domain_switch", self.machine.cost.vmenter)
         core.hw_enter(vmsa)
-
-    def _resume_same(self, core: "VirtualCpu", exited: Vmsa) -> None:
-        self._enter(core, exited)
 
     # -- operations -------------------------------------------------------
 
@@ -327,7 +284,7 @@ class Hypervisor:
                           message: dict) -> None:
         """A switch request the guest spelled another way (the codec's
         path): parse the target, then the same :meth:`_switch`."""
-        target_vmpl = int(message["target_vmpl"])
+        target_vmpl = _expect(message["target_vmpl"], int, "target_vmpl")
         with self.trace_span(core, exited, "op:domain_switch",
                              target_vmpl=target_vmpl):
             self._switch(core, exited, ghcb.ppn, target_vmpl)
@@ -340,7 +297,7 @@ class Hypervisor:
         the target page really is an RMP-marked VMSA page; a forged
         registration therefore cannot produce a runnable instance.
         """
-        ppn = int(message["vmsa_ppn"])
+        ppn = _expect(message["vmsa_ppn"], int, "vmsa_ppn")
         with self.trace_span(core, exited, "op:register_vmsa", ppn=ppn):
             self._check_pages("register_vmsa", (ppn,))
             ent = self.machine.rmp.peek(ppn)
@@ -349,47 +306,65 @@ class Hypervisor:
                 self.machine.halt(
                     f"register_vmsa on non-VMSA page {ppn:#x}")
             self.vmsas[(vmsa.vcpu_id, vmsa.vmpl)] = vmsa
-            self._resume_same(core, exited)
+            self._enter(core, exited)
 
     def _op_start_vcpu(self, core, exited: Vmsa, ghcb: Ghcb,
                        message: dict) -> None:
-        """AP boot / hotplug: start a core on a registered VMSA."""
-        vcpu_id = int(message["vcpu_id"])
-        vmpl = int(message.get("vmpl", VMPL_UNT))
+        """AP boot / hotplug: start an idle core on a registered VMSA.
+
+        The core must be another one than the requester's, and neither
+        it nor the VMSA may already run: entering a live instance is an
+        errant hypercall.
+        """
+        vcpu_id = _expect(message["vcpu_id"], int, "vcpu_id")
+        vmpl = _expect(message.get("vmpl", VMPL_UNT), int, "vmpl")
         with self.trace_span(core, exited, "op:start_vcpu",
                              target_vcpu=vcpu_id, target_vmpl=vmpl):
+            machine = self.machine
             target = self.vmsas.get((vcpu_id, vmpl))
             if target is None:
-                self.machine.halt(f"start_vcpu: no VMSA for vcpu "
-                                  f"{vcpu_id} at VMPL-{vmpl}")
-            if vcpu_id >= len(self.machine.cores):
-                self.machine.halt(
-                    f"start_vcpu: no physical core {vcpu_id}")
-            self._enter(self.machine.cores[vcpu_id], target)
-            self._resume_same(core, exited)
+                machine.halt(f"start_vcpu: no VMSA for vcpu "
+                             f"{vcpu_id} at VMPL-{vmpl}")
+            if not 0 <= vcpu_id < len(machine.cores):
+                machine.halt(f"start_vcpu: no physical core {vcpu_id}")
+            started = machine.cores[vcpu_id]
+            if started is core:
+                machine.halt(f"start_vcpu: core {vcpu_id} is the "
+                             "requesting core")
+            if started.instance is not None and started.instance.running:
+                machine.halt(f"start_vcpu: core {vcpu_id} already runs "
+                             "an instance")
+            if target.running:
+                machine.halt(f"start_vcpu: vcpu {vcpu_id} at VMPL-{vmpl} "
+                             "is already running")
+            self._enter(started, target)
+            self._enter(core, exited)
 
     def _op_page_state_change(self, core, exited: Vmsa, ghcb: Ghcb,
                               message: dict) -> None:
         """Guest asks to convert pages private<->shared (KVM assists).
 
-        Every page is parsed and checked against physical memory before
-        any RMP entry changes, so a request that names one bad page
-        halts the CVM with every page as it was.
+        The action and every page are parsed, and every page is checked
+        against physical memory, before any RMP entry changes, so a
+        request with a bad action or one bad page halts the CVM with
+        every page as it was.
         """
         action = message["action"]
+        ppns = [_expect(ppn, int, "ppns entry")
+                for ppn in _expect(message["ppns"], list, "ppns")]
         with self.trace_span(core, exited, "op:page_state_change",
-                             action=str(action),
-                             pages=len(message["ppns"])):
-            ppns = list(map(int, message["ppns"]))
+                             action=str(action), pages=len(ppns)):
+            rmp = self.machine.rmp
+            if action == "share":
+                change = rmp.share
+            elif action == "private":
+                change = rmp.assign
+            else:
+                self.machine.halt(f"bad page_state_change {action!r}")
             self._check_pages("page_state_change", ppns)
             for ppn in ppns:
-                if action == "share":
-                    self.machine.rmp.share(ppn)
-                elif action == "private":
-                    self.machine.rmp.assign(ppn)
-                else:
-                    self.machine.halt(f"bad page_state_change {action!r}")
-            self._resume_same(core, exited)
+                change(ppn)
+            self._enter(core, exited)
 
     def _check_pages(self, op: str, ppns) -> None:
         """Halt the CVM if a page of ``ppns`` lies outside physical
@@ -411,7 +386,7 @@ class Hypervisor:
             else:
                 self.machine.halt(f"io to unknown device {device!r}")
             ghcb.write_message(self.machine.memory, reply)
-            self._resume_same(core, exited)
+            self._enter(core, exited)
 
     def _op_attestation_report(self, core, exited: Vmsa, ghcb: Ghcb,
                                message: dict) -> None:
@@ -443,13 +418,14 @@ class Hypervisor:
                 "report_data_hex": report.report_data.hex(),
                 "signature_hex": signature.hex(),
             })
-            self._resume_same(core, exited)
+            self._enter(core, exited)
 
     def _op_halt(self, core, exited: Vmsa, ghcb: Ghcb,
                  message: dict) -> None:
         with self.trace_span(core, exited, "op:halt"):
-            self.machine.halt(
-                message.get("reason", "guest requested halt"))
+            self.machine.halt(_expect(
+                message.get("reason", "guest requested halt"), str,
+                "reason"))
 
     # ------------------------------------------------------------------
     # Automatic exits (interrupts)
@@ -542,6 +518,19 @@ class Hypervisor:
         core.regs.cpl = saved_cpl
         self.machine.halt(
             "interrupt forced into enclave context unexpectedly succeeded")
+
+
+def _expect(value, kind: type, name: str):
+    """``value``, if its JSON type is exactly ``kind``.
+
+    ``true`` is not a page number and ``1.5`` or ``"1"`` is not a VMPL:
+    anything else raises ``TypeError``, which
+    :meth:`Hypervisor.handle_vmgexit` turns into a halt.
+    """
+    if type(value) is not kind:
+        raise TypeError(f"{name} is a {type(value).__name__}, not "
+                        f"{kind.__name__}")
+    return value
 
 
 #: ``op -> (exit-log tag, handler method name)`` for every GHCB operation

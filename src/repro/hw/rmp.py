@@ -31,9 +31,18 @@ from .cycles import CostModel, CycleLedger
 
 NUM_VMPLS = 4
 
-# The paper's fixed domain-to-VMPL assignment (section 5.1).  These are
-# hardware vocabulary: every layer above ``hw`` must use the names, never
-# the raw integers (enforced by veil-lint's ``vmpl-literal`` rule).
+# The paper's fixed domain-to-VMPL assignment (section 5.1).  A
+# privilege domain is a (VMPL, CPL) pair, and Veil uses four:
+#
+#   Domain   VMPL  CPL  Occupant
+#   DomMON   0     0    VeilMon (the security monitor)
+#   DomSER   1     0    Protected services (KCI / ENC / LOG)
+#   DomENC   2     3    Enclaves (mutual OS/enclave protection)
+#   DomUNT   3     0/3  The operating system and its processes
+#
+# These are hardware vocabulary: every layer above ``hw`` must use the
+# names, never the raw integers (enforced by veil-lint's
+# ``vmpl-literal`` rule).
 VMPL_MON = 0      # DomMON: the VeilMon security monitor
 VMPL_SER = 1      # DomSER: protected services (KCI / ENC / LOG)
 VMPL_ENC = 2      # DomENC: enclaves

@@ -10,9 +10,9 @@ SplitMix64 stream, pinned here rather than delegated to
 
 Consumers: the kernel's ``getrandom`` syscall draws from a
 :class:`DeterministicRandom` seeded at boot (modeling a virtio-rng whose
-entropy is part of the measured launch state), and the chaos harness's
-``SplitMix64`` is this generator re-exported (same constants, same
-stream, so pre-existing fault-schedule seeds replay unchanged).
+entropy is part of the measured launch state), and the chaos
+``FaultPlan`` and the surge ``ArrivalPlan`` each draw from one seeded
+with the run's seed.
 
 The ``crypto`` package intentionally does *not* use this: its default
 key generation wants real entropy (``secrets``), and the flow baseline

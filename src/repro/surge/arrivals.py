@@ -3,9 +3,10 @@
 An :class:`ArrivalPlan` is to load what a
 :class:`~repro.chaos.plan.FaultPlan` is to failure: a named
 :class:`ArrivalProfile` (the *shape* of offered traffic) plus a seeded
-SplitMix64 stream (exactly *when* each request lands), so the same seed
-replays the identical arrival schedule byte for byte.  Three shapes
-cover the evaluation's workload classes:
+SplitMix64 stream (:class:`~repro.hw.rng.DeterministicRandom`: exactly
+*when* each request lands), so the same seed replays the identical
+arrival schedule byte for byte.  Three shapes cover the evaluation's
+workload classes:
 
 ``poisson``
     Memoryless arrivals at a constant mean rate -- the open-loop
@@ -31,9 +32,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from ..chaos.plan import SplitMix64
 from ..cluster.fleet import request_payload
 from ..errors import SimulationError
+from ..hw.rng import DeterministicRandom
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,7 @@ class ArrivalPlan:
             if isinstance(profile, str) else profile
         self.requests = requests
         self.workload = workload
-        self.rng = SplitMix64(seed)
+        self.rng = DeterministicRandom(seed)
         self._schedule: list[Arrival] | None = None
 
     # -- gap processes ---------------------------------------------------

@@ -1,16 +1,15 @@
 """Workload models for the paper's evaluation programs."""
 
-from .audit_programs import AUDITED_PROGRAMS, AuditedProgram, \
-    audited_program_by_name
-from .base import AppApi, EnclaveApi, NativeApi, RunStats, measure
-from .programs import ENCLAVE_PROGRAMS, EnclaveProgram, program_by_name
-from .spec import SPEC_WORKLOADS, BackgroundWorkload
+from .audit_programs import AUDITED_PROGRAMS, audited_program_by_name
+from .base import AppApi, NativeApi, Program, RunStats, measure
+from .programs import ENCLAVE_PROGRAMS, program_by_name
+from .spec import SPEC_WORKLOADS
 from .syscall_bench import SYSCALL_BENCHES, SyscallBench, run_bench
 
 __all__ = [
-    "AUDITED_PROGRAMS", "AuditedProgram", "audited_program_by_name",
-    "AppApi", "EnclaveApi", "NativeApi", "RunStats", "measure",
-    "ENCLAVE_PROGRAMS", "EnclaveProgram", "program_by_name",
-    "SPEC_WORKLOADS", "BackgroundWorkload", "SYSCALL_BENCHES",
+    "AUDITED_PROGRAMS", "audited_program_by_name",
+    "AppApi", "NativeApi", "Program", "RunStats", "measure",
+    "ENCLAVE_PROGRAMS", "program_by_name",
+    "SPEC_WORKLOADS", "SYSCALL_BENCHES",
     "SyscallBench", "run_bench",
 ]

@@ -10,23 +10,9 @@ ordering: Memcached and NGINX (high log rates) at the top, OpenSSL and
 
 from __future__ import annotations
 
-import typing
-from dataclasses import dataclass
-
 from ..kernel.fs import O_APPEND, O_CREAT, O_RDWR
 from ..kernel.net import AF_INET, SOCK_STREAM
-from .base import AppApi
-
-if typing.TYPE_CHECKING:
-    from ..kernel.kernel import Kernel
-
-
-@dataclass(frozen=True)
-class AuditedProgram:
-    name: str
-    table5_setting: str
-    setup: typing.Callable[["Kernel"], dict]
-    run: typing.Callable[[AppApi, dict], object]
+from .base import AppApi, Program
 
 
 # ---- OpenSSL (pts/openssl: signing throughput) ------------------------------
@@ -165,21 +151,20 @@ def _nginx_run(api: AppApi, state: dict):
 
 
 AUDITED_PROGRAMS = (
-    AuditedProgram("OpenSSL", "Phoronix pts/openssl",
-                   _openssl_setup, _openssl_run),
-    AuditedProgram("7-Zip", "Phoronix pts/compress-7zip",
-                   _sevenzip_setup, _sevenzip_run),
-    AuditedProgram("Memcached",
-                   "memaslap 90:10 GET:SET, concurrency 16",
-                   _memcached_setup, _memcached_run),
-    AuditedProgram("SQLite", "Phoronix pts/sqlite-speedtest",
-                   _sqlite_setup, _sqlite_audit_run),
-    AuditedProgram("NGINX", "2 workers benchmarked with ab, 10KB files",
-                   _nginx_setup, _nginx_run),
+    Program("OpenSSL", _openssl_setup, _openssl_run,
+            "Phoronix pts/openssl"),
+    Program("7-Zip", _sevenzip_setup, _sevenzip_run,
+            "Phoronix pts/compress-7zip"),
+    Program("Memcached", _memcached_setup, _memcached_run,
+            "memaslap 90:10 GET:SET, concurrency 16"),
+    Program("SQLite", _sqlite_setup, _sqlite_audit_run,
+            "Phoronix pts/sqlite-speedtest"),
+    Program("NGINX", _nginx_setup, _nginx_run,
+            "2 workers benchmarked with ab, 10KB files"),
 )
 
 
-def audited_program_by_name(name: str) -> AuditedProgram:
+def audited_program_by_name(name: str) -> Program:
     """Look up a Table 5 program by name."""
     for program in AUDITED_PROGRAMS:
         if program.name.lower() == name.lower():

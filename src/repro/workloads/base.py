@@ -2,9 +2,11 @@
 
 The paper evaluates each application natively and inside a VeilS-ENC
 enclave.  To guarantee both runs execute *the same logical work*, every
-workload here is written against the small :class:`AppApi` surface; the
-two adapters bind it either to direct process syscalls
-(:class:`NativeApi`) or to the enclave SDK (:class:`EnclaveApi`).
+workload here is a :class:`Program` written against the small
+:class:`AppApi` surface: :class:`NativeApi` binds it to direct process
+syscalls, and inside an enclave the SDK's
+:class:`~repro.enclave.sdk.EnclaveLibc`, which has the same surface, is
+passed as it is.
 
 Measurements come from the machine's cycle ledger: a run's cost is the
 ledger delta across the workload body.
@@ -15,12 +17,12 @@ from __future__ import annotations
 import typing
 from dataclasses import dataclass
 
-from ..enclave.sdk import EnclaveLibc
 from ..hw.cycles import CLOCK_HZ
 from ..kernel.syscalls import MAP_ANONYMOUS, MAP_PRIVATE, PROT_READ, \
     PROT_WRITE
 
 if typing.TYPE_CHECKING:
+    from ..enclave.sdk import EnclaveLibc
     from ..hw.vcpu import VirtualCpu
     from ..kernel.kernel import Kernel
     from ..kernel.process import Process
@@ -47,6 +49,18 @@ class RunStats:
         if baseline.cycles == 0:
             raise ValueError("baseline did no work")
         return (self.cycles - baseline.cycles) / baseline.cycles
+
+
+@dataclass(frozen=True)
+class Program:
+    """One evaluation workload: ``setup(kernel)`` stages its files and
+    returns the state that ``run(api, state)`` works on."""
+
+    name: str
+    setup: typing.Callable[["Kernel"], dict]
+    run: typing.Callable[["AppApi", dict], object]
+    #: The paper's Table 4 or Table 5 description of the run.
+    setting: str = ""
 
 
 class AppApi:
@@ -248,71 +262,10 @@ class NativeApi(AppApi):
         self.kernel.scheduler.maybe_tick(self.core)
 
 
-class EnclaveApi(AppApi):
-    """Enclave binding: the same surface through the SDK's libc."""
-
-    def __init__(self, libc: EnclaveLibc):
-        self.libc = libc
-
-    def open(self, path, flags=0, mode=0o644):
-        return self.libc.open(path, flags, mode)
-
-    def close(self, fd):
-        return self.libc.close(fd)
-
-    def read(self, fd, count):
-        return self.libc.read(fd, count)
-
-    def pread(self, fd, count, offset):
-        return self.libc.pread(fd, count, offset)
-
-    def write(self, fd, data):
-        return self.libc.write(fd, data)
-
-    def lseek(self, fd, offset, whence):
-        return self.libc.lseek(fd, offset, whence)
-
-    def unlink(self, path):
-        return self.libc.unlink(path)
-
-    def stat(self, path):
-        return self.libc.stat(path)
-
-    def mmap(self, length, prot=3, flags=0x22, fd=-1, offset=0):
-        return self.libc.mmap(length, prot, flags, fd, offset)
-
-    def munmap(self, addr, length):
-        return self.libc.munmap(addr, length)
-
-    def socket(self, family=2, stype=1):
-        return self.libc.socket(family, stype)
-
-    def bind(self, fd, addr, port):
-        return self.libc.bind(fd, addr, port)
-
-    def listen(self, fd, backlog=16):
-        return self.libc.listen(fd, backlog)
-
-    def accept(self, fd):
-        return self.libc.accept(fd)
-
-    def connect(self, fd, addr, port):
-        return self.libc.connect(fd, addr, port)
-
-    def send(self, fd, data):
-        return self.libc.send(fd, data)
-
-    def recv(self, fd, count):
-        return self.libc.recv(fd, count)
-
-    def getrandom(self, count):
-        return self.libc.getrandom(count)
-
-    def printf(self, text):
-        return self.libc.printf(text)
-
-    def compute(self, cycles):
-        self.libc.compute(cycles)
+def EnclaveApi(libc: EnclaveLibc) -> EnclaveLibc:
+    """The libc itself, which has the :class:`AppApi` surface; kept only
+    for ``perf/workloads.py``, its last caller."""
+    return libc
 
 
 def measure(machine, name: str, body: typing.Callable[[], None],

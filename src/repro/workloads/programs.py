@@ -13,26 +13,9 @@ GZip < MbedTLS < Lighttpd < UnQlite < SQLite, spanning roughly 5-64%.
 
 from __future__ import annotations
 
-import typing
-from dataclasses import dataclass
-
 from ..kernel.fs import O_APPEND, O_CREAT, O_RDWR
 from ..kernel.net import AF_INET, SOCK_STREAM
-from .base import AppApi
-
-if typing.TYPE_CHECKING:
-    from ..kernel.kernel import Kernel
-
-
-@dataclass(frozen=True)
-class EnclaveProgram:
-    """One portable application workload."""
-
-    name: str
-    #: Paper's Table 4 description of the run configuration.
-    table4_setting: str
-    setup: typing.Callable[["Kernel"], dict]
-    run: typing.Callable[[AppApi, dict], object]
+from .base import AppApi, Program
 
 
 # ---------------------------------------------------------------------------
@@ -185,25 +168,20 @@ def _lighttpd_run(api: AppApi, state: dict):
 
 
 ENCLAVE_PROGRAMS = (
-    EnclaveProgram(
-        "GZip", "Compressed a 10MB file generated using /dev/urandom",
-        _gzip_setup, _gzip_run),
-    EnclaveProgram(
-        "UnQlite", "Ran provided huge-db test (random inserts)",
-        _unqlite_setup, _unqlite_run),
-    EnclaveProgram(
-        "MbedTLS", "Ran provided self-test benchmark (AES/SHA/RSA/...)",
-        _mbedtls_setup, _mbedtls_run),
-    EnclaveProgram(
-        "Lighttpd", "1 worker thread benchmarked with ab, 10KB files",
-        _lighttpd_setup, _lighttpd_run),
-    EnclaveProgram(
-        "SQLite", "Inserted random entries into a test database",
-        _sqlite_setup, _sqlite_run),
+    Program("GZip", _gzip_setup, _gzip_run,
+            "Compressed a 10MB file generated using /dev/urandom"),
+    Program("UnQlite", _unqlite_setup, _unqlite_run,
+            "Ran provided huge-db test (random inserts)"),
+    Program("MbedTLS", _mbedtls_setup, _mbedtls_run,
+            "Ran provided self-test benchmark (AES/SHA/RSA/...)"),
+    Program("Lighttpd", _lighttpd_setup, _lighttpd_run,
+            "1 worker thread benchmarked with ab, 10KB files"),
+    Program("SQLite", _sqlite_setup, _sqlite_run,
+            "Inserted random entries into a test database"),
 )
 
 
-def program_by_name(name: str) -> EnclaveProgram:
+def program_by_name(name: str) -> Program:
     """Look up a Table 4 program by name."""
     for program in ENCLAVE_PROGRAMS:
         if program.name.lower() == name.lower():

@@ -9,21 +9,8 @@ near zero -- which is the point of the experiment.
 
 from __future__ import annotations
 
-import typing
-from dataclasses import dataclass
-
 from ..kernel.fs import O_CREAT, O_RDWR
-from .base import AppApi
-
-if typing.TYPE_CHECKING:
-    from ..kernel.kernel import Kernel
-
-
-@dataclass(frozen=True)
-class BackgroundWorkload:
-    name: str
-    setup: typing.Callable[["Kernel"], dict]
-    run: typing.Callable[[AppApi, dict], object]
+from .base import AppApi, Program
 
 
 def _pure_compute(total_cycles: int, slices: int = 40):
@@ -71,24 +58,24 @@ def _alloc_mix(compute_per_op: int, ops: int, map_bytes: int):
 #: benchmarks' characteristic mixes (pure integer/fp compute, pointer-
 #: chasing with allocation churn, I/O-interleaved compilation, ...).
 SPEC_WORKLOADS = (
-    BackgroundWorkload("spec-int-compute", lambda kernel: {},
-                       _pure_compute(90_000_000)),
-    BackgroundWorkload("spec-fp-compute", lambda kernel: {},
-                       _pure_compute(120_000_000, slices=60)),
-    BackgroundWorkload("spec-perlbench-mix", lambda kernel: {},
-                       _spec_mix_run),
-    BackgroundWorkload("spec-bzip2", lambda kernel: {},
-                       _io_mix(3_000_000, 25, 4096)),
-    BackgroundWorkload("spec-gcc", lambda kernel: {},
-                       _io_mix(1_800_000, 40, 1024)),
-    BackgroundWorkload("spec-mcf", lambda kernel: {},
-                       _alloc_mix(2_400_000, 30, 16384)),
-    BackgroundWorkload("spec-omnetpp", lambda kernel: {},
-                       _alloc_mix(1_500_000, 45, 8192)),
-    BackgroundWorkload("spec-libquantum", lambda kernel: {},
-                       _pure_compute(150_000_000, slices=30)),
-    BackgroundWorkload("spec-hmmer", lambda kernel: {},
-                       _pure_compute(110_000_000, slices=50)),
-    BackgroundWorkload("spec-sjeng", lambda kernel: {},
-                       _pure_compute(95_000_000, slices=45)),
+    Program("spec-int-compute", lambda kernel: {},
+            _pure_compute(90_000_000)),
+    Program("spec-fp-compute", lambda kernel: {},
+            _pure_compute(120_000_000, slices=60)),
+    Program("spec-perlbench-mix", lambda kernel: {},
+            _spec_mix_run),
+    Program("spec-bzip2", lambda kernel: {},
+            _io_mix(3_000_000, 25, 4096)),
+    Program("spec-gcc", lambda kernel: {},
+            _io_mix(1_800_000, 40, 1024)),
+    Program("spec-mcf", lambda kernel: {},
+            _alloc_mix(2_400_000, 30, 16384)),
+    Program("spec-omnetpp", lambda kernel: {},
+            _alloc_mix(1_500_000, 45, 8192)),
+    Program("spec-libquantum", lambda kernel: {},
+            _pure_compute(150_000_000, slices=30)),
+    Program("spec-hmmer", lambda kernel: {},
+            _pure_compute(110_000_000, slices=50)),
+    Program("spec-sjeng", lambda kernel: {},
+            _pure_compute(95_000_000, slices=45)),
 )

@@ -94,16 +94,10 @@ TRACE_WORKLOADS: dict = {
 }
 
 
-def run_trace_workload(name: str, *,
-                       tracer: Tracer | None = None) -> Tracer:
-    """Run one named workload under a tracer and return the tracer."""
-    tracer, _system = run_trace_workload_system(name, tracer=tracer)
-    return tracer
-
-
 def run_trace_workload_system(name: str, *, tracer: Tracer | None = None
                               ) -> "tuple[Tracer, VeilSystem]":
-    """Like :func:`run_trace_workload` but also return the booted system.
+    """Run one named workload under a tracer; return the tracer and the
+    booted system.
 
     The CLI uses the system handle to publish TLB counters *after* the
     Chrome trace export: the export embeds the metrics registry, and the

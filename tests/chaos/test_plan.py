@@ -2,38 +2,45 @@
 
 import pytest
 
-from repro.chaos import (PROFILES, FaultPlan, FaultProfile, SplitMix64,
-                         profile_by_name)
+from repro.chaos import PROFILES, FaultPlan, FaultProfile, profile_by_name
 from repro.errors import SimulationError
+
+
+def plan_rng(seed: int):
+    """The SplitMix64 generator a fault plan draws from."""
+    return FaultPlan(seed, "mayhem").rng
 
 
 class TestSplitMix64:
     def test_same_seed_same_stream(self):
-        a, b = SplitMix64(42), SplitMix64(42)
+        a, b = plan_rng(42), plan_rng(42)
         assert [a.next_u64() for _ in range(64)] == \
             [b.next_u64() for _ in range(64)]
 
     def test_different_seeds_differ(self):
-        a, b = SplitMix64(1), SplitMix64(2)
+        a, b = plan_rng(1), plan_rng(2)
         assert [a.next_u64() for _ in range(8)] != \
             [b.next_u64() for _ in range(8)]
 
     def test_stream_is_pinned(self):
         """The generator is hand-rolled so the stream never drifts
         across Python versions; pin its first outputs forever."""
-        rng = SplitMix64(0)
+        rng = plan_rng(0)
         assert rng.next_u64() == 16294208416658607535
 
     def test_random_unit_interval(self):
-        rng = SplitMix64(7)
+        rng = plan_rng(7)
         for _ in range(256):
             assert 0.0 <= rng.random() < 1.0
 
     def test_randrange_bounds(self):
-        rng = SplitMix64(7)
-        assert all(0 <= rng.randrange(5) < 5 for _ in range(64))
-        with pytest.raises(SimulationError):
-            rng.randrange(0)
+        plan = FaultPlan(7, "mayhem")
+        assert all(0 <= plan.rng.randrange(5) < 5 for _ in range(64))
+        with pytest.raises(ValueError):
+            plan.rng.randrange(0)
+        # The plan never asks for an empty range: picking from no
+        # replicas draws nothing.
+        assert plan.pick([]) is None
 
 
 class TestProfiles:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import (VeilConfig, boot_native_system, boot_veil_system,
                         build_boot_image, module_signing_key)
-from repro.core.domains import VMPL_UNT
+from repro.hw import VMPL_UNT
 from repro.crypto import sha256
 
 

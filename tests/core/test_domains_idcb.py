@@ -4,31 +4,29 @@ import json
 
 import pytest
 
-from repro.core.domains import (ALL_DOMAINS, DOM_ENC, DOM_MON, DOM_SER,
-                                DOM_UNT, domain_for_vmpl)
 from repro.core.idcb import Idcb
 from repro.errors import SimulationError
+from repro.hw import (DOMAIN_NAMES, NUM_VMPLS, VMPL_ENC, VMPL_MON,
+                      VMPL_SER, VMPL_UNT, vmpl_name)
 from repro.hw.cycles import CycleLedger, free_cost_model
 from repro.hw.memory import PAGE_SIZE, PhysicalMemory
 
 
 class TestDomains:
+    """The section 5.1 domains are named by the hardware's VMPLs."""
+
     def test_paper_assignments(self):
-        assert (DOM_MON.vmpl, DOM_MON.cpl) == (0, 0)
-        assert (DOM_SER.vmpl, DOM_SER.cpl) == (1, 0)
-        assert (DOM_ENC.vmpl, DOM_ENC.cpl) == (2, 3)
-        assert DOM_UNT.vmpl == 3
+        assert (VMPL_MON, VMPL_SER, VMPL_ENC, VMPL_UNT) == (0, 1, 2, 3)
 
     def test_domains_cover_all_vmpls(self):
-        assert sorted(d.vmpl for d in ALL_DOMAINS) == [0, 1, 2, 3]
+        assert sorted(DOMAIN_NAMES) == list(range(NUM_VMPLS))
 
     def test_lookup_by_vmpl(self):
-        assert domain_for_vmpl(2) is DOM_ENC
-        with pytest.raises(ValueError):
-            domain_for_vmpl(4)
+        assert DOMAIN_NAMES[VMPL_ENC] == "DomENC"
 
     def test_str_rendering(self):
-        assert "VMPL-0" in str(DOM_MON)
+        assert [vmpl_name(vmpl) for vmpl in range(NUM_VMPLS + 1)] == [
+            "DomMON", "DomSER", "DomENC", "DomUNT", "VMPL4"]
 
 
 class TestIdcb:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import module_signing_key
-from repro.core.domains import VMPL_UNT
+from repro.hw import VMPL_UNT
 from repro.errors import CvmHalted, SecurityViolation
 from repro.hw.rmp import Access
 from repro.kernel import layout

@@ -8,7 +8,7 @@ are bad.
 
 import pytest
 
-from repro.core.domains import VMPL_MON, VMPL_SER, VMPL_UNT
+from repro.hw import VMPL_MON, VMPL_SER, VMPL_UNT
 from repro.core.idcb import DEFAULT_IDCB_PAGES
 from repro.hw.memory import PAGE_SIZE, page_base
 from repro.kernel.layout import direct_map_vaddr

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.domains import VMPL_ENC, VMPL_MON, VMPL_SER, VMPL_UNT
+from repro.hw import VMPL_ENC, VMPL_MON, VMPL_SER, VMPL_UNT
 from repro.errors import SecurityViolation
 from repro.hw.rmp import Access
 

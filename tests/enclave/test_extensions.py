@@ -3,7 +3,7 @@ consensual enclave-to-enclave sharing (paper sections 7 and 10)."""
 
 import pytest
 
-from repro.core.domains import VMPL_ENC
+from repro.hw import VMPL_ENC
 from repro.enclave import EnclaveHost, build_test_binary
 from repro.errors import SdkError, SecurityViolation
 from repro.kernel.fs import O_CREAT, O_RDWR

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.domains import VMPL_ENC, VMPL_UNT
+from repro.hw import VMPL_ENC, VMPL_UNT
 from repro.enclave import EnclaveHost, build_test_binary
 from repro.errors import SdkError
 from repro.kernel.fs import O_CREAT, O_RDWR

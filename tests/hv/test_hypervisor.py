@@ -8,7 +8,8 @@ from repro.hw.ghcb import SWITCH_FRAMES, Ghcb
 from repro.hw.memory import page_base
 from repro.hw.vmsa import Vmsa
 from repro.hv import Hypervisor
-from repro.hv.hypervisor import GhcbPolicy, HostAccessBlocked
+from repro.hv.attestation import AttestationReport
+from repro.hv.hypervisor import _VMGEXIT_OPS, GhcbPolicy, HostAccessBlocked
 
 
 def launched():
@@ -329,3 +330,182 @@ class TestMalformedGhcbMessage:
         with pytest.raises(CvmHalted):
             core.vmgexit()
         assert "malformed GHCB message" in machine.halt_reason
+
+    def test_oversized_attestation_report_data_halts(self):
+        # The PSP signs at most 64 bytes of report data: a longer
+        # request is a malformed op, not an error out of the hypervisor
+        # that leaves the exited VMSA stopped and the CVM running.
+        machine, hv, core = launched()
+        ghcb = armed_ghcb(machine, core)
+        ghcb.write_message(machine.memory, {
+            "op": "attestation_report", "report_data_hex": "00" * 65})
+        with pytest.raises(CvmHalted):
+            core.vmgexit()
+        assert machine.halted
+        assert machine.halt_reason == (
+            "malformed GHCB message for op 'attestation_report': "
+            "AttestationError('report data limited to 64 bytes')")
+
+    def test_attestation_report_data_of_64_bytes_is_signed(self):
+        machine, hv, core = launched()
+        ghcb = armed_ghcb(machine, core)
+        ghcb.write_message(machine.memory, {
+            "op": "attestation_report", "report_data_hex": "ab" * 64})
+        core.vmgexit()
+        reply = ghcb.read_message(machine.memory)
+        report = AttestationReport(
+            measurement=bytes.fromhex(reply["measurement_hex"]),
+            requester_vmpl=reply["requester_vmpl"],
+            report_data=bytes.fromhex(reply["report_data_hex"]),
+            signature=bytes.fromhex(reply["signature_hex"]))
+        assert report.report_data == b"\xab" * 64
+        hv.psp.public_key.verify(report.signed_blob(), report.signature)
+
+    @pytest.mark.parametrize("case", ["own-core", "live-core", "live-vmsa"])
+    def test_start_vcpu_of_a_running_instance_halts(self, case):
+        # start_vcpu may only start an idle core on an idle VMSA.  Core
+        # 0 is the requester, core 1 runs (vcpu 1, VMPL-3), core 2 is
+        # idle, and core 3 runs (vcpu 2, VMPL-3).
+        machine = SevSnpMachine(memory_bytes=8 * 1024 * 1024, num_cores=4)
+        hv = Hypervisor(machine)
+        core = machine.core(0)
+        core.hw_enter(hv.launch(b"image"))
+        machine.rmp.bulk_assign_validate()
+        for vcpu_id in (1, 2):
+            for vmpl in (2, 3):
+                hv.vmsas[(vcpu_id, vmpl)] = Vmsa(
+                    vcpu_id=vcpu_id, vmpl=vmpl, ppn=machine.frames.alloc())
+        machine.core(1).hw_enter(hv.vmsas[(1, 3)])
+        machine.core(3).hw_enter(hv.vmsas[(2, 3)])
+        request, reason = {
+            "own-core": ({"vcpu_id": 0, "vmpl": 0},
+                         "start_vcpu: core 0 is the requesting core"),
+            "live-core": ({"vcpu_id": 1, "vmpl": 2},
+                          "start_vcpu: core 1 already runs an instance"),
+            "live-vmsa": ({"vcpu_id": 2, "vmpl": 3},
+                          "start_vcpu: vcpu 2 at VMPL-3 is already "
+                          "running"),
+        }[case]
+        ghcb = armed_ghcb(machine, core)
+        ghcb.write_message(machine.memory, {"op": "start_vcpu", **request})
+        with pytest.raises(CvmHalted):
+            core.vmgexit()
+        assert machine.halt_reason == reason
+
+    def test_start_vcpu_of_a_negative_core_halts(self):
+        # A VMSA registered for vcpu -1 names no physical core; it must
+        # not start the last one.
+        machine, core, ghcb = switch_ready()
+        hv = machine.hypervisor
+        hv.vmsas[(-1, 3)] = Vmsa(vcpu_id=-1, vmpl=3,
+                                 ppn=machine.frames.alloc())
+        ghcb.write_message(machine.memory, {
+            "op": "start_vcpu", "vcpu_id": -1, "vmpl": 3})
+        with pytest.raises(CvmHalted):
+            core.vmgexit()
+        assert machine.halt_reason == "start_vcpu: no physical core -1"
+        assert machine.core(1).instance is None
+
+    @pytest.mark.parametrize("message, reason", [
+        ({"op": "page_state_change", "action": "bogus", "ppns": []},
+         "bad page_state_change 'bogus'"),
+        ({"op": "page_state_change", "action": "share", "ppns": "00"},
+         "TypeError('ppns is a str, not list')"),
+        ({"op": "page_state_change", "action": "share", "ppns": [1.5]},
+         "TypeError('ppns entry is a float, not int')"),
+        ({"op": "page_state_change", "action": "private", "ppns": [True]},
+         "TypeError('ppns entry is a bool, not int')"),
+        ({"op": "register_vmsa", "vmsa_ppn": 1.5},
+         "TypeError('vmsa_ppn is a float, not int')"),
+        ({"op": "register_vmsa", "vmsa_ppn": True},
+         "TypeError('vmsa_ppn is a bool, not int')"),
+        ({"op": "register_vmsa", "vmsa_ppn": "1"},
+         "TypeError('vmsa_ppn is a str, not int')"),
+        ({"op": "start_vcpu", "vcpu_id": True, "vmpl": 3},
+         "TypeError('vcpu_id is a bool, not int')"),
+        ({"op": "start_vcpu", "vcpu_id": 1, "vmpl": 3.0},
+         "TypeError('vmpl is a float, not int')"),
+        ({"op": "domain_switch", "target_vmpl": True},
+         "TypeError('target_vmpl is a bool, not int')"),
+        ({"op": "halt", "reason": ["not", "text"]},
+         "TypeError('reason is a list, not str')"),
+    ], ids=["bad-action", "ppns-string", "ppn-float", "ppn-bool",
+            "vmsa-float", "vmsa-bool", "vmsa-string", "vcpu-bool",
+            "vmpl-float", "switch-bool", "halt-reason-list"])
+    def test_field_of_the_wrong_json_type_halts(self, message, reason):
+        # Integer fields take only JSON integers, ppns only an array,
+        # the action only "share" or "private", and halt's reason only
+        # a string; anything else halts before any page or VMSA
+        # registration changes.
+        machine, core, ghcb = switch_ready()
+        hv = machine.hypervisor
+        hv.vmsas[(1, 3)] = Vmsa(vcpu_id=1, vmpl=3,
+                                ppn=machine.frames.alloc())
+        vmsas, generation = dict(hv.vmsas), machine.rmp.generation
+        ghcb.write_message(machine.memory, message)
+        with pytest.raises(CvmHalted):
+            core.vmgexit()
+        assert machine.halted
+        assert machine.halt_reason.endswith(reason)
+        assert machine.rmp.generation == generation
+        assert hv.vmsas == vmsas
+
+
+#: A well-formed request for each VMGEXIT op on a ``switch_ready``
+#: machine with a VMSA for (vcpu 1, VMPL-3): every field the op reads.
+OP_FIELDS = {
+    "domain_switch": {"target_vmpl": 3},
+    "register_vmsa": {"vmsa_ppn": 1},
+    "start_vcpu": {"vcpu_id": 1, "vmpl": 3},
+    "page_state_change": {"action": "share", "ppns": [5]},
+    "io": {"device": "console", "data_hex": "00"},
+    "attestation_report": {"report_data_hex": "01" * 32},
+    "halt": {"reason": "test"},
+}
+
+#: The JSON type each field must have; ``vmpl`` and ``reason`` may be
+#: left out.
+FIELD_TYPES = {"target_vmpl": int, "vmsa_ppn": int, "vcpu_id": int,
+               "vmpl": int, "action": str, "ppns": list, "device": str,
+               "data_hex": str, "report_data_hex": str, "reason": str}
+OPTIONAL_FIELDS = {"vmpl", "reason"}
+
+#: The values each field is sent as (``None`` in this table is JSON
+#: ``null``; ``"missing"`` drops the field).
+FUZZ_VALUES = {"str": "x", "float": 1.5, "true": True, "null": None,
+               "array": [], "object": {}, "negative": -1,
+               "huge": 2 ** 64}
+
+
+def test_op_fields_cover_every_vmgexit_op():
+    assert set(OP_FIELDS) == set(_VMGEXIT_OPS)
+    assert {field for fields in OP_FIELDS.values()
+            for field in fields} == set(FIELD_TYPES)
+
+
+@pytest.mark.parametrize("value", ["missing"] + list(FUZZ_VALUES))
+@pytest.mark.parametrize("op, field", [
+    (op, field) for op, fields in OP_FIELDS.items() for field in fields])
+def test_every_field_of_every_op_resumes_or_halts(op, field, value):
+    """Field by field, a request either resumes the guest or halts the
+    CVM (section 6.2); no other exception leaves the hypervisor, and a
+    missing or wrongly typed field always halts."""
+    machine, core, ghcb = switch_ready()
+    machine.hypervisor.vmsas[(1, 3)] = Vmsa(
+        vcpu_id=1, vmpl=3, ppn=machine.frames.alloc())
+    message = {"op": op, **OP_FIELDS[op]}
+    if value == "missing":
+        del message[field]
+        well_typed = field in OPTIONAL_FIELDS
+    else:
+        message[field] = FUZZ_VALUES[value]
+        well_typed = type(message[field]) is FIELD_TYPES[field]
+    ghcb.write_message(machine.memory, message)
+    try:
+        core.vmgexit()
+    except CvmHalted:
+        assert machine.halted
+    else:
+        assert well_typed, f"served {op} with {field}={value}"
+        assert not machine.halted
+        assert core.instance.running

@@ -1,7 +1,8 @@
 """hw.rng: the stack's sanctioned deterministic randomness."""
 
-from repro.chaos import SplitMix64
+from repro.chaos import FaultPlan
 from repro.hw import DeterministicRandom
+from repro.surge.arrivals import ArrivalPlan
 
 import pytest
 
@@ -35,11 +36,13 @@ class TestDeterministicRandom:
             assert 0.0 <= rng.random() < 1.0
 
     def test_chaos_splitmix_is_the_same_stream(self):
-        """The chaos PRNG re-exports this generator: pre-existing fault
-        schedule seeds replay unchanged after the hoist."""
-        ours, chaos = DeterministicRandom(123), SplitMix64(123)
-        assert [ours.next_u64() for _ in range(16)] == \
-            [chaos.next_u64() for _ in range(16)]
+        """The chaos and surge plans draw this generator's stream for
+        their seed: pre-existing fault and arrival schedule seeds replay
+        unchanged."""
+        streams = [[rng.next_u64() for _ in range(16)] for rng in (
+            DeterministicRandom(123), FaultPlan(123, "mayhem").rng,
+            ArrivalPlan(123, "poisson", requests=1).rng)]
+        assert streams[0] == streams[1] == streams[2]
 
 
 class TestGetrandomDeterminism:

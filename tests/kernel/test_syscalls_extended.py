@@ -95,12 +95,12 @@ class TestSyncFamily:
         kernel, core, proc = env
         kernel.syscall(core, proc, "creat", "/tmp/in-memory")
         machine = kernel.machine
-        exits = machine.hypervisor.exit_log.total
+        exits = core.exit_count
         before = machine.ledger.total
         assert kernel.syscall(core, proc, "sync") == 0
         assert machine.ledger.total - before == (
             machine.cost.syscall_entry + BASE_COSTS["sync"])
-        assert machine.hypervisor.exit_log.total == exits
+        assert core.exit_count == exits
 
 
 class TestMemoryAdvice:

@@ -1,5 +1,6 @@
 """Smoke tests: the ``python -m repro`` command-line interface."""
 
+import json
 import os
 import subprocess
 import sys
@@ -243,6 +244,34 @@ class TestCommands:
         main(["lint", "--list-rules"])
         out = capsys.readouterr().out
         assert "layering" in out and "suppression-hygiene" in out
+
+    def test_flow_passes_every_flag_to_the_analysis_tool(self, capsys):
+        """A rule subset, no baseline and JSON output all reach the
+        flow analysis: the unbaselined determinism findings fail it."""
+        with pytest.raises(SystemExit) as exited:
+            main(["flow", "--rules", "determinism", "--no-baseline",
+                  "--format", "json"])
+        assert exited.value.code == 1
+        findings = json.loads(capsys.readouterr().out)["findings"]
+        assert findings
+        assert {finding["rule"] for finding in findings} == {"determinism"}
+        assert not any(finding["suppressed"] for finding in findings)
+
+    @pytest.mark.parametrize("command, title",
+                             [("lint", "veil-lint"), ("flow", "veil-flow")])
+    def test_analysis_help_is_the_tools_own(self, capsys, command, title):
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--help"])
+        assert exited.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: repro {command} ")
+        assert title in out and "--no-baseline" in out
+
+    def test_unknown_flag_of_another_command_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["boot", "--flow"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --flow" in capsys.readouterr().err
 
     def test_ltp_verbose(self, capsys):
         main(["ltp", "--verbose"])

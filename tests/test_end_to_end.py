@@ -104,7 +104,7 @@ class TestEndToEnd:
         # The CVM halted in the previous test; state inspection still
         # shows every protected page inaccessible at DomUNT.
         system = story["system"]
-        from repro.core.domains import VMPL_UNT
+        from repro.hw import VMPL_UNT
         from repro.hw.rmp import Access
         host = story["host"]
         setup = system.integration.enclaves[host.enclave_id]

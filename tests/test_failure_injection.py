@@ -9,7 +9,7 @@ detects the problem or fails stop -- never silently computes on bad state.
 import pytest
 
 from repro.core import VeilConfig, boot_veil_system
-from repro.core.domains import VMPL_ENC, VMPL_MON, VMPL_UNT
+from repro.hw import VMPL_ENC, VMPL_MON, VMPL_UNT
 from repro.enclave import EnclaveHost, build_test_binary
 from repro.errors import (AttestationError, CvmHalted, ReproError,
                           SdkError, SecurityViolation, SimulationError)

@@ -11,11 +11,11 @@ import json
 import pytest
 
 from repro.trace import Tracer, dumps_chrome_trace
-from repro.workloads.trace_demo import run_trace_workload
+from repro.workloads.trace_demo import run_trace_workload_system
 
 
 def export_and_metrics(workload: str) -> tuple[str, str]:
-    tracer = run_trace_workload(workload, tracer=Tracer())
+    tracer, _system = run_trace_workload_system(workload, tracer=Tracer())
     return (dumps_chrome_trace(tracer),
             json.dumps(tracer.metrics.dump(), sort_keys=True))
 
@@ -36,4 +36,4 @@ def test_switch_and_syscalls_differ_from_each_other():
 
 def test_unknown_workload_is_rejected():
     with pytest.raises(ValueError, match="unknown trace workload"):
-        run_trace_workload("nope")
+        run_trace_workload_system("nope")

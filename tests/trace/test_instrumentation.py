@@ -10,20 +10,23 @@ and all costing zero ledger cycles.
 import pytest
 
 from repro.core import VeilConfig, boot_veil_system
-from repro.hv.hypervisor import EXIT_LOG_CAPACITY, ExitLog
+from repro.hv import Hypervisor
+from repro.hv.hypervisor import EXIT_LOG_CAPACITY
+from repro.hw import SevSnpMachine
+from repro.hw.ghcb import Ghcb
 from repro.kernel.fs import O_CREAT, O_RDWR
 from repro.trace import NullMetrics, NullTracer, Tracer
-from repro.workloads.trace_demo import run_trace_workload
+from repro.workloads.trace_demo import run_trace_workload_system
 
 
 @pytest.fixture(scope="module")
 def traced_run():
-    return run_trace_workload("syscalls", tracer=Tracer())
+    return run_trace_workload_system("syscalls", tracer=Tracer())[0]
 
 
 @pytest.fixture(scope="module")
 def traced_switch():
-    return run_trace_workload("switch", tracer=Tracer())
+    return run_trace_workload_system("switch", tracer=Tracer())[0]
 
 
 class TestLayerCoverage:
@@ -179,25 +182,22 @@ class TestTracingOff:
 
 
 class TestExitLog:
-    def test_bounded_with_compat_queries(self):
-        log = ExitLog(capacity=4)
-        for i in range(10):
-            log.append(f"vmgexit:op{i}")
-        assert len(log) == 4
-        assert log.total == 10
-        assert "vmgexit:op9" in log
-        assert "vmgexit:op0" not in log
-        assert log.recent(2) == ["vmgexit:op8", "vmgexit:op9"]
-        assert log[-1] == "vmgexit:op9"
-        assert log[-2:] == ["vmgexit:op8", "vmgexit:op9"]
-        assert list(log) == ["vmgexit:op6", "vmgexit:op7",
-                             "vmgexit:op8", "vmgexit:op9"]
-
-    def test_hypervisor_exit_log_stays_bounded(self, traced_run):
-        # module-scoped system already ran a workload; grow past the cap
-        # via direct appends to prove the deque ceiling holds.
-        log = ExitLog()
-        for i in range(EXIT_LOG_CAPACITY + 50):
-            log.append(f"e{i}")
-        assert len(log) == EXIT_LOG_CAPACITY
-        assert log.total == EXIT_LOG_CAPACITY + 50
+    def test_hypervisor_exit_log_stays_bounded(self):
+        """The hypervisor keeps the tags of the last EXIT_LOG_CAPACITY
+        exits; the core still counts every exit it took."""
+        machine = SevSnpMachine(memory_bytes=8 * 1024 * 1024, num_cores=1)
+        hv = Hypervisor(machine)
+        core = machine.core(0)
+        core.hw_enter(hv.launch(b"image"))
+        machine.rmp.bulk_assign_validate()
+        ghcb = Ghcb(machine.frames.alloc())
+        machine.rmp.share(ghcb.ppn)
+        core.regs.cpl = 0
+        core.wrmsr_ghcb(ghcb.gpa)
+        for _ in range(EXIT_LOG_CAPACITY + 50):
+            ghcb.write_message(machine.memory, {
+                "op": "io", "device": "console", "data_hex": "00"})
+            core.vmgexit()
+        assert len(hv.exit_log) == EXIT_LOG_CAPACITY
+        assert set(hv.exit_log) == {"vmgexit:io"}
+        assert core.exit_count == EXIT_LOG_CAPACITY + 50

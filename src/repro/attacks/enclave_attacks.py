@@ -279,7 +279,7 @@ def attack_enclave_escalates_via_ghcb(system=None) -> AttackResult:
     def escalate(libc):
         rt = libc.rt
         # veil-lint: allow(vmpl-literal) -- forged escalation payload
-        rt.core.switch_to(rt._user_ghcb(), vmpl=0)
+        rt.core.switch_to(rt.user_ghcb, vmpl=0)
         return "switched"
 
     try:

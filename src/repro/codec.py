@@ -10,7 +10,8 @@ module is its one codec:
   ``": "`` separators;
 * :func:`encode_compact` writes sorted keys with the fabric's ``","``
   and ``":"``;
-* :func:`decode` reads bytes the caller does not trust.
+* :func:`decode` reads bytes the caller does not trust;
+* :func:`expect` reads one decoded field as exactly one JSON type.
 
 Each encoder gives exactly the bytes of ``json.dumps(obj,
 sort_keys=True)`` with its separators, but is built once, from the C
@@ -121,3 +122,16 @@ def decode(data: bytes):
         return json.loads(text)
     except ValueError as bad:
         raise CodecError(str(bad)) from bad
+
+
+def expect(value, kind: type, name: str):
+    """``value``, if its JSON type is exactly ``kind``.
+
+    ``true`` is not a page number, and ``1.5`` or ``"1"`` is not a VMPL
+    or a core: anything else raises ``TypeError`` naming the field, which
+    the hypervisor turns into a halt and VeilMon into an error reply.
+    """
+    if type(value) is not kind:
+        raise TypeError(f"{name} is a {type(value).__name__}, not "
+                        f"{kind.__name__}")
+    return value

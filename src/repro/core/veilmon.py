@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import typing
 
+from ..codec import expect
 from ..crypto import DhKeyPair, SecureChannel, sha256
 from ..errors import SecurityViolation, SimulationError
 from ..hw.ghcb import Ghcb, ghcb_view
@@ -455,18 +456,34 @@ class VeilMon:
 
     def _handle_boot_vcpu(self, core, request: dict) -> dict:
         """Delegated VCPU boot (section 5.3): create the new instance at
-        DomUNT only, plus trusted-domain replicas for the new VCPU."""
-        vcpu_id = int(request["vcpu_id"])
-        requested_vmpl = int(request.get("vmpl", VMPL_UNT))
-        if requested_vmpl != VMPL_UNT:
+        DomUNT only, plus trusted-domain replicas for the new VCPU.
+
+        Every field is read as a JSON integer only.  A core that cannot
+        be started -- a negative or missing one, the requester's own, one
+        that already runs, or one whose DomUNT instance already runs --
+        gets an error reply before any replica is created or any exit is
+        taken: the hypervisor would halt the CVM on that ``start_vcpu``.
+        """
+        vcpu_id = expect(request["vcpu_id"], int, "vcpu_id")
+        if expect(request.get("vmpl", VMPL_UNT), int, "vmpl") != VMPL_UNT:
             raise SecurityViolation(
                 "OS may only boot VCPUs into DomUNT")
-        if vcpu_id >= len(self.machine.cores):
+        unt_cr3 = expect(request.get("cr3", 0), int, "cr3")
+        unt_ghcb_gpa = expect(request.get("ghcb_gpa", 0), int, "ghcb_gpa")
+        cores = self.machine.cores
+        if not 0 <= vcpu_id < len(cores):
             return {"status": "error", "reason": "no such core"}
-        self.create_core_replicas(core, vcpu_id,
-                                  unt_cr3=int(request.get("cr3", 0)),
-                                  unt_ghcb_gpa=int(request.get(
-                                      "ghcb_gpa", 0)))
+        started = cores[vcpu_id]
+        if started is core:
+            return {"status": "error",
+                    "reason": f"core {vcpu_id} is the requesting core"}
+        unt = self.vmsas.get((vcpu_id, VMPL_UNT))
+        if ((started.instance is not None and started.instance.running)
+                or (unt is not None and unt.running)):
+            return {"status": "error",
+                    "reason": f"vcpu {vcpu_id} is already running"}
+        self.create_core_replicas(core, vcpu_id, unt_cr3=unt_cr3,
+                                  unt_ghcb_gpa=unt_ghcb_gpa)
         ghcb = self._mon_ghcb(core)
         ghcb.write_message(self.machine.memory, {
             "op": "start_vcpu", "vcpu_id": vcpu_id, "vmpl": VMPL_UNT})

@@ -20,6 +20,7 @@ HEADER_BYTES = 8
 MIN_CHUNK = 32
 ALIGN = 16
 _IN_USE = 1
+_SIZE_MASK = ~0xF
 
 
 class EnclaveHeap:
@@ -27,6 +28,12 @@ class EnclaveHeap:
 
     ``read``/``write`` are accessor callables ``(vaddr, length) -> bytes``
     and ``(vaddr, data) -> None`` bound to the enclave execution context.
+
+    A header is one little-endian word: the chunk size (a multiple of
+    16) with the in-use flag in bit 0.  Inside an enclave every accessor
+    call is a charged VCPU access, so each header is read or written
+    with one accessor call, inline, and the traffic stays exactly one
+    access per header touched.
     """
 
     def __init__(self, base: int, size: int,
@@ -39,20 +46,16 @@ class EnclaveHeap:
         self._read = read
         self._write = write
         # One initial free chunk spanning the whole heap.
-        self._set_header(base, size, in_use=False)
+        write(base, (size & _SIZE_MASK).to_bytes(HEADER_BYTES, "little"))
         self.allocated_bytes = 0
         self.alloc_count = 0
         self.free_count = 0
 
-    # -- header helpers (stored in enclave memory) -----------------------
-
-    def _set_header(self, chunk: int, size: int, *, in_use: bool) -> None:
-        word = (size & ~0xF) | (_IN_USE if in_use else 0)
-        self._write(chunk, word.to_bytes(HEADER_BYTES, "little"))
-
-    def _get_header(self, chunk: int) -> tuple[int, bool]:
-        word = int.from_bytes(self._read(chunk, HEADER_BYTES), "little")
-        return word & ~0xF, bool(word & _IN_USE)
+    def bind(self, read: typing.Callable[[int, int], bytes],
+             write: typing.Callable[[int, bytes], None]) -> None:
+        """Point the metadata accessors at another execution context."""
+        self._read = read
+        self._write = write
 
     # -- public API ----------------------------------------------------------
 
@@ -65,15 +68,30 @@ class EnclaveHeap:
         """
         if nbytes <= 0:
             raise SdkError("malloc of non-positive size")
-        need = self._round_up(nbytes + HEADER_BYTES)
+        need = nbytes + HEADER_BYTES
+        if need < MIN_CHUNK:
+            need = MIN_CHUNK
+        need = (need + ALIGN - 1) & ~(ALIGN - 1)
+        read = self._read
         chunk = self.base
-        end = self.base + self.size
+        end = chunk + self.size
         while chunk < end:
-            size, in_use = self._get_header(chunk)
+            word = int.from_bytes(read(chunk, HEADER_BYTES), "little")
+            size = word & _SIZE_MASK
             if size == 0:
                 raise SdkError("heap metadata corrupted (zero chunk)")
-            if not in_use and size >= need:
-                self._carve(chunk, size, need)
+            if not word & _IN_USE and size >= need:
+                # Carve: split off the tail when it can hold a chunk.
+                write = self._write
+                remainder = size - need
+                if remainder >= MIN_CHUNK:
+                    write(chunk, (need | _IN_USE).to_bytes(HEADER_BYTES,
+                                                           "little"))
+                    write(chunk + need,
+                          remainder.to_bytes(HEADER_BYTES, "little"))
+                else:
+                    write(chunk, (size | _IN_USE).to_bytes(HEADER_BYTES,
+                                                           "little"))
                 self.allocated_bytes += need
                 self.alloc_count += 1
                 return chunk + HEADER_BYTES
@@ -85,10 +103,11 @@ class EnclaveHeap:
         chunk = vaddr - HEADER_BYTES
         if not self.base <= chunk < self.base + self.size:
             raise SdkError(f"free of pointer outside heap: {vaddr:#x}")
-        size, in_use = self._get_header(chunk)
-        if not in_use:
+        word = int.from_bytes(self._read(chunk, HEADER_BYTES), "little")
+        if not word & _IN_USE:
             raise SdkError(f"double free at {vaddr:#x}")
-        self._set_header(chunk, size, in_use=False)
+        size = word & _SIZE_MASK
+        self._write(chunk, size.to_bytes(HEADER_BYTES, "little"))
         self.allocated_bytes -= size
         self.free_count += 1
         self._coalesce()
@@ -101,11 +120,11 @@ class EnclaveHeap:
 
     def realloc(self, vaddr: int, nbytes: int) -> int:
         """Grow (or keep) an allocation, preserving contents."""
-        chunk = vaddr - HEADER_BYTES
-        size, in_use = self._get_header(chunk)
-        if not in_use:
+        word = int.from_bytes(self._read(vaddr - HEADER_BYTES, HEADER_BYTES),
+                              "little")
+        if not word & _IN_USE:
             raise SdkError("realloc of freed pointer")
-        old_user = size - HEADER_BYTES
+        old_user = (word & _SIZE_MASK) - HEADER_BYTES
         if nbytes <= old_user:
             return vaddr
         new = self.malloc(nbytes)
@@ -115,44 +134,37 @@ class EnclaveHeap:
 
     # -- internals -------------------------------------------------------------
 
-    @staticmethod
-    def _round_up(n: int) -> int:
-        n = max(n, MIN_CHUNK)
-        return (n + ALIGN - 1) & ~(ALIGN - 1)
-
-    def _carve(self, chunk: int, size: int, need: int) -> None:
-        remainder = size - need
-        if remainder >= MIN_CHUNK:
-            self._set_header(chunk, need, in_use=True)
-            self._set_header(chunk + need, remainder, in_use=False)
-        else:
-            self._set_header(chunk, size, in_use=True)
-
     def _coalesce(self) -> None:
         """Merge adjacent free chunks (single forward pass)."""
+        read = self._read
         chunk = self.base
-        end = self.base + self.size
+        end = chunk + self.size
         while chunk < end:
-            size, in_use = self._get_header(chunk)
+            word = int.from_bytes(read(chunk, HEADER_BYTES), "little")
+            size = word & _SIZE_MASK
             if size == 0:
                 raise SdkError("heap metadata corrupted during coalesce")
             nxt = chunk + size
-            if not in_use and nxt < end:
-                nsize, nused = self._get_header(nxt)
-                if not nused:
-                    self._set_header(chunk, size + nsize, in_use=False)
+            if not word & _IN_USE and nxt < end:
+                after = int.from_bytes(read(nxt, HEADER_BYTES), "little")
+                if not after & _IN_USE:
+                    merged = size + (after & _SIZE_MASK)
+                    self._write(chunk,
+                                merged.to_bytes(HEADER_BYTES, "little"))
                     continue          # try merging further
             chunk = nxt
 
     def walk(self) -> list[tuple[int, int, bool]]:
         """(vaddr, size, in_use) for every chunk -- test/debug aid."""
         out = []
+        read = self._read
         chunk = self.base
-        end = self.base + self.size
+        end = chunk + self.size
         while chunk < end:
-            size, in_use = self._get_header(chunk)
+            word = int.from_bytes(read(chunk, HEADER_BYTES), "little")
+            size = word & _SIZE_MASK
             if size == 0:
                 break
-            out.append((chunk, size, in_use))
+            out.append((chunk, size, bool(word & _IN_USE)))
             chunk += size
         return out

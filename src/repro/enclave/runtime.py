@@ -21,7 +21,7 @@ import typing
 
 from ..errors import SdkError, SecurityViolation
 from ..hw.ghcb import Ghcb, ghcb_view
-from ..hw.memory import PAGE_SIZE, page_base
+from ..hw.memory import PAGE_SHIFT, PAGE_SIZE
 from ..hw.pagetable import PageFault
 from ..hw.rmp import VMPL_ENC, VMPL_SER, VMPL_UNT
 from ..trace import NULL_SPAN
@@ -34,6 +34,7 @@ if typing.TYPE_CHECKING:
     from ..hw.vcpu import VirtualCpu
 
 _STAGING_ALIGN = 16
+_OUTSIDE = "enclave memory access from outside"
 
 
 class EnclaveRuntime:
@@ -57,6 +58,9 @@ class EnclaveRuntime:
         self.sanitizer = SyscallSanitizer(self)
         self.inside = False
         self.killed = False
+        #: The user-mapped GHCB this thread last entered through (its
+        #: per-VCPU GHCB, section 6.2); exits and service requests use it.
+        self.user_ghcb: Ghcb | None = None
         self._staging_cursor = 0
         #: Section-10 side-channel mitigation: have VeilS-ENC WBINVD the
         #: core's microarchitectural state on every enclave exit.
@@ -74,23 +78,6 @@ class EnclaveRuntime:
     # Entry / exit (user-mapped GHCB, section 6.2)
     # ------------------------------------------------------------------
 
-    @property
-    def thread_ghcb_ppn(self) -> int:
-        """This thread's per-VCPU user-mapped GHCB (section 6.2)."""
-        thread = self._threads.get(self.vcpu_id)
-        if thread is None:
-            return self.setup.ghcb_ppn
-        return thread[1]
-
-    def _user_ghcb(self) -> Ghcb:
-        return ghcb_view(self.thread_ghcb_ppn)
-
-    def _arm_ghcb(self, ghcb_ppn: int) -> None:
-        """OS-side step: point the live GHCB MSR at the user GHCB before
-        resuming the enclave (the kernel does this at schedule time)."""
-        with self.kernel.kernel_context(self.core) as core:
-            core.wrmsr_ghcb(page_base(ghcb_ppn))
-
     def enter(self) -> None:
         """Transition DomUNT -> DomENC."""
         if self.killed:
@@ -106,12 +93,18 @@ class EnclaveRuntime:
         else:
             self._switch_in()
         self.inside = True
-        self.setup.active_runtime = self
+        setup = self.setup
+        if setup.active_runtime is not self:
+            # The shared heap's metadata accesses run in the context of
+            # the thread that is inside.
+            setup.active_runtime = self
+            if setup.heap is not None:
+                setup.heap.bind(self.enclave_read, self.enclave_write)
         self.enclave_exits += 1
         # Enclave execution leaves a per-core microarchitectural
         # footprint an attacker could probe after exit (section 10).
-        self.core.taint_microarch(self._taint_tag)
-        if self.setup.heap is None:
+        self.core.microarch_residue.add(self._taint_tag)
+        if setup.heap is None:
             self._init_heap()
 
     def _switch_in(self) -> None:
@@ -121,13 +114,27 @@ class EnclaveRuntime:
         # different DomENC instance last ran on this core (several
         # enclaves multiplex one core's VMPL-2 slot).
         my_vmsa, ghcb_ppn = self._threads[self.vcpu_id]
+        core = self.core
         if self._vmsas.get((self.vcpu_id, VMPL_ENC)) is not my_vmsa:
             self.system.integration.schedule_enclave(
-                self.core, self.setup.enclave_id,
+                core, self.setup.enclave_id,
                 vcpu_id=self.vcpu_id, ghcb_ppn=ghcb_ppn)
         else:
-            self._arm_ghcb(ghcb_ppn)
-        self.core.switch_to(ghcb_view(ghcb_ppn), VMPL_ENC)
+            # OS-side step (the kernel does it at schedule time): point
+            # the live GHCB MSR at the user GHCB, at kernel cr3 and
+            # CPL-0, as ``Kernel.kernel_context`` would.
+            regs = core.regs
+            cr3, cpl = regs.cr3, regs.cpl
+            regs.cr3 = self.kernel.kernel_table.root_ppn
+            regs.cpl = 0
+            try:
+                core.wrmsr_ghcb(ghcb_ppn << PAGE_SHIFT)
+            finally:
+                regs.cr3 = cr3
+                regs.cpl = cpl
+        ghcb = ghcb_view(ghcb_ppn)
+        self.user_ghcb = ghcb
+        core.switch_to(ghcb, VMPL_ENC)
 
     def exit_to_untrusted(self) -> None:
         """Transition DomENC -> DomUNT (the costly enclave exit)."""
@@ -155,7 +162,7 @@ class EnclaveRuntime:
                     "enclave_id": self.setup.enclave_id})
             finally:
                 self._flushing = False
-        self.core.switch_to(self._user_ghcb(), VMPL_UNT)
+        self.core.switch_to(self.user_ghcb, VMPL_UNT)
 
     @property
     def heap(self) -> EnclaveHeap | None:
@@ -163,20 +170,12 @@ class EnclaveRuntime:
         return self.setup.heap
 
     def _init_heap(self) -> None:
-        heap_vaddr, heap_pages, _w, _x = self.setup.layout["heap"]
-        setup = self.setup
-
-        # Accessors dispatch through whichever thread runtime is
-        # currently executing inside the enclave, so allocator metadata
+        # The accessors are this thread's; :meth:`enter` rebinds them to
+        # whichever thread runtime enters next, so allocator metadata
         # operations always run in a valid DomENC context.
-        def heap_read(vaddr: int, length: int) -> bytes:
-            return setup.active_runtime.enclave_read(vaddr, length)
-
-        def heap_write(vaddr: int, data: bytes) -> None:
-            setup.active_runtime.enclave_write(vaddr, data)
-
-        setup.heap = EnclaveHeap(heap_vaddr, heap_pages * PAGE_SIZE,
-                                 heap_read, heap_write)
+        heap_vaddr, heap_pages, _w, _x = self.setup.layout["heap"]
+        self.setup.heap = EnclaveHeap(heap_vaddr, heap_pages * PAGE_SIZE,
+                                      self.enclave_read, self.enclave_write)
 
     # ------------------------------------------------------------------
     # Enclave memory access (DomENC context; demand paging on fault)
@@ -184,11 +183,15 @@ class EnclaveRuntime:
 
     def _require_inside(self) -> None:
         if not self.inside:
-            raise SdkError("enclave memory access from outside")
+            raise SdkError(_OUTSIDE)
+
+    # The accessors and staging copies below test ``inside`` inline:
+    # every heap header access is one of them.
 
     def enclave_read(self, vaddr: int, length: int) -> bytes:
         """Read enclave memory at DomENC (swaps in on fault)."""
-        self._require_inside()
+        if not self.inside:
+            raise SdkError(_OUTSIDE)
         try:
             return self.core.read(vaddr, length)
         except PageFault:
@@ -197,7 +200,8 @@ class EnclaveRuntime:
 
     def enclave_write(self, vaddr: int, data: bytes) -> None:
         """Write enclave memory at DomENC (swaps in on fault)."""
-        self._require_inside()
+        if not self.inside:
+            raise SdkError(_OUTSIDE)
         try:
             self.core.write(vaddr, data)
         except PageFault:
@@ -248,7 +252,8 @@ class EnclaveRuntime:
     def stage_out(self, enclave_vaddr: int, staging_vaddr: int,
                   length: int) -> None:
         """Bulk-copy enclave bytes into the shared staging region."""
-        self._require_inside()
+        if not self.inside:
+            raise SdkError(_OUTSIDE)
         try:
             data = self.core.read(enclave_vaddr, length)
         except PageFault:
@@ -259,7 +264,8 @@ class EnclaveRuntime:
     def stage_in(self, staging_vaddr: int, enclave_vaddr: int,
                  length: int) -> None:
         """Bulk-copy shared staging bytes back into the enclave."""
-        self._require_inside()
+        if not self.inside:
+            raise SdkError(_OUTSIDE)
         data = self.core.read(staging_vaddr, length)
         try:
             self.core.write(enclave_vaddr, data)
@@ -287,7 +293,7 @@ class EnclaveRuntime:
     def syscall(self, name: str, *args):
         """Redirect a syscall to the untrusted application."""
         if not self.inside:
-            raise SdkError("enclave memory access from outside")
+            raise SdkError(_OUTSIDE)
         if self.killed:
             raise SdkError("enclave was killed")
         self._staging_cursor = 0
@@ -309,8 +315,8 @@ class EnclaveRuntime:
             raise
         self.exit_to_untrusted()
         try:
-            result = self.kernel.syscall(self.core, self.proc, name,
-                                         *marshalled.proxy_args)
+            result = self.kernel.syscalls.dispatch(
+                self.core, self.proc, name, *marshalled.proxy_args)
         finally:
             self.enter()
         try:
@@ -361,9 +367,10 @@ class EnclaveRuntime:
             self.exit_to_untrusted()
             results = []
             try:
+                dispatch = self.kernel.syscalls.dispatch
                 for name, proxy_args in queued:
-                    results.append(self.kernel.syscall(
-                        self.core, self.proc, name, *proxy_args))
+                    results.append(dispatch(self.core, self.proc, name,
+                                            *proxy_args))
             finally:
                 self.enter()
         self.syscall_count += len(queued)
@@ -425,7 +432,7 @@ class EnclaveRuntime:
     def _call_service(self, idcb, request: dict) -> None:
         """The body of :meth:`service_request`."""
         idcb.write_request(self.machine.memory, request)
-        self.core.switch_to(self._user_ghcb(), VMPL_SER)
+        self.core.switch_to(self.user_ghcb, VMPL_SER)
         # Core now runs DomSER: the service body handles the request
         # and switches back to DomENC.
         self.system.veilmon.on_ser_entry(self.core, idcb=idcb)

@@ -26,6 +26,12 @@ from .specs import ArgKind, CallSpec, SYSCALL_SPECS
 #: Sanitizer bookkeeping per redirected call (spec walk, bounds checks).
 SANITIZE_BASE_CYCLES = 400
 
+# The argument kinds, pre-resolved: each ``ArgKind.X`` in ``marshal``'s
+# loop would be an attribute lookup on the enum class.
+_SCALAR, _PATH, _BUF_IN, _BUF_OUT, _IOVEC_IN, _IOVEC_OUT = (
+    ArgKind.SCALAR, ArgKind.PATH, ArgKind.BUF_IN, ArgKind.BUF_OUT,
+    ArgKind.IOVEC_IN, ArgKind.IOVEC_OUT)
+
 if typing.TYPE_CHECKING:
     from .runtime import EnclaveRuntime
 
@@ -80,10 +86,12 @@ class SyscallSanitizer:
     def _buffer_length(self, spec: CallSpec, arg_index: int,
                        args: tuple) -> int:
         arg_spec = spec.args[arg_index]
-        if arg_spec.len_from is not None:
-            return _checked_length(spec.name,
-                                   spec.args[arg_spec.len_from].name,
-                                   args[arg_spec.len_from])
+        index = arg_spec.len_from
+        if index is not None:
+            # A length argument the caller left out reads as ``None``.
+            return _checked_length(spec.name, spec.args[index].name,
+                                   args[index] if index < len(args)
+                                   else None)
         if arg_spec.const_len is not None:
             return arg_spec.const_len
         raise SdkError(f"{spec.name}: no length rule for "
@@ -100,26 +108,27 @@ class SyscallSanitizer:
             if index >= len(args):
                 break
             value = args[index]
-            if arg_spec.kind == ArgKind.SCALAR:
+            kind = arg_spec.kind
+            if kind is _SCALAR:
                 continue
-            if arg_spec.kind == ArgKind.PATH:
+            if kind is _PATH:
                 # Paths are passed as Python strings; charge the copy.
                 runtime.charge_copy(len(str(value)) + 1)
                 continue
-            if arg_spec.kind == ArgKind.BUF_IN:
+            if kind is _BUF_IN:
                 length = self._buffer_length(spec, index, args)
                 staging = runtime.staging_alloc(length)
                 if length:
                     runtime.stage_out(int(value), staging, length)
                 out.proxy_args[index] = staging
                 out.bytes_out += length
-            elif arg_spec.kind == ArgKind.BUF_OUT:
+            elif kind is _BUF_OUT:
                 length = self._buffer_length(spec, index, args)
                 staging = runtime.staging_alloc(length)
                 out.proxy_args[index] = staging
                 out.copy_back.append((staging, int(value), length))
                 out.bytes_in += length
-            elif arg_spec.kind == ArgKind.IOVEC_IN:
+            elif kind is _IOVEC_IN:
                 new_iov = []
                 for vaddr, length in value:
                     _checked_length(name, arg_spec.name, length)
@@ -129,7 +138,7 @@ class SyscallSanitizer:
                     new_iov.append((staging, length))
                     out.bytes_out += length
                 out.proxy_args[index] = new_iov
-            elif arg_spec.kind == ArgKind.IOVEC_OUT:
+            elif kind is _IOVEC_OUT:
                 new_iov = []
                 for vaddr, length in value:
                     _checked_length(name, arg_spec.name, length)
@@ -159,8 +168,9 @@ class SyscallSanitizer:
             # The returned region is [result, result + length) when the
             # spec names a length argument (mmap), else the point.
             length = 1
-            if spec.returns_len_from is not None:
-                length = marshalled.proxy_args[spec.returns_len_from]
+            index = spec.returns_len_from
+            if index is not None and index < len(marshalled.proxy_args):
+                length = marshalled.proxy_args[index]
                 if type(length) is not int or length < 1:
                     length = 1
             if runtime.address_in_enclave(result, length):

@@ -32,6 +32,7 @@ import typing
 from collections import deque
 from dataclasses import dataclass, field
 
+from ..codec import expect
 from ..errors import AttestationError, NestedPageFault, \
     SecurityViolation, SimulationError
 from ..hw.ghcb import (FRAME_HEADER, SWITCH_PAYLOADS, Ghcb, decode_payload,
@@ -284,7 +285,7 @@ class Hypervisor:
                           message: dict) -> None:
         """A switch request the guest spelled another way (the codec's
         path): parse the target, then the same :meth:`_switch`."""
-        target_vmpl = _expect(message["target_vmpl"], int, "target_vmpl")
+        target_vmpl = expect(message["target_vmpl"], int, "target_vmpl")
         with self.trace_span(core, exited, "op:domain_switch",
                              target_vmpl=target_vmpl):
             self._switch(core, exited, ghcb.ppn, target_vmpl)
@@ -297,7 +298,7 @@ class Hypervisor:
         the target page really is an RMP-marked VMSA page; a forged
         registration therefore cannot produce a runnable instance.
         """
-        ppn = _expect(message["vmsa_ppn"], int, "vmsa_ppn")
+        ppn = expect(message["vmsa_ppn"], int, "vmsa_ppn")
         with self.trace_span(core, exited, "op:register_vmsa", ppn=ppn):
             self._check_pages("register_vmsa", (ppn,))
             ent = self.machine.rmp.peek(ppn)
@@ -316,8 +317,8 @@ class Hypervisor:
         it nor the VMSA may already run: entering a live instance is an
         errant hypercall.
         """
-        vcpu_id = _expect(message["vcpu_id"], int, "vcpu_id")
-        vmpl = _expect(message.get("vmpl", VMPL_UNT), int, "vmpl")
+        vcpu_id = expect(message["vcpu_id"], int, "vcpu_id")
+        vmpl = expect(message.get("vmpl", VMPL_UNT), int, "vmpl")
         with self.trace_span(core, exited, "op:start_vcpu",
                              target_vcpu=vcpu_id, target_vmpl=vmpl):
             machine = self.machine
@@ -350,8 +351,8 @@ class Hypervisor:
         every page as it was.
         """
         action = message["action"]
-        ppns = [_expect(ppn, int, "ppns entry")
-                for ppn in _expect(message["ppns"], list, "ppns")]
+        ppns = [expect(ppn, int, "ppns entry")
+                for ppn in expect(message["ppns"], list, "ppns")]
         with self.trace_span(core, exited, "op:page_state_change",
                              action=str(action), pages=len(ppns)):
             rmp = self.machine.rmp
@@ -423,7 +424,7 @@ class Hypervisor:
     def _op_halt(self, core, exited: Vmsa, ghcb: Ghcb,
                  message: dict) -> None:
         with self.trace_span(core, exited, "op:halt"):
-            self.machine.halt(_expect(
+            self.machine.halt(expect(
                 message.get("reason", "guest requested halt"), str,
                 "reason"))
 
@@ -518,19 +519,6 @@ class Hypervisor:
         core.regs.cpl = saved_cpl
         self.machine.halt(
             "interrupt forced into enclave context unexpectedly succeeded")
-
-
-def _expect(value, kind: type, name: str):
-    """``value``, if its JSON type is exactly ``kind``.
-
-    ``true`` is not a page number and ``1.5`` or ``"1"`` is not a VMPL:
-    anything else raises ``TypeError``, which
-    :meth:`Hypervisor.handle_vmgexit` turns into a halt.
-    """
-    if type(value) is not kind:
-        raise TypeError(f"{name} is a {type(value).__name__}, not "
-                        f"{kind.__name__}")
-    return value
 
 
 #: ``op -> (exit-log tag, handler method name)`` for every GHCB operation

@@ -105,35 +105,6 @@ def free_cost_model() -> CostModel:
     return CostModel(**zeroed)
 
 
-class ChargeHandle:
-    """Pre-resolved charge target for one ledger category.
-
-    The VCPU access path charges the same two categories
-    (``page_table_walk``, ``copy``) on every guest memory access.  A
-    handle binds the ledger, its category tally and the category name
-    once, so a charge is one add to the ledger's total and one
-    ``+=`` into the tally, with no sign check and no category argument
-    to pass.  Handles survive :meth:`CycleLedger.reset` because the
-    ledger clears its tally in place rather than replacing it.
-
-    Callers own the non-negativity of their costs: handles skip the
-    negative-charge guard, so they are only handed to trusted simulator
-    paths whose costs come from a :class:`CostModel`.
-    """
-
-    __slots__ = ("_ledger", "_bucket", "_category")
-
-    def __init__(self, ledger: "CycleLedger", category: str):
-        self._ledger = ledger
-        self._bucket = ledger.by_category
-        self._category = category
-
-    def charge(self, cycles: int) -> None:
-        """Add ``cycles`` (assumed non-negative) to the bound category."""
-        self._ledger.total += cycles
-        self._bucket[self._category] += cycles
-
-
 @dataclass
 class CycleLedger:
     """Accumulates cycles, bucketed by category.
@@ -155,10 +126,6 @@ class CycleLedger:
         self.total += cycles
         self.by_category[category] += cycles
 
-    def handle(self, category: str) -> ChargeHandle:
-        """A :class:`ChargeHandle` bound to ``category`` on this ledger."""
-        return ChargeHandle(self, category)
-
     def category(self, name: str) -> int:
         """Total charged under one category."""
         return self.by_category.get(name, 0)
@@ -177,11 +144,8 @@ class CycleLedger:
         return LedgerSnapshot(self.total - snap.total, delta)
 
     def reset(self) -> None:
-        """Zero every counter.
-
-        Clears the category tally in place (never replaces it) so
-        outstanding :class:`ChargeHandle` objects stay valid.
-        """
+        """Zero every counter (the category tally is cleared in place,
+        never replaced)."""
         self.total = 0
         self.by_category.clear()
 

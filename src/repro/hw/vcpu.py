@@ -60,11 +60,9 @@ class VirtualCpu:
         self.regs: RegisterFile = RegisterFile()
         #: Per-core software TLB + RMP permission cache (veil-turbo).
         self.tlb = SoftTlb()
-        # Pre-resolved ledger handles and costs for the access fast path.
-        # Handles charge exactly what CycleLedger.charge would, on a hit
-        # and on a miss alike.
-        self._h_walk = machine.ledger.handle("page_table_walk")
-        self._h_copy = machine.ledger.handle("copy")
+        # Pre-resolved costs for the access fast path, which adds its
+        # ``page_table_walk`` and ``copy`` charges to the ledger inline,
+        # as CycleLedger.charge would, on a hit and on a miss alike.
         self._walk_cost = machine.cost.page_table_walk
         self._copy_x1000 = machine.cost.copy_per_byte_x1000
         #: Number of world switches taken by this core (telemetry).
@@ -158,7 +156,7 @@ class VirtualCpu:
                 view.entries[vpn] = pte
         else:
             stats.hits += 1
-        self._h_walk.charge(self._walk_cost)
+        self.machine.ledger.charge("page_table_walk", self._walk_cost)
         if pte is None:
             raise PageFault(vpn, "write" if write else
                             "execute" if execute else "read")
@@ -260,7 +258,7 @@ class VirtualCpu:
         self._translate_vpn(vaddr >> PAGE_SHIFT, write, execute)
         if length:
             raise SimulationError("VCPU is not running any instance")
-        self._h_copy.charge(0)
+        self.machine.ledger.charge("copy", 0)
         return b""
 
     # The three access methods below each have an inlined fast path: one
@@ -270,8 +268,10 @@ class VirtualCpu:
     # deliberate -- this is the simulator's hottest loop, and factoring
     # the body into helpers costs ~2x wall-clock (measured; Python call
     # overhead dominates).  A hit and a miss charge the same ledger
-    # categories with the same amounts at the same points, so cycle
-    # totals never depend on what the cache holds.  Every verdict and
+    # categories with the same amounts at the same points (the walk
+    # before any fault check, the copy after the RMP check, each added
+    # inline as CycleLedger.charge would), so cycle totals never depend
+    # on what the cache holds.  Every verdict and
     # charge is checked against a cache-free model of the SNP rules in
     # tests/hw/test_snp_reference.py.
 
@@ -302,8 +302,8 @@ class VirtualCpu:
         stats = tlb.stats
         vmpl_bits = instance.vmpl << 4
         user_ok = self.regs.cpl != 3
-        charge_walk = self._h_walk.charge
-        charge_copy = self._h_copy.charge
+        ledger = machine.ledger
+        charged = ledger.by_category
         walk_cost = self._walk_cost
         copy_x1000 = self._copy_x1000
         memory = machine.memory
@@ -319,7 +319,8 @@ class VirtualCpu:
                     entries[vpn] = pte
             else:
                 stats.hits += 1
-            charge_walk(walk_cost)
+            ledger.total += walk_cost
+            charged["page_table_walk"] += walk_cost
             if pte is None:
                 raise PageFault(vpn, "read")
             if not (user_ok or pte.user):
@@ -330,13 +331,15 @@ class VirtualCpu:
                 stats.rmp_hits += 1
             else:
                 self._rmp_fill(ppn, vmpl_bits >> 4, _READ, key)
-            charge_copy(length * copy_x1000 // 1000)
+            cycles = length * copy_x1000 // 1000
+            ledger.total += cycles
+            charged["copy"] += cycles
             buf = pages.get(ppn)
             if buf is None:
                 return memory.page_bytes(ppn, offset, length)
             return bytes(buf[offset:offset + length])
         # Cross-page gather aggregates the per-page ledger
-        # charges into one call per category.  Totals are identical to
+        # charges into one add per category.  Totals are identical to
         # per-page charging (integer addition commutes and nothing reads
         # the clock mid-access); the ``finally`` flush keeps the
         # partial-charge semantics of a faulting access exact too.
@@ -380,8 +383,9 @@ class VirtualCpu:
                     out[pos:pos + chunk] = buf[off:off + chunk]
                 pos += chunk
         finally:
-            charge_walk(walk_acc)
-            charge_copy(copy_acc)
+            ledger.total += walk_acc + copy_acc
+            charged["page_table_walk"] += walk_acc
+            charged["copy"] += copy_acc
         return bytes(out)
 
     def write(self, vaddr: int, data: bytes) -> None:
@@ -411,8 +415,8 @@ class VirtualCpu:
         stats = tlb.stats
         vmpl_bits = instance.vmpl << 4
         user_ok = self.regs.cpl != 3
-        charge_walk = self._h_walk.charge
-        charge_copy = self._h_copy.charge
+        ledger = machine.ledger
+        charged = ledger.by_category
         walk_cost = self._walk_cost
         copy_x1000 = self._copy_x1000
         memory = machine.memory
@@ -428,7 +432,8 @@ class VirtualCpu:
                     entries[vpn] = pte
             else:
                 stats.hits += 1
-            charge_walk(walk_cost)
+            ledger.total += walk_cost
+            charged["page_table_walk"] += walk_cost
             if pte is None:
                 raise PageFault(vpn, "write")
             if not pte.writable:
@@ -441,7 +446,9 @@ class VirtualCpu:
                 stats.rmp_hits += 1
             else:
                 self._rmp_fill(ppn, vmpl_bits >> 4, _WRITE, key)
-            charge_copy(length * copy_x1000 // 1000)
+            cycles = length * copy_x1000 // 1000
+            ledger.total += cycles
+            charged["copy"] += cycles
             buf = pages.get(ppn)
             if buf is None:
                 memory.page_write(ppn, offset, data)
@@ -491,8 +498,9 @@ class VirtualCpu:
                     buf[off:off + chunk] = src[pos:pos + chunk]
                 pos += chunk
         finally:
-            charge_walk(walk_acc)
-            charge_copy(copy_acc)
+            ledger.total += walk_acc + copy_acc
+            charged["page_table_walk"] += walk_acc
+            charged["copy"] += copy_acc
 
     def fetch(self, vaddr: int, length: int = 16) -> bytes:
         """Instruction fetch: checks UEXEC/SEXEC per current CPL."""
@@ -517,8 +525,8 @@ class VirtualCpu:
         supervisor = self.regs.cpl == 0
         access = _SEXEC if supervisor else _UEXEC
         access_bit = _SEXEC_BIT if supervisor else _UEXEC_BIT
-        charge_walk = self._h_walk.charge
-        charge_copy = self._h_copy.charge
+        ledger = machine.ledger
+        charged = ledger.by_category
         walk_cost = self._walk_cost
         copy_x1000 = self._copy_x1000
         memory = machine.memory
@@ -534,7 +542,8 @@ class VirtualCpu:
                     entries[vpn] = pte
             else:
                 stats.hits += 1
-            charge_walk(walk_cost)
+            ledger.total += walk_cost
+            charged["page_table_walk"] += walk_cost
             if pte is None:
                 raise PageFault(vpn, "execute")
             if not supervisor and not pte.user:
@@ -547,7 +556,9 @@ class VirtualCpu:
                 stats.rmp_hits += 1
             else:
                 self._rmp_fill(ppn, vmpl_bits >> 4, access, key)
-            charge_copy(length * copy_x1000 // 1000)
+            cycles = length * copy_x1000 // 1000
+            ledger.total += cycles
+            charged["copy"] += cycles
             buf = pages.get(ppn)
             if buf is None:
                 return memory.page_bytes(ppn, offset, length)
@@ -596,8 +607,9 @@ class VirtualCpu:
                     out[pos:pos + chunk] = buf[off:off + chunk]
                 pos += chunk
         finally:
-            charge_walk(walk_acc)
-            charge_copy(copy_acc)
+            ledger.total += walk_acc + copy_acc
+            charged["page_table_walk"] += walk_acc
+            charged["copy"] += copy_acc
         return bytes(out)
 
     # -- physical access (used only by VMPL-0 software, which owns all
@@ -737,10 +749,6 @@ class VirtualCpu:
             machine.hypervisor.handle_automatic_exit(self, reason)
 
     # -- microarchitectural state -----------------------------------------------
-
-    def taint_microarch(self, tag: str) -> None:
-        """Executions leave per-core cache/TLB footprints behind."""
-        self.microarch_residue.add(tag)
 
     def wbinvd(self) -> None:
         """``WBINVD``: write back + invalidate CPU structures.

@@ -48,8 +48,10 @@ class KernelContext:
     """``with kernel.kernel_context(core) as core:`` -- kernel cr3 and
     CPL-0 on ``core`` inside the block, the previous pair restored after.
 
-    A slotted class rather than a generator context manager: every
-    enclave entry arms its GHCB inside one.
+    A slotted class rather than a generator context manager, so
+    entering one builds no generator.  Enclave entry, which arms a GHCB
+    on every redirected syscall, sets the pair itself around its one
+    ``wrmsr_ghcb`` and builds no context at all.
     """
 
     __slots__ = ("core", "root_ppn", "prev")

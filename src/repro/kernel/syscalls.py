@@ -96,7 +96,8 @@ class SyscallTable:
                  *args, **kwargs):
         """Execute syscall ``name`` for ``proc`` on ``core``."""
         machine = self.kernel.machine
-        machine.check_running()
+        if machine.halted:
+            machine.check_running()
         handler = getattr(self, f"sys_{name}", None)
         if handler is None:
             raise KernelError(ENOSYS, f"unimplemented syscall {name}")
@@ -114,8 +115,12 @@ class SyscallTable:
                                vmpl=vmpl, pid=proc.pid)
             span.__enter__()
         try:
-            machine.ledger.charge("syscall", machine.cost.syscall_entry)
-            machine.ledger.charge("syscall", BASE_COSTS.get(name, 1000))
+            # Entry and kernel work, added inline in one go, as two
+            # CycleLedger.charge calls would add them.
+            ledger = machine.ledger
+            cycles = machine.cost.syscall_entry + BASE_COSTS.get(name, 1000)
+            ledger.total += cycles
+            ledger.by_category["syscall"] += cycles
             # Execute-ahead auditing (section 6.3): the record is produced
             # and protected *before* the audited event runs, so it survives
             # even if the event is the compromise itself.  Only a name

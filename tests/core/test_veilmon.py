@@ -112,6 +112,52 @@ class TestVcpuBootDelegation:
             "op": "boot_vcpu", "vcpu_id": 64})
         assert reply["status"] == "error"
 
+    @staticmethod
+    def _refused_without_an_exit(veil, request: dict) -> str:
+        """``request`` gets an error reply, the CVM keeps running, and no
+        replica is created and no ``start_vcpu`` reaches the hypervisor;
+        returns the reply's reason."""
+        cores = veil.machine.cores
+        exits = sum(core.exit_count for core in cores)
+        replicas = dict(veil.veilmon.vmsas)
+        reply = veil.gateway.call_monitor(veil.boot_core, request)
+        assert reply["status"] == "error"
+        assert not veil.machine.halted
+        taken = sum(core.exit_count for core in cores) - exits
+        assert "vmgexit:start_vcpu" not in list(veil.hv.exit_log)[-taken:]
+        assert veil.veilmon.vmsas == replicas
+        assert veil.gateway.call_monitor(
+            veil.boot_core, {"op": "ping"})["status"] == "ok"
+        return reply["reason"]
+
+    @pytest.mark.parametrize("field, value, reason", [
+        ("vcpu_id", True, "vcpu_id is a bool, not int"),
+        ("vcpu_id", "1", "vcpu_id is a str, not int"),
+        ("vcpu_id", 1.0, "vcpu_id is a float, not int"),
+        ("vcpu_id", -1, "no such core"),
+        ("vmpl", 3.0, "vmpl is a float, not int"),
+        ("cr3", True, "cr3 is a bool, not int"),
+        ("ghcb_gpa", "20480", "ghcb_gpa is a str, not int")],
+        ids=["true", "string", "float", "negative", "float-vmpl",
+             "true-cr3", "string-ghcb"])
+    def test_malformed_field_is_refused(self, veil, field, value, reason):
+        request = {"op": "boot_vcpu", "vcpu_id": 1}
+        request[field] = value
+        assert reason in self._refused_without_an_exit(veil, request)
+        assert veil.machine.core(1).instance is None
+
+    def test_own_core_is_refused(self, veil):
+        reason = self._refused_without_an_exit(
+            veil, {"op": "boot_vcpu", "vcpu_id": 0})
+        assert reason == "core 0 is the requesting core"
+
+    def test_running_core_is_refused(self, veil):
+        veil.kernel.hotplug_vcpu(veil.boot_core, 1)
+        assert veil.machine.core(1).instance.running
+        reason = self._refused_without_an_exit(
+            veil, {"op": "boot_vcpu", "vcpu_id": 1})
+        assert reason == "vcpu 1 is already running"
+
 
 class TestAttestationFlow:
     def test_end_to_end_channel(self, veil):

@@ -1,5 +1,8 @@
 """Unit + property tests: the dlmalloc-style enclave heap."""
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,14 +10,20 @@ from repro.enclave.allocator import EnclaveHeap, HEADER_BYTES, MIN_CHUNK
 from repro.errors import SdkError
 
 
-def make_heap(size: int = 64 * 1024):
+def make_heap(size: int = 64 * 1024, log: list | None = None):
+    """A heap over a bytearray; with ``log``, every accessor call is
+    appended to it as ``(kind, vaddr, length)``."""
     backing = bytearray(1 << 20)
     base = 0x1000
 
     def read(vaddr, length):
+        if log is not None:
+            log.append(("read", vaddr, length))
         return bytes(backing[vaddr:vaddr + length])
 
     def write(vaddr, data):
+        if log is not None:
+            log.append(("write", vaddr, len(data)))
         backing[vaddr:vaddr + len(data)] = data
 
     return EnclaveHeap(base, size, read, write), backing
@@ -141,3 +150,61 @@ class TestProperties:
         chunks = heap.walk()
         assert len(chunks) == 1
         assert not chunks[0][2]        # free
+
+
+class TestMetadataTraffic:
+    """In an enclave every accessor call is a VCPU access the model
+    charges (a page walk and a copy), so the heap's metadata traffic is
+    part of every ledger: an allocator change must not add, drop or
+    reorder an access."""
+
+    #: sha256 over the accessor calls and results of the sequence below,
+    #: and over the final heap bytes, recorded on the allocator before
+    #: its header accesses were inlined (one helper call per header).
+    TRAFFIC_SHA256 = ("1dfe18fcf500f88ce33bf1409e03a815"
+                      "e046157fdc0b88df9e4c42d2a058df37")
+    MEMORY_SHA256 = ("ee88db60227335132b6fd0efec9a1c6f"
+                     "758fa6e19ea33acd79f6520e1943a53d")
+
+    @staticmethod
+    def _run(log: list) -> tuple[list, bytes]:
+        """A seeded malloc/calloc/realloc/free sequence (exhaustion and
+        double frees included) on a 16 KiB heap."""
+        rng = random.Random(28)
+        heap, backing = make_heap(size=16 * 1024, log=log)
+        live: list[int] = []
+        results = []
+        for _ in range(400):
+            op = rng.choice(("malloc", "malloc", "calloc", "realloc",
+                             "free", "free", "double-free"))
+            size = rng.choice((1, 8, 24, 100, 500, 2000, 9000))
+            try:
+                if op == "malloc" or (op != "calloc" and not live):
+                    live.append(heap.malloc(size))
+                    results.append(live[-1])
+                elif op == "calloc":
+                    live.append(heap.calloc(size))
+                    results.append(live[-1])
+                elif op == "realloc":
+                    index = rng.randrange(len(live))
+                    live[index] = heap.realloc(live[index], size)
+                    results.append(live[index])
+                elif op == "free":
+                    heap.free(live.pop(rng.randrange(len(live))))
+                    results.append("freed")
+                else:
+                    victim = live.pop(rng.randrange(len(live)))
+                    heap.free(victim)
+                    heap.free(victim)
+            except SdkError as refused:
+                results.append(str(refused))
+        results.append(heap.walk())
+        return results, bytes(backing)
+
+    def test_accessor_calls_match_the_recorded_sequence(self):
+        log: list = []
+        results, memory = self._run(log)
+        traffic = hashlib.sha256(repr((log, results)).encode()).hexdigest()
+        assert len(log) > 4000
+        assert traffic == self.TRAFFIC_SHA256
+        assert hashlib.sha256(memory).hexdigest() == self.MEMORY_SHA256

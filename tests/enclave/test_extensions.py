@@ -254,7 +254,7 @@ class TestExtensionSecurityRegressions:
         thread = host.spawn_thread(1)
 
         def escalate(libc):
-            ghcb = libc.rt._user_ghcb()
+            ghcb = libc.rt.user_ghcb
             ghcb.write_message(veil.machine.memory,
                                {"op": "domain_switch", "target_vmpl": 0})
             libc.rt.core.vmgexit()

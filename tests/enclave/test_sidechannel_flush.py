@@ -29,7 +29,7 @@ class TestResidueModel:
 
     def test_wbinvd_clears_and_charges(self, veil):
         core = veil.boot_core
-        core.taint_microarch("probe")
+        core.microarch_residue.add("probe")
         before = veil.machine.ledger.category("wbinvd")
         with veil.kernel.kernel_context(core):
             core.wbinvd()

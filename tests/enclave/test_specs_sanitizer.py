@@ -222,12 +222,14 @@ class TestSanitizerThroughEnclave:
         ("write", "count", lambda fd, buf: (fd, buf, 2.0)),
         ("readv", "iov", lambda fd, buf: (fd, [(buf, 4), (buf, -1)])),
         ("writev", "iov", lambda fd, buf: (fd, [(buf, -1)])),
+        ("read", "count", lambda fd, buf: (fd, buf)),
     ], ids=["write", "pwrite", "read", "pread", "write-float", "readv",
-            "writev"])
+            "writev", "read-missing-count"])
     def test_bad_buffer_length_kills_enclave(self, host, call, bad_arg,
                                              args):
-        """A negative or non-integer buffer length is a malformed call:
-        the sanitizer names it and the enclave is killed."""
+        """A missing, negative or non-integer buffer length is a
+        malformed call: the sanitizer names it and the enclave is
+        killed."""
         from repro.errors import SdkError
         from repro.kernel.fs import O_CREAT, O_RDWR
 

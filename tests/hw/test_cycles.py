@@ -106,39 +106,31 @@ class TestLedgerTally:
     def test_zero_charge_creates_its_key(self):
         ledger = CycleLedger()
         ledger.charge("z", 0)
-        ledger.handle("h").charge(0)
-        assert ledger.by_category == {"z": 0, "h": 0}
+        assert ledger.by_category == {"z": 0}
         assert ledger.total == 0
 
-    def test_reset_keeps_handles_valid(self):
+    def test_reset_clears_the_tally_in_place(self):
         ledger = CycleLedger()
-        handle = ledger.handle("copy")
         tally = ledger.by_category
-        handle.charge(5)
+        ledger.charge("copy", 5)
         ledger.charge("walk", 2)
         ledger.reset()
         assert ledger.by_category is tally
-        handle.charge(3)
+        ledger.charge("copy", 3)
         assert ledger.total == 3
         assert ledger.by_category == {"copy": 3}
 
     @given(st.lists(st.tuples(st.sampled_from(["copy", "walk", "switch",
                                                "audit"]),
-                              st.integers(0, 10_000), st.booleans()),
+                              st.integers(0, 10_000)),
                     max_size=60))
     def test_items_match_a_counter(self, charges):
         """Same keys, values and insertion order as a ``Counter`` fed the
-        same charges, through ``charge`` and through handles alike."""
+        same charges."""
         ledger = CycleLedger()
-        handles = {}
         reference = Counter()
-        for category, cycles, by_handle in charges:
-            if by_handle:
-                if category not in handles:
-                    handles[category] = ledger.handle(category)
-                handles[category].charge(cycles)
-            else:
-                ledger.charge(category, cycles)
+        for category, cycles in charges:
+            ledger.charge(category, cycles)
             reference[category] += cycles
         assert list(ledger.by_category.items()) == list(reference.items())
         assert ledger.total == sum(reference.values())

@@ -1,11 +1,12 @@
 """No module under ``src/repro`` uses ``collections.Counter``.
 
-Every hot tally -- the cycle ledger's categories (and with them every
-``ChargeHandle``), the per-syscall counts, the metrics counters and the
-histogram buckets -- is a :class:`repro.trace.Tally`, a ``dict``
-subclass whose one override is ``__missing__``.  ``Counter`` also
-defines ``__delitem__`` in Python, and CPython then routes every store
-into the subclass, ``+=`` included, through a Python-level slot.
+Every hot tally -- the cycle ledger's categories (which the VCPU access
+path, ``PhysicalMemory`` and ``vmgexit`` also add to inline), the
+per-syscall counts, the metrics counters and the histogram buckets --
+is a :class:`repro.trace.Tally`, a ``dict`` subclass whose one override
+is ``__missing__``.  ``Counter`` also defines ``__delitem__`` in Python,
+and CPython then routes every store into the subclass, ``+=`` included,
+through a Python-level slot.
 Measured on CPython 3.11.7, best of three runs of five repeats: a plain
 store takes 140 ns into a ``Counter`` and 31 ns into a ``Tally``,
 ``+= 5`` 218 ns and 99 ns, and a ``CycleLedger.charge`` 343 ns and
